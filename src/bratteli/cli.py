@@ -298,13 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FileFormatError, json.JSONDecodeError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except BratteliError as exc:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InvalidDiagram, PathError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A single edge: identifier plus source/range vertex identifiers."""
 
@@ -220,15 +220,25 @@ class BratteliDiagram:
         return found
 
     def _build_adjacency(self):
-        out, inc = [], []
+        """Dense integer indices for the package's hot loops, per floor m = n - 1:
+        ``_src[m][k]`` / ``_rng[m][k]`` index the endpoints of edge k of E(n) in
+        V(n-1) / V(n); ``_out[m][i]`` / ``_in[m][j]`` list the edge indices
+        leaving vertex i of V(n-1) / entering vertex j of V(n), in edge order."""
+        src, rng, out, inc = [], [], [], []
         for m, row in enumerate(self._edges):
+            s = tuple(self._vidx[m][e.src] for e in row)
+            r = tuple(self._vidx[m + 1][e.rng] for e in row)
             o = [[] for _ in self._vertices[m]]
             i = [[] for _ in self._vertices[m + 1]]
-            for k, e in enumerate(row):
-                o[self._vidx[m][e.src]].append(k)
-                i[self._vidx[m + 1][e.rng]].append(k)
+            for k, (a, b) in enumerate(zip(s, r)):
+                o[a].append(k)
+                i[b].append(k)
+            src.append(s)
+            rng.append(r)
             out.append(tuple(tuple(x) for x in o))
             inc.append(tuple(tuple(x) for x in i))
+        self._src = tuple(src)
+        self._rng = tuple(rng)
         self._out = tuple(out)
         self._in = tuple(inc)
 
@@ -321,18 +331,28 @@ def enumerate_paths(d: BratteliDiagram, from_level: int, to_level: int) -> list[
     if from_level == to_level:
         return [d.empty_path(v, from_level) for v in d.vertices(from_level)]
     result: list[FinitePath] = []
-    # depth-first over edge indices; sorted branches give lexicographic order
-    def grow(prefix: tuple[str, ...], at: str, level: int):
-        if level == to_level:
-            result.append(FinitePath(from_level, prefix_anchor[0], prefix, at))
-            return
-        for e in d.out_edges(level, at):
-            grow(prefix + (e.id,), e.rng, level + 1)
-
-    prefix_anchor = [None]
-    for e in d.edges(from_level + 1):
-        prefix_anchor[0] = e.src
-        grow((e.id,), e.rng, from_level + 1)
+    # depth-first over edge indices with an explicit stack (one iterator per
+    # level), so deep diagrams cannot exhaust the interpreter's recursion
+    # limit; visiting branches in edge order gives lexicographic order
+    ids: list[str] = []
+    stack = [iter(range(len(d._edges[from_level])))]
+    anchor = None
+    while stack:
+        k = next(stack[-1], None)
+        if k is None:
+            stack.pop()
+            if ids:
+                ids.pop()
+            continue
+        m = from_level + len(ids)  # floor of the edge just chosen
+        e = d._edges[m][k]
+        if not ids:
+            anchor = e.src
+        if m + 1 == to_level:
+            result.append(FinitePath(from_level, anchor, (*ids, e.id), e.rng))
+        else:
+            ids.append(e.id)
+            stack.append(iter(d._out[m + 1][d._rng[m][k]]))
     return result
 
 

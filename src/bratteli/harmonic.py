@@ -8,18 +8,32 @@ functions of the truncated path space; the bijection is implemented here
 together with the induced measures h mu and the ergodic decomposition by
 terminal vertex.  The infinite-depth statements are the projective limit of
 what this module verifies exactly.
+
+The backward induction runs on the walk's integer kernel: with p_n(e) held
+as a numerator A_n(e) over a per-vertex denominator B_n(s(e)) (see ``walk``)
+and level n of h as integer numerators H_n over one denominator E_n, the sum
+over out-edges e of v of A_n(e) H_n(r(e)) is h_{n-1}(v) times E_n B_n(v);
+each vertex cancels its gcd with B_n(v) and the level is brought over
+E_{n-1} = E_n S_n, S_n the lcm of what is left of the B_n(v).  Values become
+Fractions once, at the end of the sweep.
+Ergodic components carry their terminal vertex and weight nu_N(t) at once;
+each component's walk, the Doob transform of the terminal indicator, is built
+on first access, so reading only the weights builds no walk.  Everything is
+exact; there is no floating point in this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .diagram import BratteliDiagram, FinitePath, enumerate_paths, subdiagram
 from .errors import NotAMeasure, NotHarmonic, ShapeMismatch
 from .rational import as_fraction
-from .walk import RandomWalk, build_walk, cylinder_measure
+from .walk import RandomWalk, _cancel, _over_lcm, build_walk, cylinder_measure
 
 
 def _aligned_levels(d: BratteliDiagram, levels, what: str) -> tuple[dict, ...]:
@@ -119,24 +133,40 @@ def is_harmonic(w: RandomWalk, h) -> HarmonicCheck:
     return HarmonicCheck(True)
 
 
+def _backward_sweep(w: RandomWalk, bottom: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """Integer numerators of the harmonic extension of ``bottom`` on V(N),
+    and per-level scales: if bottom is over E_N, level m of the result is
+    over E_m = E_{m+1} scales[m]."""
+    d, p = w.diagram, w.transition
+    levels = [None] * (d.depth + 1)
+    levels[d.depth] = list(bottom)
+    scales = [None] * d.depth
+    for m in range(d.depth - 1, -1, -1):
+        below = levels[m + 1]
+        terms = [x * below[j] for x, j in zip(p._num[m], d._rng[m])]
+        sums = [sum(terms[k] for k in ks) for ks in d._out[m]]
+        levels[m], scales[m] = _cancel(sums, p._den[m])
+    return levels, scales
+
+
 def harmonic_from_terminal(w: RandomWalk, terminal: Mapping[str, object]) -> HarmonicSequence:
     """Backward induction from values on V(N); linear in the terminal data."""
     d = w.diagram
-    levels: list[dict] = [None] * (d.depth + 1)
-    bottom = {}
+    bottom = []
     for v in d.vertices(d.depth):
         if v not in terminal:
             raise ShapeMismatch(f"terminal data: no value for vertex '{v}'")
-        bottom[v] = as_fraction(terminal[v])
+        bottom.append(as_fraction(terminal[v]))
     unknown = set(terminal) - set(d.vertices(d.depth))
     if unknown:
         raise ShapeMismatch(f"terminal data: unknown vertex '{sorted(unknown)[0]}'")
-    levels[d.depth] = bottom
-    for n in range(d.depth, 0, -1):
-        prev = {}
-        for v in d.vertices(n - 1):
-            prev[v] = sum(w.p(n, e.id) * levels[n][e.rng] for e in d.out_edges(n - 1, v))
-        levels[n - 1] = prev
+    top, den = _over_lcm(bottom)
+    nums, scales = _backward_sweep(w, top)
+    levels = [None] * (d.depth + 1)
+    for n in range(d.depth, -1, -1):
+        levels[n] = {v: Fraction(x, den) for v, x in zip(d.vertices(n), nums[n])}
+        if n:
+            den *= scales[n - 1]
     return HarmonicSequence(d, levels)
 
 
@@ -204,6 +234,53 @@ class ErgodicComponent:
         return cylinder_measure(self.walk, self.walk.diagram.path(a.edges, 0, a.anchor))
 
 
+class _DoobComponent(ErgodicComponent):
+    """A component of ``ergodic_components``: its ``walk`` is the Doob
+    transform of the decomposed walk, built on first access."""
+
+    def __init__(self, terminal: str, weight: Fraction, source: RandomWalk):
+        object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "_source", source)
+
+    @cached_property
+    def walk(self) -> RandomWalk:
+        return _doob_transform(self._source, self.terminal, self.weight)
+
+
+def _doob_transform(w: RandomWalk, target: str, weight: Fraction) -> RandomWalk:
+    """The walk conditioned on ending at ``target``, on the subdiagram where
+    the harmonic extension g of the target's indicator is positive.
+
+    With g_n = G_n / E_n from the integer sweep (E_N = 1, E_{n-1} = E_n S_n),
+    the transformed transition p(e) g_n(r(e)) / g_{n-1}(s(e)) is
+    A_n(e) G_n(r(e)) S_n / (B_n(s(e)) G_{n-1}(s(e))).
+    """
+    d, p = w.diagram, w.transition
+    g, scales = _backward_sweep(w, [1 if v == target else 0 for v in d.vertices(d.depth)])
+    keep_vertices = [
+        {v for v, x in zip(d.vertices(n), g[n]) if x > 0} for n in range(d.depth + 1)
+    ]
+    keep_edges = [
+        {e.id for e, j in zip(d.edges(m + 1), d._rng[m]) if g[m + 1][j] > 0}
+        for m in range(d.depth)
+    ]
+    sub = subdiagram(d, keep_vertices, keep_edges)
+    p_values = []
+    for m in range(d.depth):
+        below, above, den, scale = g[m + 1], g[m], p._den[m], scales[m]
+        p_values.append(
+            {
+                e.id: Fraction(x * below[j] * scale, den[i] * above[i])
+                for e, x, i, j in zip(d.edges(m + 1), p._num[m], d._src[m], d._rng[m])
+                if below[j] > 0
+            }
+        )
+    top_den = math.prod(scales) * weight
+    nu0 = {v: w.initial(v) * x / top_den for v, x in zip(d.vertices(0), g[0]) if x > 0}
+    return build_walk(sub, p_values, nu0)
+
+
 def ergodic_components(w: RandomWalk) -> list[ErgodicComponent]:
     """Decomposition of the walk's measure over terminal vertices.
 
@@ -211,29 +288,7 @@ def ergodic_components(w: RandomWalk) -> list[ErgodicComponent]:
     terminal indicator: p*(e) = p(e) g_n(r(e)) / g_{n-1}(s(e)) on the
     subdiagram where g > 0.  Components have point-mass terminal
     distributions and recombine to the original measure cylinder by cylinder.
+    A component's walk is built when first read; its weight needs none.
     """
     d = w.diagram
-    out = []
-    for target in d.vertices(d.depth):
-        weight = w.nu_at(d.depth, target)
-        if weight == 0:
-            continue
-        g = harmonic_from_terminal(w, {v: 1 if v == target else 0 for v in d.vertices(d.depth)})
-        keep_vertices = [
-            {v for v in d.vertices(n) if g(n, v) > 0} for n in range(d.depth + 1)
-        ]
-        keep_edges = [
-            {e.id for e in d.edges(n) if g(n, e.rng) > 0} for n in range(1, d.depth + 1)
-        ]
-        sub = subdiagram(d, keep_vertices, keep_edges)
-        p_values = []
-        for n in range(1, d.depth + 1):
-            p_values.append(
-                {
-                    e.id: w.p(n, e.id) * g(n, e.rng) / g(n - 1, e.src)
-                    for e in sub.edges(n)
-                }
-            )
-        nu0 = {v: w.initial(v) * g(0, v) / weight for v in sub.vertices(0)}
-        out.append(ErgodicComponent(target, weight, build_walk(sub, p_values, nu0)))
-    return out
+    return [_DoobComponent(t, w.nu_at(d.depth, t), w) for t in d.vertices(d.depth)]

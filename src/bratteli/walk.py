@@ -7,12 +7,27 @@ derived once at construction, exactly.  The edge measure identity
 nu_{n-1}(s(e)) p_n(e) = nu_n(r(e)) q_n(e) holds by definition of q and is the
 source of every formula below.
 
-Everything here is exact rational arithmetic; there is no floating point in
-this module apart from the seeded sampler, which only uses floats to draw.
+The derivation runs on the diagram's dense integer indices and on Python
+ints.  p_n(e) is held as an integer numerator A_n(e) over B_n(s(e)), the lcm
+of the denominators on the out-edges of s(e), and nu_n as integer numerators
+N_n over one denominator D_n per level.  Pushing nu_{n-1} forward, each
+source v first cancels g = gcd(N_{n-1}(v), B_n(v)) and its weight is brought
+over D_n = D_{n-1} S_n, S_n the lcm of the B_n(v) / g; then
+N_n(w) = sum over edges e into w of W(s(e)) A_n(e), and
+q_n(e) = W(s(e)) A_n(e) / N_n(r(e)), one Fraction per edge.  The per-vertex
+cancellation keeps D_n near the true common denominator even when the p
+denominators are large and differ from vertex to vertex, as in the Doob
+transforms of ``harmonic``.  Values become Fractions only where they leave
+the API (nu on first request).
+
+Everything here is exact; there is no floating point in this module.  The
+seeded sampler draws with ``randrange`` over the same integer numerators, so
+each draw follows the measure exactly.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -53,6 +68,49 @@ def _per_level_values(d: BratteliDiagram, levels, what: str) -> tuple[tuple[Frac
     return tuple(rows)
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
+def _over_group_lcm(row: Sequence[Fraction], groups, owner) -> tuple[tuple[int, ...], list[int]]:
+    """Integer numerators of the edge values ``row``, each over the lcm of
+    the denominators in its owner vertex's group of edges; and those lcms."""
+    dens = [math.lcm(*(row[k].denominator for k in ks)) for ks in groups]
+    return tuple(x.numerator * (dens[i] // x.denominator) for x, i in zip(row, owner)), dens
+
+
+def _cancel(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
+    """Bring the fractions nums[i] / dens[i] over one denominator S, after
+    cancelling each one's gcd: returns (numerators over S, S)."""
+    gs = [math.gcd(x, y) for x, y in zip(nums, dens)]
+    dens = [y // g for y, g in zip(dens, gs)]
+    scale = math.lcm(*dens)
+    return [x // g * (scale // y) for x, g, y in zip(nums, gs, dens)], scale
+
+
+def _require_stochastic(d: BratteliDiagram, n: int, nums, units, incoming: bool, what: str, sym: str):
+    """Check that the level-n edge values nums[k] / units[owner of k] are
+    positive and sum to 1 over each vertex's out-edges (in-edges when
+    ``incoming``), where the owner is the edge's source (range) vertex.
+    Exact, in integers; raises SupportViolation on the first offender."""
+    m = n - 1
+    owner = d._rng[m] if incoming else d._src[m]
+    for e, x, i in zip(d.edges(n), nums, owner):
+        if x <= 0:
+            raise SupportViolation(
+                f"{what}: {sym}({e.id}) = {Fraction(x, units[i])} at level {n} is not positive"
+            )
+    level, side, groups = (n, "in", d._in[m]) if incoming else (n - 1, "out", d._out[m])
+    for v, unit, ks in zip(d.vertices(level), units, groups):
+        total = sum(nums[k] for k in ks)
+        if total != unit:
+            raise SupportViolation(
+                f"{what}: {side}-edges of '{v}' at level {level} sum to {Fraction(total, unit)}, not 1"
+            )
+
+
 class TransitionProbability:
     """Positive edge weights with unit sums over the out-edges of each vertex."""
 
@@ -60,19 +118,15 @@ class TransitionProbability:
         d.require_valid()
         self.diagram = d
         self._p = _per_level_values(d, values, "transition probability")
-        for m, row in enumerate(self._p):
-            n = m + 1
-            for e, val in zip(d.edges(n), row):
-                if val <= 0:
-                    raise SupportViolation(
-                        f"transition probability: p({e.id}) = {val} at level {n} is not positive"
-                    )
-            for v in d.vertices(n - 1):
-                total = sum(row[d.edge_index(n, e.id)] for e in d.out_edges(n - 1, v))
-                if total != ONE:
-                    raise SupportViolation(
-                        f"transition probability: out-edges of '{v}' at level {n - 1} sum to {total}, not 1"
-                    )
+        nums, dens = [], []
+        for n, row in enumerate(self._p, start=1):
+            num, den = _over_group_lcm(row, d._out[n - 1], d._src[n - 1])
+            _require_stochastic(d, n, num, den, False, "transition probability", "p")
+            nums.append(num)
+            dens.append(tuple(den))
+        # p_n(e_k) = _num[n - 1][k] / _den[n - 1][index of s(e_k)]
+        self._num = tuple(nums)
+        self._den = tuple(dens)
 
     @classmethod
     def uniform(cls, d: BratteliDiagram) -> "TransitionProbability":
@@ -144,19 +198,17 @@ class CotransitionProbability:
         d.require_valid()
         self.diagram = d
         self._q = _per_level_values(d, values, "cotransition probability")
-        for m, row in enumerate(self._q):
-            n = m + 1
-            for e, val in zip(d.edges(n), row):
-                if val <= 0:
-                    raise SupportViolation(
-                        f"cotransition probability: q({e.id}) = {val} at level {n} is not positive"
-                    )
-            for w in d.vertices(n):
-                total = sum(row[d.edge_index(n, e.id)] for e in d.in_edges(n, w))
-                if total != ONE:
-                    raise SupportViolation(
-                        f"cotransition probability: in-edges of '{w}' at level {n} sum to {total}, not 1"
-                    )
+        for n, row in enumerate(self._q, start=1):
+            num, den = _over_group_lcm(row, d._in[n - 1], d._rng[n - 1])
+            _require_stochastic(d, n, num, den, True, "cotransition probability", "q")
+
+    @classmethod
+    def _from_rows(cls, d: BratteliDiagram, rows) -> "CotransitionProbability":
+        """Wrap per-level rows already aligned with edge order and checked."""
+        self = cls.__new__(cls)
+        self.diagram = d
+        self._q = rows
+        return self
 
     def __call__(self, n: int, edge_id: str) -> Fraction:
         return self._q[n - 1][self.diagram.edge_index(n, edge_id)]
@@ -188,22 +240,34 @@ class RandomWalk:
         self.diagram = d
         self.transition = p
         self.initial = nu0
-        nus = [tuple(nu0(v) for v in d.vertices(0))]
-        qs = []
-        for n in range(1, d.depth + 1):
-            prev = nus[-1]
-            nxt = [Fraction(0)] * len(d.vertices(n))
-            for e in d.edges(n):
-                nxt[d.vertex_index(n, e.rng)] += p(n, e.id) * prev[d.vertex_index(n - 1, e.src)]
-            nus.append(tuple(nxt))
-            qrow = []
-            for e in d.edges(n):
-                qrow.append(
-                    prev[d.vertex_index(n - 1, e.src)] * p(n, e.id) / nxt[d.vertex_index(n, e.rng)]
-                )
-            qs.append({e.id: val for e, val in zip(d.edges(n), qrow)})
-        self._nus = tuple(nus)
-        self.cotransition = CotransitionProbability(d, qs)
+        top, den = _over_lcm(nu0._nu0)
+        nus, dens, qs = [top], [den], []
+        for m, (src, rng, pnum, pden) in enumerate(zip(d._src, d._rng, p._num, p._den)):
+            # weight[i] / D_n = nu_{n-1}(v_i) / B_n(v_i), so the edge measure
+            # nu_{n-1}(s(e)) p_n(e) is mass[k] / D_n
+            weight, scale = _cancel(nus[-1], pden)
+            mass = [weight[i] * x for i, x in zip(src, pnum)]
+            nxt = [0] * len(d.vertices(m + 1))
+            for j, x in zip(rng, mass):
+                nxt[j] += x
+            _require_stochastic(d, m + 1, mass, nxt, True, "cotransition probability", "q")
+            qs.append(tuple(Fraction(x, nxt[j]) for j, x in zip(rng, mass)))
+            nus.append(nxt)
+            dens.append(dens[-1] * scale)
+        # nu_n(v_i) = _nu_num[n][i] / _nu_den[n]
+        self._nu_num = tuple(tuple(row) for row in nus)
+        self._nu_den = tuple(dens)
+        self._nus = [None] * len(nus)  # Fraction rows, filled on first request
+        self.cotransition = CotransitionProbability._from_rows(d, tuple(qs))
+
+    def _nu_row(self, n: int) -> tuple[Fraction, ...]:
+        if not 0 <= n <= self.depth:
+            raise PathError(f"distribution level {n} out of range 0..{self.depth}")
+        row = self._nus[n]
+        if row is None:
+            den = self._nu_den[n]
+            row = self._nus[n] = tuple(Fraction(x, den) for x in self._nu_num[n])
+        return row
 
     @property
     def depth(self) -> int:
@@ -217,14 +281,12 @@ class RandomWalk:
 
     def nu(self, n: int) -> dict[str, Fraction]:
         """The level-n distribution as a fresh {vertex: mass} dict."""
-        if not 0 <= n <= self.depth:
-            raise PathError(f"distribution level {n} out of range 0..{self.depth}")
-        return {v: x for v, x in zip(self.diagram.vertices(n), self._nus[n])}
+        row = self._nu_row(n)
+        return dict(zip(self.diagram.vertices(n), row))
 
     def nu_at(self, n: int, vertex_id: str) -> Fraction:
-        if not 0 <= n <= self.depth:
-            raise PathError(f"distribution level {n} out of range 0..{self.depth}")
-        return self._nus[n][self.diagram.vertex_index(n, vertex_id)]
+        row = self._nu_row(n)
+        return row[self.diagram.vertex_index(n, vertex_id)]
 
 
 def build_walk(d: BratteliDiagram, p, nu0) -> RandomWalk:
@@ -405,29 +467,34 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
 
 
 def sample_path(w: RandomWalk, seed: int, depth: int) -> FinitePath:
-    """Draw a path of length ``depth`` from the Markov measure, reproducibly."""
+    """Draw a path of length ``depth`` from the Markov measure, reproducibly.
+
+    Each step draws u = randrange(B) over the integer numerators of the
+    step's probabilities, B their common denominator, and takes the item
+    whose cumulative numerator range holds u, so every draw follows the
+    exact measure.
+    """
     if not 0 <= depth <= w.depth:
         raise PathError(f"sample depth {depth} out of range 0..{w.depth}")
     rng = random.Random(seed)
 
-    def draw(items, weights):
-        u = rng.random()
-        acc = 0.0
-        for item, wt in zip(items, weights):
-            acc += float(wt)
-            if u < acc:
-                return item
-        return items[-1]
+    def draw(nums, total):
+        u = rng.randrange(total)
+        for i, x in enumerate(nums):
+            if u < x:
+                return i
+            u -= x
 
-    top = w.diagram.vertices(0)
-    at = draw(top, [w.initial(v) for v in top])
+    d, p = w.diagram, w.transition
+    at = draw(w._nu_num[0], w._nu_den[0])
     edges = []
-    for n in range(depth):
-        out = w.diagram.out_edges(n, at)
-        e = draw(out, [w.p(n + 1, f.id) for f in out])
-        edges.append(e.id)
-        at = e.rng
-    return w.diagram.path(edges) if edges else w.diagram.empty_path(at)
+    for m in range(depth):
+        ks = d._out[m][at]
+        pnum = p._num[m]
+        k = ks[draw([pnum[k] for k in ks], p._den[m][at])]
+        edges.append(d._edges[m][k].id)
+        at = d._rng[m][k]
+    return d.path(edges) if edges else d.empty_path(d.vertices(0)[at])
 
 
 class QuasiProductCocycle:

@@ -12,9 +12,12 @@ import numpy as np
 from bratteli import (
     AlgebraElement,
     BratteliDiagram,
+    FinitePath,
     InclusionGraph,
+    SupportViolation,
     build_walk,
     count_paths,
+    subdiagram,
 )
 
 
@@ -94,6 +97,104 @@ def chain_walk(depth):
     return build_walk(
         d, [{f"l{n}": 1} for n in range(1, depth + 1)], {"c0": 1}
     )
+
+
+# -- reference oracles for the walk kernel ---------------------------------------
+# Plain Fraction arithmetic with string-id lookups on every edge, kept as the
+# reference the integer-numerator kernel in walk.py and harmonic.py must equal.
+
+
+def oracle_enumerate_paths(d, from_level, to_level):
+    """Paths from ``from_level`` to ``to_level`` (from < to) by recursive
+    depth-first search over out-edges in edge order."""
+    result = []
+
+    def grow(anchor, prefix, at, level):
+        if level == to_level:
+            result.append(FinitePath(from_level, anchor, prefix, at))
+            return
+        for e in d.out_edges(level, at):
+            grow(anchor, prefix + (e.id,), e.rng, level + 1)
+
+    for e in d.edges(from_level + 1):
+        grow(e.src, (e.id,), e.rng, from_level + 1)
+    return result
+
+
+def oracle_stochastic_violation(d, rows, incoming, what, sym):
+    """The message of the first positivity or unit-sum violation of per-level
+    {edge id: Fraction} rows over out-edges (in-edges if ``incoming``)."""
+    for n, row in enumerate(rows, start=1):
+        for e in d.edges(n):
+            if row[e.id] <= 0:
+                return f"{what}: {sym}({e.id}) = {row[e.id]} at level {n} is not positive"
+        level = n if incoming else n - 1
+        for v in d.vertices(level):
+            group = d.in_edges(n, v) if incoming else d.out_edges(n - 1, v)
+            total = sum(row[e.id] for e in group)
+            if total != 1:
+                side = "in" if incoming else "out"
+                return f"{what}: {side}-edges of '{v}' at level {level} sum to {total}, not 1"
+    return None
+
+
+def oracle_distributions(w):
+    """(nus, qs): nu_n as {vertex: Fraction} for n = 0..N and q_n as
+    {edge id: Fraction} for n = 1..N, by the Fraction pushforward."""
+    d = w.diagram
+    nus = [w.initial.as_dict()]
+    qs = []
+    for n in range(1, d.depth + 1):
+        prev = nus[-1]
+        nxt = {v: Fraction(0) for v in d.vertices(n)}
+        for e in d.edges(n):
+            nxt[e.rng] += w.p(n, e.id) * prev[e.src]
+        nus.append(nxt)
+        qs.append({e.id: prev[e.src] * w.p(n, e.id) / nxt[e.rng] for e in d.edges(n)})
+    message = oracle_stochastic_violation(d, qs, True, "cotransition probability", "q")
+    if message:
+        raise SupportViolation(message)
+    return nus, qs
+
+
+def oracle_harmonic_from_terminal(w, terminal):
+    """Backward induction from ``terminal`` on V(N), one {vertex: Fraction}
+    per level 0..N."""
+    d = w.diagram
+    levels = [None] * (d.depth + 1)
+    levels[d.depth] = {v: Fraction(terminal[v]) for v in d.vertices(d.depth)}
+    for n in range(d.depth, 0, -1):
+        levels[n - 1] = {
+            v: sum(w.p(n, e.id) * levels[n][e.rng] for e in d.out_edges(n - 1, v))
+            for v in d.vertices(n - 1)
+        }
+    return levels
+
+
+def oracle_ergodic_components(w):
+    """Eager decomposition: (terminal, weight, walk) per terminal vertex, each
+    walk the Doob transform built on its subdiagram."""
+    d = w.diagram
+    out = []
+    for target in d.vertices(d.depth):
+        weight = w.nu_at(d.depth, target)
+        if weight == 0:
+            continue
+        g = oracle_harmonic_from_terminal(
+            w, {v: 1 if v == target else 0 for v in d.vertices(d.depth)}
+        )
+        keep_vertices = [{v for v in d.vertices(n) if g[n][v] > 0} for n in range(d.depth + 1)]
+        keep_edges = [
+            {e.id for e in d.edges(n) if g[n][e.rng] > 0} for n in range(1, d.depth + 1)
+        ]
+        sub = subdiagram(d, keep_vertices, keep_edges)
+        p_values = [
+            {e.id: w.p(n, e.id) * g[n][e.rng] / g[n - 1][e.src] for e in sub.edges(n)}
+            for n in range(1, d.depth + 1)
+        ]
+        nu0 = {v: w.initial(v) * g[0][v] / weight for v in sub.vertices(0)}
+        out.append((target, weight, build_walk(sub, p_values, nu0)))
+    return out
 
 
 # -- inclusion graphs ----------------------------------------------------------

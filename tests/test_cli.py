@@ -84,6 +84,22 @@ def test_measure_depth_flag(tmp_path, capsys):
     assert err.startswith("error: depth 5 out of range")
 
 
+def test_measure_on_deep_chain(tmp_path, capsys):
+    depth = 1500
+    chain = {
+        "vertices": [[f"c{n}"] for n in range(depth + 1)],
+        "edges": [[{"id": f"l{n}", "src": f"c{n - 1}", "rng": f"c{n}", "p": "1"}]
+                  for n in range(1, depth + 1)],
+        "nu0": {"c0": "1"},
+    }
+    f = write_json(tmp_path, "chain.json", chain)
+    code, out, err = run_main(capsys, ["measure", f])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == depth + 2
+    assert lines[-1] == f"{depth}\t" + ",".join(f"l{n}" for n in range(1, depth + 1)) + "\t1/1"
+
+
 def test_cotransition_and_distributions(tmp_path, capsys):
     f = write_json(tmp_path, "vee.json", VEE)
     code, out, _ = run_main(capsys, ["cotransition", f])

@@ -18,7 +18,7 @@ from bratteli import (
     validate_diagram,
 )
 
-from helpers import chain_diagram, random_diagram
+from helpers import chain_diagram, oracle_enumerate_paths, random_diagram
 
 
 def two_level(edges):
@@ -198,6 +198,25 @@ def test_enumeration_matches_counts():
                 by_end[a.terminus] = by_end.get(a.terminus, 0) + 1
             counts = count_paths(d, 0, n)
             assert by_end == {v: c for v, c in counts.items() if c}
+
+
+def test_enumeration_matches_recursive_oracle():
+    rng = random.Random(13)
+    for _ in range(20):
+        d = random_diagram(rng)
+        for lo in range(d.depth):
+            for hi in range(lo + 1, d.depth + 1):
+                assert enumerate_paths(d, lo, hi) == oracle_enumerate_paths(d, lo, hi)
+
+
+def test_enumeration_on_deep_chain():
+    # far deeper than the interpreter's recursion limit
+    d = chain_diagram(5000)
+    (a,) = enumerate_paths(d, 0, 5000)
+    assert a.edges == tuple(f"l{n}" for n in range(1, 5001))
+    assert (a.anchor, a.terminus) == ("c0", "c5000")
+    (b,) = enumerate_paths(d, 4000, 5000)
+    assert b.edges == a.edges[4000:] and b.anchor == "c4000"
 
 
 def test_enumeration_equal_levels():

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import bratteli.walk
 from bratteli import (
     BratteliDiagram,
     CotransitionProbability,
@@ -328,6 +330,31 @@ def test_sample_endpoint_frequencies():
         mean = float(w.nu_at(6, v))
         sigma = (mean * (1 - mean) / n) ** 0.5
         assert abs(counts[v] / n - mean) <= 5 * sigma
+
+
+def test_sample_draws_exactly(monkeypatch):
+    # with the drawn integer pinned to u, sweeping u over 0..L-1 picks each
+    # out-edge exactly numerator-many times, however small its probability
+    class Pinned:
+        def __init__(self, u):
+            self.u = u
+
+        def randrange(self, n):
+            return self.u % n
+
+    monkeypatch.setattr(bratteli.walk, "random", SimpleNamespace(Random=Pinned))
+    fan = [[("e0", "a", "b"), ("e1", "a", "b"), ("e2", "a", "b")]]
+    d = BratteliDiagram([["a"], ["b"]], fan)
+    w = build_walk(d, [{"e0": F(1, 6), "e1": F(1, 3), "e2": F(1, 2)}], {"a": 1})
+    counts = {"e0": 0, "e1": 0, "e2": 0}
+    for u in range(6):
+        counts[sample_path(w, u, 1).edges[0]] += 1
+    assert counts == {"e0": 1, "e1": 2, "e2": 3}
+    big = 10**20  # 1 - 1/big rounds to 1.0 as a float
+    w = build_walk(d, [{"e0": F(big - 2, big), "e1": F(1, big), "e2": F(1, big)}], {"a": 1})
+    assert [sample_path(w, u, 1).edges[0] for u in (big - 3, big - 2, big - 1)] == [
+        "e0", "e1", "e2",
+    ]
 
 
 def test_quasi_product_cocycle_matches_density():
