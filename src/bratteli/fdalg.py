@@ -17,6 +17,7 @@ with an explicit comparison tolerance.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,15 +181,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._same_relation(other)
-        rows: dict = {}
-        for (y, z), v in other.entries.items():
-            rows.setdefault(y, []).append((z, v))
-        out: dict = {}
-        for (x, y), u in self.entries.items():
-            for z, v in rows.get(y, ()):
-                key = (x, z)
-                out[key] = out.get(key, 0) + u * v
-        return AlgebraElement(self.relation, out)
+        return AlgebraElement(self.relation, _product(self.entries, _rows(other.entries)))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -231,6 +224,30 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({len(self.entries)} entries on {len(self.relation)} points)"
+
+
+def _rows(entries: Mapping) -> dict:
+    """Sparse entries grouped by row: y -> [(z, v), ...] in entry order."""
+    rows: dict = {}
+    for (y, z), v in entries.items():
+        rows.setdefault(y, []).append((z, v))
+    return rows
+
+
+def _nonzero(entries: Mapping) -> dict:
+    return {k: v for k, v in entries.items() if v != 0}
+
+
+def _product(entries: Mapping, rows: Mapping) -> dict:
+    """Entries of the product of sparse entries with a row map; zeros kept."""
+    out: dict = {}
+    if not rows:
+        return out
+    for (x, y), u in entries.items():
+        for z, v in rows.get(y, ()):
+            key = (x, z)
+            out[key] = out.get(key, 0) + u * v
+    return out
 
 
 def matrix_unit(rel: FiniteEquivRelation, x, y) -> AlgebraElement:
@@ -281,19 +298,19 @@ class InclusionGraph:
                 raise IncompatibleData(
                     f"inclusion graph: {name} is not surjective; {sorted(map(repr, missing))[0]} is not hit"
                 )
-        self.Xbar = tuple(
-            (x, e) for x in self.X for e in self.E if self.vertex_of[x] == self.source_of[e]
-        )
+        self._fibers = {v: tuple(x for x in self.X if self.vertex_of[x] == v) for v in self.V}
+        self._out_edges = {v: tuple(e for e in self.E if self.source_of[e] == v) for v in self.V}
+        self.Xbar = tuple((x, e) for x in self.X for e in self._out_edges[self.vertex_of[x]])
         self._base = None
         self._big = None
         self._commutant = None
         self._pinched = None
 
     def fiber(self, v) -> tuple:
-        return tuple(x for x in self.X if self.vertex_of[x] == v)
+        return self._fibers.get(v, ())
 
     def out_edges(self, v) -> tuple:
-        return tuple(e for e in self.E if self.source_of[e] == v)
+        return self._out_edges.get(v, ())
 
     def base_relation(self) -> FiniteEquivRelation:
         if self._base is None:
@@ -444,29 +461,38 @@ def verify_expectation(
 ) -> ExpectationReport:
     """Check the conditional-expectation axioms for an endomorphism Q.
 
-    Q must map the ambient relation algebra to itself; sub_basis spans the
-    target subalgebra.  Checks: unitality, idempotence, range inside the span
-    of sub_basis, left/right module property over sub_basis (which gives the
-    two-sided version by composing the one-sided identities), positivity of
-    Q(f*f) on random f, and faithfulness via positive definiteness of the
-    class Gram matrices t(u,v) = trace Q(e(u,v)).
+    Q must map the ambient relation algebra to itself and be deterministic
+    (entries equal in value and type give the same result); sub_basis spans
+    the target subalgebra.
+    Checks: unitality, idempotence, range inside the span of sub_basis,
+    left/right module property over sub_basis (which gives the two-sided
+    version by composing the one-sided identities), positivity of Q(f*f) on
+    random f, and faithfulness via positive definiteness of the class Gram
+    matrices t(u,v) = trace Q(e(u,v)).
+
+    Q is applied once to each matrix unit, and the module and faithfulness
+    checks read those images instead of applying Q again wherever the element
+    to map is a matrix unit or zero, as every product of a unit with the
+    j-image of a matrix unit is.  Linearity of Q is not assumed.
     """
     rng = rng or random.Random(7)
     report = ExpectationReport()
     one = identity_element(ambient)
-    if Q(one).distance(one) > tol:
-        report._fail("unital", f"Q(1) differs from 1 by {Q(one).distance(one):.3g}")
+    d = Q(one).distance(one)
+    if d > tol:
+        report._fail("unital", f"Q(1) differs from 1 by {float(d):.3g}")
 
-    units = [matrix_unit(ambient, x, y) for (x, y) in ambient.pairs()]
+    pairs = list(ambient.pairs())
+    units = [matrix_unit(ambient, x, y) for (x, y) in pairs]
     images = [Q(u) for u in units]
-    for u, img in zip(units, images):
+    for pair, img in zip(pairs, images):
         d = Q(img).distance(img)
         if d > tol:
-            report._fail("idempotent", f"Q^2 != Q at unit {next(iter(u.entries))}: off by {d:.3g}")
+            report._fail("idempotent", f"Q^2 != Q at unit {pair}: off by {float(d):.3g}")
             break
 
     # range: project each image on the orthonormalized span of sub_basis
-    index = {pair: i for i, pair in enumerate(ambient.pairs())}
+    index = {pair: i for i, pair in enumerate(pairs)}
     dim = len(index)
     basis_mat = np.zeros((dim, len(sub_basis)), dtype=complex)
     for jcol, m in enumerate(sub_basis):
@@ -496,17 +522,47 @@ def verify_expectation(
             )
             break
 
+    # For u = e(s,t), m u = sum of m(x,s) e(x,t) over column s of m and
+    # u m = sum of m(t,z) e(s,z) over row t.  A line of m that is one int 1
+    # makes the product a unit, whose image is in ``images``; an empty line
+    # makes it 0.  m Q(u) and Q(u) m are summed as AlgebraElement.__mul__
+    # sums them, and the distance is taken only where they differ.
+    q_zero = functools.cache(lambda: Q(AlgebraElement.zero(ambient)))
+    image_rows = [_rows(img.entries) for img in images]
     for m in sub_basis:
+        m._same_relation(one)
+        m_rows = _rows(m.entries)
+        m_cols: dict = {}
+        for (x, y), c in m.entries.items():
+            m_cols.setdefault(y, []).append((x, c))
         bad = None
-        for u, img in zip(units, images):
-            left = Q(m * u).distance(m * img)
-            if left > tol:
-                bad = f"Q(m f) != m Q(f), off by {left:.3g}"
-                break
-            right = Q(u * m).distance(img * m)
-            if right > tol:
-                bad = f"Q(f m) != Q(f) m, off by {right:.3g}"
-                break
+        for (s, t), u, img, img_rows in zip(pairs, units, images, image_rows):
+            col = m_cols.get(s)
+            if col is None:
+                q_left = q_zero()
+            elif len(col) == 1 and type(col[0][1]) is int and col[0][1] == 1:
+                q_left = images[index[(col[0][0], t)]]
+            else:
+                q_left = Q(m * u)
+            prod = _product(m.entries, img_rows)
+            if prod != q_left.entries and _nonzero(prod) != q_left.entries:
+                left = q_left.distance(m * img)
+                if left > tol:
+                    bad = f"Q(m f) != m Q(f), off by {float(left):.3g}"
+                    break
+            row = m_rows.get(t)
+            if row is None:
+                q_right = q_zero()
+            elif len(row) == 1 and type(row[0][1]) is int and row[0][1] == 1:
+                q_right = images[index[(s, row[0][0])]]
+            else:
+                q_right = Q(u * m)
+            prod = _product(img.entries, m_rows)
+            if prod != q_right.entries and _nonzero(prod) != q_right.entries:
+                right = q_right.distance(img * m)
+                if right > tol:
+                    bad = f"Q(f m) != Q(f) m, off by {float(right):.3g}"
+                    break
         if bad:
             report._fail("bimodular", bad)
             break
@@ -547,7 +603,7 @@ def verify_expectation(
         gram = np.zeros((n, n), dtype=complex)
         for i, x in enumerate(cls_):
             for j, y in enumerate(cls_):
-                gram[i, j] = complex(Q(matrix_unit(ambient, x, y)).trace())
+                gram[i, j] = complex(images[index[(x, y)]].trace())
         asym = float(np.max(np.abs(gram - gram.conj().T)))
         if asym > tol * max(1.0, float(np.max(np.abs(gram)))):
             report._fail("faithful", f"trace form not hermitian (off by {asym:.3g})")

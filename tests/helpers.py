@@ -5,6 +5,7 @@ is reproducible; oracles are deliberately naive (explicit enumeration, dense
 linear algebra) and independent of the library's own shortcuts.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,14 @@ import numpy as np
 from bratteli import (
     AlgebraElement,
     BratteliDiagram,
+    ExpectationReport,
     FinitePath,
     InclusionGraph,
     SupportViolation,
     build_walk,
     count_paths,
+    identity_element,
+    matrix_unit,
     subdiagram,
 )
 
@@ -195,6 +199,125 @@ def oracle_ergodic_components(w):
         nu0 = {v: w.initial(v) * g[0][v] / weight for v in sub.vertices(0)}
         out.append((target, weight, build_walk(sub, p_values, nu0)))
     return out
+
+
+# -- reference oracle for the expectation checks -----------------------------
+
+
+def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
+    """``verify_expectation`` applying Q afresh to every product it checks:
+    Q(m u) and Q(u m) for every (basis element, unit) pair and Q(e(x,y)) for
+    every Gram entry, with the products built by ``AlgebraElement``.  Failure
+    messages format distances as floats, so exact inputs report too."""
+    rng = rng or random.Random(7)
+    report = ExpectationReport()
+    one = identity_element(ambient)
+    if Q(one).distance(one) > tol:
+        report._fail("unital", f"Q(1) differs from 1 by {float(Q(one).distance(one)):.3g}")
+
+    units = [matrix_unit(ambient, x, y) for (x, y) in ambient.pairs()]
+    images = [Q(u) for u in units]
+    for u, img in zip(units, images):
+        d = Q(img).distance(img)
+        if d > tol:
+            report._fail("idempotent", f"Q^2 != Q at unit {next(iter(u.entries))}: off by {float(d):.3g}")
+            break
+
+    # range: project each image on the orthonormalized span of sub_basis
+    index = {pair: i for i, pair in enumerate(ambient.pairs())}
+    dim = len(index)
+    basis_mat = np.zeros((dim, len(sub_basis)), dtype=complex)
+    for jcol, m in enumerate(sub_basis):
+        for k, v in m.entries.items():
+            basis_mat[index[k], jcol] = complex(v)
+    if len(sub_basis):
+        u_mat, svals, _ = np.linalg.svd(basis_mat, full_matrices=False)
+        keep = svals > 1e-12 * max(1.0, float(svals[0]))
+        u_mat = u_mat[:, keep]
+    else:
+        u_mat = np.zeros((dim, 0), dtype=complex)
+    for u, img in zip(units, images):
+        if not img.entries:
+            continue
+        vec = np.zeros(dim, dtype=complex)
+        for k, v in img.entries.items():
+            vec[index[k]] = complex(v)
+        # explicit residual vector; the norm-difference form cancels badly
+        resid = vec - u_mat @ (u_mat.conj().T @ vec)
+        resid2 = float(np.vdot(resid, resid).real)
+        norm2 = float(np.vdot(vec, vec).real)
+        if resid2 > tol * tol * max(1.0, norm2):
+            report._fail(
+                "range_in_subalgebra",
+                f"Q(unit {next(iter(u.entries))}) leaves the subalgebra span "
+                f"(residual {resid2 ** 0.5:.3g})",
+            )
+            break
+
+    for m in sub_basis:
+        bad = None
+        for u, img in zip(units, images):
+            left = Q(m * u).distance(m * img)
+            if left > tol:
+                bad = f"Q(m f) != m Q(f), off by {float(left):.3g}"
+                break
+            right = Q(u * m).distance(img * m)
+            if right > tol:
+                bad = f"Q(f m) != Q(f) m, off by {float(right):.3g}"
+                break
+        if bad:
+            report._fail("bimodular", bad)
+            break
+
+    classes = ambient.classes()
+    np_rng = np.random.default_rng(rng.getrandbits(32))
+    for _ in range(3):
+        entries: dict = {}
+        for cls_ in classes:
+            n = len(cls_)
+            block = np_rng.standard_normal((n, n)) + 1j * np_rng.standard_normal((n, n))
+            gram = block.conj().T @ block
+            for i, x in enumerate(cls_):
+                for j, y in enumerate(cls_):
+                    entries[(x, y)] = gram[i, j]
+        image = Q(AlgebraElement(ambient, entries))
+        scale = max(1.0, image.max_abs())
+        for cls_ in classes:
+            n = len(cls_)
+            block = np.zeros((n, n), dtype=complex)
+            pos = {x: i for i, x in enumerate(cls_)}
+            for (x, y), v in image.entries.items():
+                if x in pos and y in pos:
+                    block[pos[x], pos[y]] = complex(v)
+            sym_err = float(np.max(np.abs(block - block.conj().T))) if n else 0.0
+            if sym_err > tol * scale:
+                report._fail("positive", f"Q(f*f) not self-adjoint (off by {sym_err:.3g})")
+                break
+            low = float(np.min(np.linalg.eigvalsh((block + block.conj().T) / 2))) if n else 0.0
+            if low < -tol * scale:
+                report._fail("positive", f"Q(f*f) has a negative eigenvalue {low:.3g}")
+                break
+        if not report.positive:
+            break
+
+    for cls_ in classes:
+        n = len(cls_)
+        gram = np.zeros((n, n), dtype=complex)
+        for i, x in enumerate(cls_):
+            for j, y in enumerate(cls_):
+                gram[i, j] = complex(Q(matrix_unit(ambient, x, y)).trace())
+        asym = float(np.max(np.abs(gram - gram.conj().T)))
+        if asym > tol * max(1.0, float(np.max(np.abs(gram)))):
+            report._fail("faithful", f"trace form not hermitian (off by {asym:.3g})")
+            break
+        low = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)))
+        if low <= tol:
+            report._fail(
+                "faithful",
+                f"trace form on class of {cls_[0]!r} is not positive definite (min eig {low:.3g})",
+            )
+            break
+    return report
 
 
 # -- inclusion graphs ----------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bratteli import (
     AlgebraElement,
@@ -35,6 +37,7 @@ from bratteli import (
 
 from helpers import (
     elements_to_matrix,
+    oracle_verify_expectation,
     random_element,
     random_inclusion_graph,
     random_transition,
@@ -168,6 +171,19 @@ def test_inclusion_graph_xbar_order():
     assert g.Xbar == (("x0", "a"), ("x0", "b"), ("x1", "a"), ("x1", "b"))
     assert g.fiber("v") == ("x0", "x1")
     assert g.out_edges("v") == ("a", "b")
+
+
+def test_inclusion_graph_adjacency_matches_scans():
+    rng = random.Random(51)
+    for _ in range(20):
+        g = random_inclusion_graph(rng)
+        for v in g.V:
+            assert g.fiber(v) == tuple(x for x in g.X if g.vertex_of[x] == v)
+            assert g.out_edges(v) == tuple(e for e in g.E if g.source_of[e] == v)
+        assert g.Xbar == tuple(
+            (x, e) for x in g.X for e in g.E if g.vertex_of[x] == g.source_of[e]
+        )
+        assert g.fiber("no such vertex") == g.out_edges("no such vertex") == ()
 
 
 def test_inclusion_graph_surjectivity_errors():
@@ -366,6 +382,121 @@ def test_verify_expectation_detects_non_idempotent():
     report = verify_expectation(lambda f: f.scale(0.5), rel, list(canonical_units(rel).values()))
     assert not report.unital
     assert not report.idempotent
+
+
+# -- verify_expectation against the oracle, and on broken Qs ---------------------
+
+
+def point_dependent_q(g, weights):
+    """Q(f)(x,y) = j of the sum over c of weights[(x, c)] f(xc, yc): a model
+    whose transition depends on the point, not only on the edge."""
+    base = g.base_relation()
+
+    def Q(fbar):
+        out = {}
+        for ((x, a), (y, b)), v in fbar.entries.items():
+            if a == b:
+                out[(x, y)] = out.get((x, y), 0) + weights[(x, a)] * v
+        return include_j(g, AlgebraElement(base, out))
+
+    return Q
+
+
+def broken_q(kind, g, me, rng):
+    model = me.as_endomorphism()
+    if kind == "model":
+        return model
+    if kind == "adjoint":
+        return lambda f: model(f.adjoint())
+    if kind == "leaves-range":
+        return lambda f: model(f) + f.scale(F(1, 7))
+    if kind == "wrong-p":
+        return point_dependent_q(g, {(x, e): F(rng.randint(1, 5), 7) for (x, e) in g.Xbar})
+    if kind == "square":
+        return lambda f: model(f * f)
+    if kind == "moves-zero":  # the model, except that Q(0) is not 0
+        shift = identity_element(g.big_relation()).scale(F(1, 5))
+        return lambda f: model(f) if f.entries else shift
+    raise ValueError(kind)
+
+
+Q_KINDS = ["model", "adjoint", "leaves-range", "wrong-p", "square", "moves-zero"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(Q_KINDS),
+    st.sampled_from([1, 2, F(1, 2), F(1), 0.5, 1.0]),
+    st.sampled_from([1e-9, 0]),
+)
+def test_verify_expectation_matches_oracle(rng, kind, scalar, tol):
+    g = random_inclusion_graph(rng)
+    me = ModelExpectation(g, random_transition(rng, g))
+    Q = broken_q(kind, g, me, rng)
+    basis = [m.scale(scalar) for m in me.subalgebra_basis()]
+    big = g.big_relation()
+    got = verify_expectation(Q, big, basis, tol=tol)
+    want = oracle_verify_expectation(Q, big, basis, tol=tol)
+    assert got == want
+
+
+def first_failure(report, field):
+    return next(f for f in report.failures if f.startswith(f"{field}: "))
+
+
+def test_verify_expectation_reports_exact_non_idempotent():
+    rel = FiniteEquivRelation.from_partition([["a", "b"], ["c"]])
+    report = verify_expectation(lambda f: f.scale(F(1, 2)), rel, list(canonical_units(rel).values()))
+    assert (report.unital, report.idempotent) == (False, False)
+    assert report.failures[0] == "unital: Q(1) differs from 1 by 0.5"
+    assert first_failure(report, "idempotent").startswith("idempotent: Q^2 != Q at unit ('a', 'a')")
+
+
+def test_verify_expectation_reports_leaving_the_range():
+    g = random_inclusion_graph(random.Random(71))
+    me = ModelExpectation(g, random_transition(random.Random(72), g))
+    Q = broken_q("leaves-range", g, me, None)
+    report = verify_expectation(Q, g.big_relation(), me.subalgebra_basis())
+    assert not report.range_in_subalgebra
+    assert first_failure(report, "range_in_subalgebra").startswith(
+        "range_in_subalgebra: Q(unit "
+    )
+
+
+@pytest.mark.parametrize("kind", ["adjoint", "wrong-p"])
+def test_verify_expectation_reports_non_bimodular(kind):
+    rng = random.Random(73)
+    g = InclusionGraph(
+        X=["x", "y"],
+        V=["v"],
+        E=["a", "b"],
+        Vbar=["w"],
+        vertex_of={"x": "v", "y": "v"},
+        source_of={"a": "v", "b": "v"},
+        range_of={"a": "w", "b": "w"},
+    )
+    me = ModelExpectation(g, {"a": F(1, 3), "b": F(2, 3)})
+    report = verify_expectation(broken_q(kind, g, me, rng), g.big_relation(), me.subalgebra_basis())
+    assert not report.bimodular
+    assert first_failure(report, "bimodular").startswith("bimodular: Q(m f) != m Q(f), off by ")
+
+
+def test_verify_expectation_applies_q_once_per_unit():
+    # Q(1), Q(u) and Q(Q(u)) per unit u, Q(0) once, Q(f*f) three times
+    g = random_inclusion_graph(random.Random(74), max_points=6, max_edges=8)
+    me = ModelExpectation(g, random_transition(random.Random(75), g))
+    model = me.as_endomorphism()
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return model(f)
+
+    big = g.big_relation()
+    report = verify_expectation(counted, big, me.subalgebra_basis())
+    assert report.all_pass, report.failures
+    assert len(calls) <= 2 * big.dimension + 5
 
 
 def test_epsilon_projections():
