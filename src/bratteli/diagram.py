@@ -1,4 +1,4 @@
-"""Graded Bratteli diagrams, finite paths, and cylinders.
+"""Graded Bratteli diagrams and finite paths.
 
 A diagram of depth N has vertex levels V(0)..V(N) and edge levels E(1)..E(N);
 every edge of E(n) runs from V(n-1) to V(n).  Identifiers are opaque strings
@@ -14,7 +14,7 @@ index, and tests and CLI output depend on that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 from .errors import InvalidDiagram, PathError
 
@@ -67,31 +67,6 @@ class FinitePath:
         return ",".join(self.edges) if self.edges else "@" + self.anchor
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """The set Z(a) of full-depth paths extending the level-0 path ``a``."""
-
-    base: FinitePath
-
-    def __post_init__(self):
-        if self.base.start_level != 0:
-            raise PathError("cylinder base must start at level 0")
-
-
-class LevelGraph:
-    """One floor of a diagram: the edges of E(n) with their endpoint maps."""
-
-    def __init__(self, n: int, edges: Sequence[Edge]):
-        self.n = n
-        self.edges = tuple(edges)
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
-
-
 class BratteliDiagram:
     """A finite-depth Bratteli diagram.
 
@@ -142,9 +117,6 @@ class BratteliDiagram:
             raise PathError(f"edge level {n} out of range 1..{self.depth}")
         return self._edges[n - 1]
 
-    def level(self, n: int) -> LevelGraph:
-        return LevelGraph(n, self.edges(n))
-
     def edge(self, n: int, edge_id: str) -> Edge:
         idx = self._eidx[n - 1].get(edge_id)
         if idx is None:
@@ -179,6 +151,43 @@ class BratteliDiagram:
         vi = self.vertex_index(n, vertex_id)
         row = self._edges[n - 1]
         return tuple(row[k] for k in self._in[n - 1][vi])
+
+    def align(self, kind: str, values, convert: Callable, what: str, exc: type, level: int | None = None):
+        """User data keyed by id, converted and put in diagram order.
+
+        ``kind`` is "vertex" or "edge".  ``values`` is one {id: value} map per
+        level, V(0)..V(N) or E(1)..E(N), and the result is one tuple per level;
+        or, when ``level`` is given, the single map of that level, and the
+        result is its tuple.  Each value passes through ``convert`` in id
+        order.  An unknown id (the least, in sort order, is named first), a
+        missing id or a wrong number of levels raises ``exc``.
+        """
+        if level is None:
+            levels = list(values)
+            first = 0 if kind == "vertex" else 1
+            count = self.depth + 1 - first
+            if len(levels) != count:
+                raise exc(f"{what}: got {len(levels)} levels of values, diagram has {count} {kind} levels")
+            numbered = enumerate(levels, start=first)
+        else:
+            numbered = [(level, values)]
+        rows = []
+        for n, mapping in numbered:
+            where = "" if level is not None else f" at level {n}"
+            if kind == "vertex":
+                index, ids = self._vidx[n], self.vertices(n)
+            else:
+                index, ids = self._eidx[n - 1], [e.id for e in self.edges(n)]
+            unknown = [x for x in mapping if x not in index]
+            if unknown:
+                raise exc(f"{what}: unknown {kind} '{min(unknown)}'{where}")
+            row = []
+            for x in ids:
+                if x not in mapping:
+                    raise exc(f"{what}: no value for {kind} '{x}'{where}")
+                row.append(convert(mapping[x]))
+            rows.append(tuple(row))
+        return rows[0] if level is not None else tuple(rows)
 
     # -- validation ----------------------------------------------------------
 
@@ -311,11 +320,6 @@ class BratteliDiagram:
 
     def path_edges(self, p: FinitePath) -> list[Edge]:
         return [self.edge(p.start_level + i + 1, eid) for i, eid in enumerate(p.edges)]
-
-
-def validate_diagram(d: BratteliDiagram) -> list[Violation]:
-    """Every broken invariant of ``d``; empty list iff valid."""
-    return d.validate()
 
 
 def enumerate_paths(d: BratteliDiagram, from_level: int, to_level: int) -> list[FinitePath]:

@@ -30,31 +30,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .diagram import BratteliDiagram, FinitePath, enumerate_paths, subdiagram
+from .diagram import BratteliDiagram, FinitePath, subdiagram
 from .errors import NotAMeasure, NotHarmonic, ShapeMismatch
 from .rational import as_fraction
-from .walk import RandomWalk, _cancel, _over_lcm, build_walk, cylinder_measure
-
-
-def _aligned_levels(d: BratteliDiagram, levels, what: str) -> tuple[dict, ...]:
-    levels = list(levels)
-    if len(levels) != d.depth + 1:
-        raise ShapeMismatch(
-            f"{what}: got {len(levels)} levels of values, diagram has {d.depth + 1} vertex levels"
-        )
-    rows = []
-    for n, mapping in enumerate(levels):
-        vs = d.vertices(n)
-        unknown = set(mapping) - set(vs)
-        if unknown:
-            raise ShapeMismatch(f"{what}: unknown vertex '{sorted(unknown)[0]}' at level {n}")
-        row = {}
-        for v in vs:
-            if v not in mapping:
-                raise ShapeMismatch(f"{what}: no value for vertex '{v}' at level {n}")
-            row[v] = as_fraction(mapping[v])
-        rows.append(row)
-    return tuple(rows)
+from .walk import RandomWalk, _cancel, _over_lcm, build_walk, cylinder_measure, markov_cylinder_table
 
 
 class HarmonicSequence:
@@ -63,20 +42,18 @@ class HarmonicSequence:
     def __init__(self, d: BratteliDiagram, levels: Sequence[Mapping[str, object]]):
         d.require_valid()
         self.diagram = d
-        self._h = _aligned_levels(d, levels, "harmonic sequence")
+        self._h = d.align("vertex", levels, as_fraction, "harmonic sequence", ShapeMismatch)
 
     def __call__(self, n: int, vertex_id: str) -> Fraction:
-        self.diagram.vertex_index(n, vertex_id)
-        return self._h[n][vertex_id]
+        return self._h[n][self.diagram.vertex_index(n, vertex_id)]
 
     def level(self, n: int) -> dict[str, Fraction]:
-        self.diagram.vertices(n)
-        return dict(self._h[n])
+        return dict(zip(self.diagram.vertices(n), self._h[n]))
 
     @property
     def norm(self) -> Fraction:
         """Sup over levels of the max absolute value."""
-        return max(abs(x) for row in self._h for x in row.values())
+        return max(abs(x) for row in self._h for x in row)
 
     def __eq__(self, other):
         return (
@@ -86,7 +63,7 @@ class HarmonicSequence:
         )
 
     def __hash__(self):
-        return hash(tuple(tuple(sorted(row.items())) for row in self._h))
+        return hash(self._h)
 
 
 @dataclass(frozen=True)
@@ -152,14 +129,7 @@ def _backward_sweep(w: RandomWalk, bottom: Sequence[int]) -> tuple[list[list[int
 def harmonic_from_terminal(w: RandomWalk, terminal: Mapping[str, object]) -> HarmonicSequence:
     """Backward induction from values on V(N); linear in the terminal data."""
     d = w.diagram
-    bottom = []
-    for v in d.vertices(d.depth):
-        if v not in terminal:
-            raise ShapeMismatch(f"terminal data: no value for vertex '{v}'")
-        bottom.append(as_fraction(terminal[v]))
-    unknown = set(terminal) - set(d.vertices(d.depth))
-    if unknown:
-        raise ShapeMismatch(f"terminal data: unknown vertex '{sorted(unknown)[0]}'")
+    bottom = d.align("vertex", terminal, as_fraction, "terminal data", ShapeMismatch, level=d.depth)
     top, den = _over_lcm(bottom)
     nums, scales = _backward_sweep(w, top)
     levels = [None] * (d.depth + 1)
@@ -177,8 +147,8 @@ def invariant_to_harmonic(w: RandomWalk, f: InvariantFunction) -> HarmonicSequen
     return harmonic_from_terminal(w, f.values)
 
 
-def harmonic_to_invariant(w: RandomWalk, h) -> InvariantFunction:
-    """At finite depth the limit along the path is just the terminal value."""
+def _require_harmonic(w: RandomWalk, h) -> HarmonicSequence:
+    """``h`` as a HarmonicSequence; NotHarmonic at the first failing step."""
     if not isinstance(h, HarmonicSequence):
         h = HarmonicSequence(w.diagram, h)
     check = is_harmonic(w, h)
@@ -187,6 +157,12 @@ def harmonic_to_invariant(w: RandomWalk, h) -> InvariantFunction:
             f"recursion fails at step {check.level}, vertex '{check.vertex}': "
             f"{check.lhs} != {check.rhs}"
         )
+    return h
+
+
+def harmonic_to_invariant(w: RandomWalk, h) -> InvariantFunction:
+    """At finite depth the limit along the path is just the terminal value."""
+    h = _require_harmonic(w, h)
     return InvariantFunction(w.depth, h.level(w.depth))
 
 
@@ -196,14 +172,7 @@ def measure_from_harmonic(w: RandomWalk, h) -> dict[FinitePath, Fraction]:
     Returns the full cylinder table: mass h_n(r(a)) mu(Z(a)) on each path a of
     length n.  At full depth this is f mu for f the terminal function of h.
     """
-    if not isinstance(h, HarmonicSequence):
-        h = HarmonicSequence(w.diagram, h)
-    check = is_harmonic(w, h)
-    if not check:
-        raise NotHarmonic(
-            f"recursion fails at step {check.level}, vertex '{check.vertex}': "
-            f"{check.lhs} != {check.rhs}"
-        )
+    h = _require_harmonic(w, h)
     d = w.diagram
     for n in range(d.depth + 1):
         for v in d.vertices(n):
@@ -211,11 +180,8 @@ def measure_from_harmonic(w: RandomWalk, h) -> dict[FinitePath, Fraction]:
                 raise NotAMeasure(
                     f"harmonic sequence is negative at level {n}, vertex '{v}': {h(n, v)}"
                 )
-    table = {}
-    for n in range(d.depth + 1):
-        for a in enumerate_paths(d, 0, n):
-            table[a] = h(n, a.terminus) * cylinder_measure(w, a)
-    return table
+    table = markov_cylinder_table(w, w.depth)
+    return {a: h(a.end_level, a.terminus) * mass for a, mass in table.items()}
 
 
 @dataclass(frozen=True)

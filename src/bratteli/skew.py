@@ -110,25 +110,10 @@ class EdgePotential:
         d.require_valid()
         self.diagram = d
         self.group = group
-        levels = list(values)
-        if len(levels) != d.depth:
-            raise IncompatibleData(
-                f"potential: got {len(levels)} levels of values, diagram has {d.depth} edge levels"
-            )
-        rows = []
-        for m, mapping in enumerate(levels):
-            n = m + 1
-            row = {}
-            for e in d.edges(n):
-                if e.id not in mapping:
-                    raise IncompatibleData(f"potential: no value for edge '{e.id}' at level {n}")
-                row[e.id] = group.parse(mapping[e.id])
-            rows.append(row)
-        self._rho = tuple(rows)
+        self._rho = d.align("edge", values, group.parse, "potential", IncompatibleData)
 
     def __call__(self, n: int, edge_id: str):
-        self.diagram.edge_index(n, edge_id)
-        return self._rho[n - 1][edge_id]
+        return self._rho[n - 1][self.diagram.edge_index(n, edge_id)]
 
     def of_path(self, a: FinitePath):
         """Ordered product of the potential along ``a``."""

@@ -45,29 +45,6 @@ from .rational import as_fraction
 ONE = Fraction(1)
 
 
-def _per_level_values(d: BratteliDiagram, levels, what: str) -> tuple[tuple[Fraction, ...], ...]:
-    """Align per-level {edge id: rational} maps with the diagram's edge order."""
-    levels = list(levels)
-    if len(levels) != d.depth:
-        raise IncompatibleData(
-            f"{what}: got {len(levels)} levels of values, diagram has {d.depth} edge levels"
-        )
-    rows = []
-    for m, mapping in enumerate(levels):
-        n = m + 1
-        edges = d.edges(n)
-        unknown = set(mapping) - {e.id for e in edges}
-        if unknown:
-            raise IncompatibleData(f"{what}: unknown edge '{sorted(unknown)[0]}' at level {n}")
-        row = []
-        for e in edges:
-            if e.id not in mapping:
-                raise IncompatibleData(f"{what}: no value for edge '{e.id}' at level {n}")
-            row.append(as_fraction(mapping[e.id]))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _over_lcm(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Integer numerators of ``values`` over the lcm of their denominators."""
     den = math.lcm(*(x.denominator for x in values))
@@ -117,7 +94,7 @@ class TransitionProbability:
     def __init__(self, d: BratteliDiagram, values: Sequence[Mapping[str, object]]):
         d.require_valid()
         self.diagram = d
-        self._p = _per_level_values(d, values, "transition probability")
+        self._p = d.align("edge", values, as_fraction, "transition probability", IncompatibleData)
         nums, dens = [], []
         for n, row in enumerate(self._p, start=1):
             num, den = _over_group_lcm(row, d._out[n - 1], d._src[n - 1])
@@ -153,18 +130,10 @@ class InitialDistribution:
     def __init__(self, d: BratteliDiagram, values: Mapping[str, object]):
         d.require_valid()
         self.diagram = d
-        top = d.vertices(0)
-        unknown = set(values) - set(top)
-        if unknown:
-            raise IncompatibleData(f"initial distribution: unknown vertex '{sorted(unknown)[0]}'")
-        vec = []
-        for v in top:
-            if v not in values:
-                raise IncompatibleData(f"initial distribution: no value for vertex '{v}'")
-            x = as_fraction(values[v])
+        vec = d.align("vertex", values, as_fraction, "initial distribution", IncompatibleData, level=0)
+        for v, x in zip(d.vertices(0), vec):
             if x <= 0:
                 raise SupportViolation(f"initial distribution: nu0({v}) = {x} is not positive")
-            vec.append(x)
         total = sum(vec)
         if total != ONE:
             raise SupportViolation(f"initial distribution sums to {total}, not 1")
@@ -197,7 +166,7 @@ class CotransitionProbability:
     def __init__(self, d: BratteliDiagram, values: Sequence[Mapping[str, object]]):
         d.require_valid()
         self.diagram = d
-        self._q = _per_level_values(d, values, "cotransition probability")
+        self._q = d.align("edge", values, as_fraction, "cotransition probability", IncompatibleData)
         for n, row in enumerate(self._q, start=1):
             num, den = _over_group_lcm(row, d._in[n - 1], d._rng[n - 1])
             _require_stochastic(d, n, num, den, True, "cotransition probability", "q")
@@ -322,7 +291,7 @@ def cotransition_of_path(w: RandomWalk, a: FinitePath) -> Fraction:
 
 
 def radon_nikodym(w: RandomWalk, a: FinitePath, b: FinitePath) -> Fraction:
-    """The walk's quasi-product cocycle q(a)/q(b) on the cylinder pair (a, b)."""
+    """The walk's density cocycle D(a, b) = q(a)/q(b) on the cylinder pair (a, b)."""
     if not tail_related(a, b):
         raise NotTailRelated("paths not tail equivalent")
     return cotransition_of_path(w, a) / cotransition_of_path(w, b)
@@ -342,23 +311,7 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
         q = CotransitionProbability(d, q)
     if q.diagram is not d:
         raise IncompatibleData("cotransition must be built on the same diagram")
-    nus = list(nus)
-    if len(nus) != d.depth + 1:
-        raise IncompatibleData(
-            f"need one distribution per level 0..{d.depth}, got {len(nus)}"
-        )
-    levels = []
-    for n, mapping in enumerate(nus):
-        vs = d.vertices(n)
-        unknown = set(mapping) - set(vs)
-        if unknown:
-            raise IncompatibleData(f"distribution at level {n}: unknown vertex '{sorted(unknown)[0]}'")
-        row = []
-        for v in vs:
-            if v not in mapping:
-                raise IncompatibleData(f"distribution at level {n}: no value for vertex '{v}'")
-            row.append(as_fraction(mapping[v]))
-        levels.append(row)
+    levels = d.align("vertex", nus, as_fraction, "distribution", IncompatibleData)
     for n in range(1, d.depth + 1):
         for v in d.vertices(n - 1):
             pushed = sum(
@@ -495,58 +448,3 @@ def sample_path(w: RandomWalk, seed: int, depth: int) -> FinitePath:
         edges.append(d._edges[m][k].id)
         at = d._rng[m][k]
     return d.path(edges) if edges else d.empty_path(d.vertices(0)[at])
-
-
-class QuasiProductCocycle:
-    """D(az, bz) = phi(a) phi(b)^{-1} for an edge potential phi into a group.
-
-    The default group is the positive rationals under multiplication; any
-    group object with ``op``, ``inv`` and ``identity`` works (the skew module
-    provides lattice and multiplicative-rational groups).
-    """
-
-    def __init__(self, d: BratteliDiagram, potential: Sequence[Mapping[str, object]], group=None):
-        d.require_valid()
-        self.diagram = d
-        self.group = group
-        levels = list(potential)
-        if len(levels) != d.depth:
-            raise IncompatibleData(
-                f"potential: got {len(levels)} levels, diagram has {d.depth} edge levels"
-            )
-        rows = []
-        for m, mapping in enumerate(levels):
-            n = m + 1
-            row = {}
-            for e in d.edges(n):
-                if e.id not in mapping:
-                    raise IncompatibleData(f"potential: no value for edge '{e.id}' at level {n}")
-                val = mapping[e.id]
-                row[e.id] = val if group is not None else as_fraction(val)
-            rows.append(row)
-        self._phi = tuple(rows)
-
-    def _op(self, a, b):
-        return self.group.op(a, b) if self.group is not None else a * b
-
-    def _inv(self, a):
-        return self.group.inv(a) if self.group is not None else 1 / a
-
-    def _identity(self):
-        return self.group.identity if self.group is not None else ONE
-
-    def edge_value(self, n: int, edge_id: str):
-        self.diagram.edge_index(n, edge_id)
-        return self._phi[n - 1][edge_id]
-
-    def of_path(self, a: FinitePath):
-        """Ordered product of the potential along ``a``."""
-        value = self._identity()
-        for off, eid in enumerate(a.edges):
-            value = self._op(value, self.edge_value(a.start_level + off + 1, eid))
-        return value
-
-    def value(self, a: FinitePath, b: FinitePath):
-        if not tail_related(a, b):
-            raise NotTailRelated("paths not tail equivalent")
-        return self._op(self.of_path(a), self._inv(self.of_path(b)))

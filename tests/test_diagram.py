@@ -1,21 +1,30 @@
 """Diagram structure, validation, and path enumeration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+import bratteli
 from bratteli import (
     BratteliDiagram,
-    Cylinder,
     Edge,
+    EdgePotential,
     FinitePath,
+    HarmonicSequence,
+    IncompatibleData,
+    InitialDistribution,
     InvalidDiagram,
     PathError,
+    ShapeMismatch,
+    TransitionProbability,
+    ZLattice,
     count_paths,
     enumerate_paths,
+    harmonic_from_terminal,
+    pascal_diagram,
     subdiagram,
     tail_related,
-    validate_diagram,
 )
 
 from helpers import chain_diagram, oracle_enumerate_paths, random_diagram
@@ -36,7 +45,6 @@ def test_depth_and_accessors():
     assert d.vertex_index(2, "c2") == 0
     assert d.has_vertex(2, "c2")
     assert not d.has_vertex(2, "c9")
-    assert len(d.level(1)) == 1
 
 
 def test_accessor_range_errors():
@@ -62,7 +70,7 @@ def test_construction_shape_errors():
 
 def test_valid_diagram_has_no_violations():
     d = two_level([("e0", "a", "c"), ("e1", "a", "d"), ("e2", "b", "d")])
-    assert validate_diagram(d) == []
+    assert d.validate() == []
     assert d.is_valid
     d.require_valid()
 
@@ -237,13 +245,6 @@ def test_tail_related():
         tail_related(d.empty_path("c", level=1), d.empty_path("d", level=1))
 
 
-def test_cylinder_base_must_start_at_zero():
-    d = chain_diagram(2)
-    Cylinder(d.path(["l1"]))
-    with pytest.raises(PathError):
-        Cylinder(d.empty_path("c1", level=1))
-
-
 def test_subdiagram_preserves_ids_and_order():
     d = two_level([("e0", "a", "c"), ("e1", "a", "d"), ("e2", "b", "d")])
     sub = subdiagram(d, [{"a", "b"}, {"d"}], [{"e1", "e2"}])
@@ -251,3 +252,76 @@ def test_subdiagram_preserves_ids_and_order():
     assert sub.vertices(1) == ("d",)
     assert [e.id for e in sub.edges(1)] == ["e1", "e2"]
     assert sub.is_valid
+
+
+def test_public_names_resolve():
+    # a stale entry would make `from bratteli import *` raise
+    assert len(set(bratteli.__all__)) == len(bratteli.__all__)
+    for name in bratteli.__all__:
+        getattr(bratteli, name)
+
+
+# -- per-level data keyed by id ---------------------------------------------------
+
+PASCAL, PASCAL_WALK = pascal_diagram(2, Fraction(1, 2))
+
+
+def _edge_levels(value):
+    return [{e.id: value for e in PASCAL.edges(n)} for n in (1, 2)]
+
+
+def _faulty(levels, fault):
+    """``levels`` with one fault: the last id of the last level left out, an
+    unknown id 'zz' added to the last level, or the last level dropped."""
+    levels = [dict(row) for row in levels]
+    if fault == "missing":
+        levels[-1].popitem()
+    elif fault == "unknown":
+        levels[-1]["zz"] = next(iter(levels[-1].values()))
+    else:
+        levels.pop()
+    return levels
+
+
+def _one_level(build, mapping):
+    return lambda fault: build(_faulty([mapping], fault)[0])
+
+
+CONSTRUCTORS = {
+    "p": lambda fault: TransitionProbability(PASCAL, _faulty(_edge_levels(Fraction(1, 2)), fault)),
+    "nu0": _one_level(lambda m: InitialDistribution(PASCAL, m), {"0:0": 1}),
+    "rho": lambda fault: EdgePotential(PASCAL, ZLattice(1), _faulty(_edge_levels((0,)), fault)),
+    "terminal": _one_level(
+        lambda m: harmonic_from_terminal(PASCAL_WALK, m), {v: 1 for v in PASCAL.vertices(2)}
+    ),
+    "harmonic": lambda fault: HarmonicSequence(
+        PASCAL, _faulty([{v: 1 for v in PASCAL.vertices(n)} for n in range(3)], fault)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "which, fault, exc, message",
+    [
+        ("p", "missing", IncompatibleData, "transition probability: no value for edge '1:1:1' at level 2"),
+        ("p", "unknown", IncompatibleData, "transition probability: unknown edge 'zz' at level 2"),
+        ("p", "levels", IncompatibleData,
+         "transition probability: got 1 levels of values, diagram has 2 edge levels"),
+        ("nu0", "missing", IncompatibleData, "initial distribution: no value for vertex '0:0'"),
+        ("nu0", "unknown", IncompatibleData, "initial distribution: unknown vertex 'zz'"),
+        ("rho", "missing", IncompatibleData, "potential: no value for edge '1:1:1' at level 2"),
+        ("rho", "unknown", IncompatibleData, "potential: unknown edge 'zz' at level 2"),
+        ("rho", "levels", IncompatibleData, "potential: got 1 levels of values, diagram has 2 edge levels"),
+        ("terminal", "missing", ShapeMismatch, "terminal data: no value for vertex '2:2'"),
+        ("terminal", "unknown", ShapeMismatch, "terminal data: unknown vertex 'zz'"),
+        ("harmonic", "missing", ShapeMismatch, "harmonic sequence: no value for vertex '2:2' at level 2"),
+        ("harmonic", "unknown", ShapeMismatch, "harmonic sequence: unknown vertex 'zz' at level 2"),
+        ("harmonic", "levels", ShapeMismatch,
+         "harmonic sequence: got 2 levels of values, diagram has 3 vertex levels"),
+    ],
+)
+def test_alignment_fault_messages(which, fault, exc, message):
+    with pytest.raises(exc) as info:
+        CONSTRUCTORS[which](fault)
+    assert type(info.value) is exc
+    assert str(info.value) == message

@@ -94,6 +94,10 @@ def test_potential_shape_errors():
         EdgePotential(d, ZLattice(1), [{"0:0:0": (0,)}])
     with pytest.raises(IncompatibleData):
         EdgePotential(d, ZLattice(1), [{"0:0:0": (0,)}, {}])
+    values = [{e.id: (0,) for e in d.edges(n)} for n in (1, 2)]
+    values[1]["zz"] = (0,)
+    with pytest.raises(IncompatibleData, match="^potential: unknown edge 'zz' at level 2$"):
+        EdgePotential(d, ZLattice(1), values)
 
 
 def test_cocycle_on_equal_paths_is_identity():
@@ -153,6 +157,8 @@ def test_cotransition_potential_matches_density():
             for a in group[:4]:
                 for b in group[:4]:
                     assert group_cocycle(rho, a, b) == radon_nikodym(w, a, b)
+        with pytest.raises(NotTailRelated):
+            group_cocycle(rho, paths[0], d.empty_path(paths[0].anchor))
 
 
 # -- skew products ----------------------------------------------------------------

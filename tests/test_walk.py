@@ -15,15 +15,16 @@ from bratteli import (
     NotAMeasure,
     NotTailRelated,
     PathError,
-    QuasiProductCocycle,
     SupportViolation,
     TransitionProbability,
     build_walk,
     check_q_measure,
+    cotransition_potential,
     cotransition_of_path,
     cylinder_measure,
     enumerate_paths,
     from_cotransition,
+    group_cocycle,
     markov_cylinder_table,
     pascal_diagram,
     pascal_path,
@@ -361,9 +362,7 @@ def test_quasi_product_cocycle_matches_density():
     rng = random.Random(29)
     w = random_walk_with_multipath(rng)
     d = w.diagram
-    potential = QuasiProductCocycle(
-        d, [w.cotransition.level(n) for n in range(1, d.depth + 1)]
-    )
+    potential = cotransition_potential(w)
     paths = enumerate_paths(d, 0, d.depth)
     by_end = {}
     for a in paths:
@@ -371,9 +370,9 @@ def test_quasi_product_cocycle_matches_density():
     for group in by_end.values():
         for a in group[:3]:
             for b in group[:3]:
-                assert potential.value(a, b) == radon_nikodym(w, a, b)
+                assert group_cocycle(potential, a, b) == radon_nikodym(w, a, b)
     with pytest.raises(NotTailRelated):
-        potential.value(paths[0], d.empty_path(paths[0].anchor))
+        group_cocycle(potential, paths[0], d.empty_path(paths[0].anchor))
 
 
 def test_cotransition_probability_standalone_validation():
