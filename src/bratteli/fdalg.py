@@ -2,12 +2,13 @@
 
 The algebra of a finite equivalence relation R on X is the set of matrices
 supported on R: block-diagonal, one full matrix block per class, with the
-canonical matrix units e(x,y) indexed by pairs in R.  An inclusion graph
-(V, E, Vbar) with a point set X over V induces the bigger relation on
-Xbar = {(x,a): the vertex of x is the source of a} classified by the range
-of the edge; the inclusion j and the commutant embedding k identify the base
-algebra and its relative commutant inside the big one.  A transition
-probability on the edges defines the model conditional expectation
+canonical matrix units e(x,y) indexed by pairs in R.  An inclusion graph is
+a one-floor Bratteli diagram (V, E, Vbar) with a point set X over V; it
+induces the bigger relation on Xbar = {(x,a): the vertex of x is the source
+of a} classified by the range of the edge; the inclusion j and the commutant
+embedding k identify the base algebra and its relative commutant inside the
+big one.  A transition probability on the edges, the walk's p on that one
+floor, defines the model conditional expectation
 Q(f)(x,y) = sum over edges c out of the vertex of x of p(c) f(xc, yc), which
 factors as a pinching onto the equal-edge subrelation followed by averaging.
 
@@ -25,6 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .diagram import BratteliDiagram
 from .errors import (
     IncompatibleData,
     NotACocycle,
@@ -32,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     SupportViolation,
 )
-from .rational import as_fraction
+from .walk import TransitionProbability
 
 
 class FiniteEquivRelation:
@@ -200,9 +202,6 @@ class AlgebraElement:
     def distance(self, other: "AlgebraElement") -> float:
         return (self - other).max_abs()
 
-    def isclose(self, other: "AlgebraElement", tol: float = 1e-9) -> bool:
-        return self.distance(other) <= tol
-
     def to_dense(self, index: Mapping | None = None) -> np.ndarray:
         """Dense |X| x |X| complex matrix (for oracles and eigensolvers)."""
         if index is None:
@@ -265,56 +264,41 @@ def canonical_units(rel: FiniteEquivRelation) -> dict:
 
 
 class InclusionGraph:
-    """A one-floor graph (V, E, Vbar) with a point set X lying over V.
+    """A one-floor Bratteli diagram (V, E, Vbar) with a point set X lying over V.
 
-    vertex_of: X -> V, source_of: E -> V, range_of: E -> Vbar, all surjective.
-    The derived point set Xbar consists of the composable pairs (x, e) with
+    ``diagram`` must be a valid diagram of depth 1: V = V(0), E = E(1) and
+    Vbar = V(1).  ``vertex_of`` maps X, in its key order, onto V.  The derived
+    point set Xbar consists of the composable pairs (x, e) with
     vertex_of(x) = source_of(e), ordered X-major then E within x.
     """
 
-    def __init__(self, X, V, E, Vbar, vertex_of: Mapping, source_of: Mapping, range_of: Mapping):
-        self.X = tuple(X)
-        self.V = tuple(V)
-        self.E = tuple(E)
-        self.Vbar = tuple(Vbar)
+    def __init__(self, diagram: BratteliDiagram, vertex_of: Mapping):
+        if diagram.depth != 1:
+            raise IncompatibleData(f"inclusion graph: diagram has depth {diagram.depth}, need 1")
+        diagram.require_valid()
+        self.diagram = diagram
+        edges = diagram.edges(1)
+        self.V = diagram.vertices(0)
+        self.E = tuple(e.id for e in edges)
+        self.Vbar = diagram.vertices(1)
         self.vertex_of = dict(vertex_of)
-        self.source_of = dict(source_of)
-        self.range_of = dict(range_of)
-        for name, domain, mapping, codomain in (
-            ("vertex_of", self.X, self.vertex_of, self.V),
-            ("source_of", self.E, self.source_of, self.V),
-            ("range_of", self.E, self.range_of, self.Vbar),
-        ):
-            cod = set(codomain)
-            for a in domain:
-                if a not in mapping:
-                    raise IncompatibleData(f"inclusion graph: {name} has no value at {a!r}")
-                if mapping[a] not in cod:
-                    raise IncompatibleData(
-                        f"inclusion graph: {name}({a!r}) = {mapping[a]!r} is not a valid target"
-                    )
-            missing = cod - {mapping[a] for a in domain}
-            if missing:
-                raise IncompatibleData(
-                    f"inclusion graph: {name} is not surjective; {sorted(map(repr, missing))[0]} is not hit"
-                )
-        self._fibers = {v: tuple(x for x in self.X if self.vertex_of[x] == v) for v in self.V}
-        self._out_edges = {v: tuple(e for e in self.E if self.source_of[e] == v) for v in self.V}
+        self.source_of = {e.id: e.src for e in edges}
+        self.range_of = {e.id: e.rng for e in edges}
+        self.X = tuple(self.vertex_of)
+        self._base = FiniteEquivRelation(self.X, self.V, self.vertex_of)
+        self._out_edges = {v: tuple(self.E[k] for k in ks) for v, ks in zip(self.V, diagram._out[0])}
         self.Xbar = tuple((x, e) for x in self.X for e in self._out_edges[self.vertex_of[x]])
-        self._base = None
         self._big = None
         self._commutant = None
         self._pinched = None
 
     def fiber(self, v) -> tuple:
-        return self._fibers.get(v, ())
+        return self._base._fibers.get(v, ())
 
     def out_edges(self, v) -> tuple:
         return self._out_edges.get(v, ())
 
     def base_relation(self) -> FiniteEquivRelation:
-        if self._base is None:
-            self._base = FiniteEquivRelation(self.X, self.V, self.vertex_of)
         return self._base
 
     def big_relation(self) -> FiniteEquivRelation:
@@ -328,14 +312,8 @@ class InclusionGraph:
     def commutant_relation(self) -> FiniteEquivRelation:
         """Relation on E: parallel edges (same source and same range)."""
         if self._commutant is None:
-            labels = []
-            for e in self.E:
-                lab = (self.source_of[e], self.range_of[e])
-                if lab not in labels:
-                    labels.append(lab)
-            self._commutant = FiniteEquivRelation(
-                self.E, labels, {e: (self.source_of[e], self.range_of[e]) for e in self.E}
-            )
+            label = {e.id: (e.src, e.rng) for e in self.diagram.edges(1)}
+            self._commutant = FiniteEquivRelation(self.E, dict.fromkeys(label.values()), label)
         return self._commutant
 
     def pinched_relation(self) -> FiniteEquivRelation:
@@ -386,20 +364,7 @@ class ModelExpectation:
 
     def __init__(self, g: InclusionGraph, p: Mapping):
         self.graph = g
-        vals = {}
-        for e in g.E:
-            if e not in p:
-                raise IncompatibleData(f"transition probability: no value for edge {e!r}")
-            vals[e] = as_fraction(p[e])
-            if vals[e] <= 0:
-                raise SupportViolation(f"transition probability: p({e!r}) = {vals[e]} is not positive")
-        for v in g.V:
-            total = sum(vals[e] for e in g.out_edges(v))
-            if total != 1:
-                raise SupportViolation(
-                    f"transition probability: edges out of {v!r} sum to {total}, not 1"
-                )
-        self.p = vals
+        self.p = TransitionProbability(g.diagram, [p]).level(1)
 
     def __call__(self, fbar: AlgebraElement) -> AlgebraElement:
         return expectation_map(self.graph, self.p, fbar)
@@ -674,7 +639,6 @@ def pinch_average_decompose(me: ModelExpectation):
     """
     g, p = me.graph, me.p
     big = g.big_relation()
-    base = g.base_relation()
 
     def pinch(fbar: AlgebraElement) -> AlgebraElement:
         if fbar.relation != big:
@@ -686,15 +650,11 @@ def pinch_average_decompose(me: ModelExpectation):
     def average(fbar: AlgebraElement) -> AlgebraElement:
         if fbar.relation != big:
             raise ShapeMismatch("averaging wants an element over the big relation")
-        out: dict = {}
-        for ((x, a), (y, b)), v in fbar.entries.items():
-            if a != b:
-                raise ShapeMismatch(
-                    "averaging applies to pinched elements (equal edge coordinates)"
-                )
-            key = (x, y)
-            out[key] = out.get(key, 0) + p[a] * v
-        return AlgebraElement(base, out)
+        if any(a != b for ((_, a), (_, b)) in fbar.entries):
+            raise ShapeMismatch(
+                "averaging applies to pinched elements (equal edge coordinates)"
+            )
+        return expectation_map(g, p, fbar)
 
     return pinch, average
 
@@ -749,6 +709,19 @@ def trivialize_cocycle(tc: TorusCocycle, tol: float = 1e-9) -> dict:
     return b
 
 
+def _require_units(units: Mapping, cls_: tuple, which: str, tol: float):
+    """Composition and adjoint identities of the units on the pairs of one class."""
+    for x in cls_:
+        for y in cls_:
+            for z in cls_:
+                if (units[(x, y)] * units[(y, z)]).distance(units[(x, z)]) > tol:
+                    raise NotAMatrixUnit(
+                        f"{which} units break composition at ({x!r}, {y!r}, {z!r})"
+                    )
+            if units[(x, y)].adjoint().distance(units[(y, x)]) > tol:
+                raise NotAMatrixUnit(f"{which} units break adjoints at ({x!r}, {y!r})")
+
+
 def extend_matrix_unit(
     rel: FiniteEquivRelation,
     sub: FiniteEquivRelation,
@@ -778,18 +751,7 @@ def extend_matrix_unit(
         if pair not in reference:
             raise NotAMatrixUnit(f"reference units missing pair {pair!r}")
     for cls_ in rel.classes():
-        for x in cls_:
-            for y in cls_:
-                for z in cls_:
-                    prod = reference[(x, y)] * reference[(y, z)]
-                    if prod.distance(reference[(x, z)]) > tol:
-                        raise NotAMatrixUnit(
-                            f"reference units break composition at ({x!r}, {y!r}, {z!r})"
-                        )
-                if reference[(x, y)].adjoint().distance(reference[(y, x)]) > tol:
-                    raise NotAMatrixUnit(
-                        f"reference units break adjoints at ({x!r}, {y!r})"
-                    )
+        _require_units(reference, cls_, "reference", tol)
 
     phases = {}
     for cls_ in sub.classes():
@@ -813,16 +775,7 @@ def extend_matrix_unit(
                         f"partial unit at ({x!r}, {y!r}) scales the reference by {abs(scalar):.6g}, not 1"
                     )
                 phases[(x, y)] = scalar
-        for x in cls_:
-            for y in cls_:
-                for z in cls_:
-                    prod = partial[(x, y)] * partial[(y, z)]
-                    if prod.distance(partial[(x, z)]) > tol:
-                        raise NotAMatrixUnit(
-                            f"partial units break composition at ({x!r}, {y!r}, {z!r})"
-                        )
-                if partial[(x, y)].adjoint().distance(partial[(y, x)]) > tol:
-                    raise NotAMatrixUnit(f"partial units break adjoints at ({x!r}, {y!r})")
+        _require_units(partial, cls_, "partial", tol)
 
     b = trivialize_cocycle(TorusCocycle(sub, phases), tol=tol)
     out = {}

@@ -4,7 +4,7 @@ Diagram files carry the graded graph plus optional walk data: per-edge "p"
 (rational as 'num/den' or integer), per-edge "rho" (group element: integer,
 integer array, or 'num/den' string), and a top-level "nu0" map.  Inclusion
 graph files are the same format restricted to a single floor, plus an "X"
-object mapping points to vertices of the upper level.  Structural problems
+object mapping points to vertices of level 0.  Structural problems
 with a file raise FileFormatError (a parse failure); values that parse but
 violate a domain invariant surface later as BratteliError.
 """
@@ -220,20 +220,8 @@ def load_inclusion_graph(source) -> tuple[InclusionGraph, dict | None]:
         raise FileFormatError(
             f"inclusion graph file must have exactly one edge level, got {d.depth}"
         )
-    X = []
-    vertex_of = {}
-    for x, v in data["X"].items():
-        X.append(_string(x, "X"))
-        vertex_of[x] = _string(v, f"X['{x}']")
-    graph = InclusionGraph(
-        X,
-        d.vertices(0),
-        [e.id for e in d.edges(1)],
-        d.vertices(1),
-        vertex_of,
-        {e.id: e.src for e in d.edges(1)},
-        {e.id: e.rng for e in d.edges(1)},
-    )
+    vertex_of = {_string(x, "X"): _string(v, f"X['{x}']") for x, v in data["X"].items()}
+    graph = InclusionGraph(d, vertex_of)
     p = df.p_levels[0] if df.p_levels is not None else None
     return graph, p
 

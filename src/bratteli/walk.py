@@ -340,9 +340,6 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
 
 # -- cylinder tables and the q-measure criterion ------------------------------
 
-CylinderTable = dict  # FinitePath -> Fraction, all paths of length <= depth
-
-
 def markov_cylinder_table(w: RandomWalk, depth: int) -> dict[FinitePath, Fraction]:
     """The walk's own cylinder masses on all paths of length <= depth."""
     if not 0 <= depth <= w.depth:
@@ -369,7 +366,8 @@ def table_from_leaves(
     return table
 
 
-def _q_measure_witness(d, q, table, depth):
+def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
+    """None if the table passes; else (path, expected mass, actual mass)."""
     if not isinstance(q, CotransitionProbability):
         q = CotransitionProbability(d, q)
     if not 0 <= depth <= d.depth:
@@ -411,12 +409,7 @@ def check_q_measure(d: BratteliDiagram, q, table, depth: int) -> bool:
     At finite depth the criterion is m(Z(a)) = q(a) times m's own level-n
     marginal at r(a), for every path a of length n <= depth.
     """
-    return _q_measure_witness(d, q, table, depth) is None
-
-
-def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
-    """None if the table passes; else (path, expected mass, actual mass)."""
-    return _q_measure_witness(d, q, table, depth)
+    return q_measure_witness(d, q, table, depth) is None
 
 
 def sample_path(w: RandomWalk, seed: int, depth: int) -> FinitePath:

@@ -323,6 +323,13 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
 # -- inclusion graphs ----------------------------------------------------------
 
 
+def make_graph(X, V, E, Vbar, vertex_of, source_of, range_of):
+    """The inclusion graph on the one-floor diagram V -> Vbar with edges E,
+    and the points of X that ``vertex_of`` places, in X's order."""
+    d = BratteliDiagram([V, Vbar], [[(e, source_of[e], range_of[e]) for e in E]])
+    return InclusionGraph(d, {x: vertex_of[x] for x in X if x in vertex_of})
+
+
 def random_inclusion_graph(rng, max_points=6, max_edges=8):
     """A random inclusion graph with |X| <= max_points, |E| <= max_edges."""
     nV = rng.randint(1, 3)
@@ -351,7 +358,7 @@ def random_inclusion_graph(rng, max_points=6, max_edges=8):
         E.append(e)
         source_of[e] = v
         range_of[e] = w
-    return InclusionGraph(X, V, E, Vbar, vertex_of, source_of, range_of)
+    return make_graph(X, V, E, Vbar, vertex_of, source_of, range_of)
 
 
 def random_transition(rng, g):
@@ -488,7 +495,7 @@ def _build_graph(fibers, M):
                 E.append(e)
                 source_of[e] = v
                 range_of[e] = w
-    return InclusionGraph(X, V, E, Vbar, vertex_of, source_of, range_of)
+    return make_graph(X, V, E, Vbar, vertex_of, source_of, range_of)
 
 
 # -- linear-algebra oracles ----------------------------------------------------

@@ -241,6 +241,78 @@ def test_extractp(tmp_path, capsys):
     assert out.splitlines() == ["level\tid\tvalue", "1\ta\t1/3", "1\tb\t2/3"]
 
 
+def _graph_file(vertices=(("v",), ("w",)), edges=(("a", "v", "w", "1/3"), ("b", "v", "w", "2/3")),
+                X=None):
+    return {
+        "vertices": [list(level) for level in vertices],
+        "edges": [[{"id": e, "src": s, "rng": r, "p": p} for e, s, r, p in edges]],
+        "X": {"x0": "v", "x1": "v"} if X is None else X,
+    }
+
+
+TWO_LEVELS = {
+    "vertices": [["v"], ["w"], ["u"]],
+    "edges": [[{"id": "a", "src": "v", "rng": "w", "p": "1"}],
+              [{"id": "b", "src": "w", "rng": "u", "p": "1"}]],
+    "X": {"x0": "v"},
+}
+
+# (graph file, exit code, stderr line, whether it is a diagram fault that
+# `validate` reports as its first violation)
+GRAPH_FAULTS = {
+    "vertex-emits-no-edge": (
+        _graph_file(vertices=(("v", "v2"), ("w",)), edges=(("a", "v", "w", "1"),),
+                    X={"x0": "v", "x1": "v2"}),
+        1, "error: level 0: vertex 'v2': emits no edge", True),
+    "unknown-edge-source": (
+        _graph_file(edges=(("a", "zz", "w", "1"), ("b", "v", "w", "1"))),
+        1, "error: level 1: edge 'a': source 'zz' not in V(0)", True),
+    "duplicate-vertex-id": (
+        _graph_file(vertices=(("v", "v"), ("w",))),
+        1, "error: level 0: vertex 'v': duplicate identifier", True),
+    "duplicate-edge-id-halves": (
+        _graph_file(edges=(("a", "v", "w", "1/2"), ("a", "v", "w", "1/2"))),
+        1, "error: level 1: edge 'a': duplicate identifier", True),
+    "duplicate-edge-id-ones": (
+        _graph_file(edges=(("a", "v", "w", "1"), ("a", "v", "w", "1"))),
+        1, "error: level 1: edge 'a': duplicate identifier", True),
+    "point-on-unknown-vertex": (
+        _graph_file(X={"x0": "v", "x1": "nope"}),
+        1, "error: relation: label 'nope' of 'x1' not in V", False),
+    "point-on-level-1-vertex": (
+        _graph_file(X={"x0": "w"}),
+        1, "error: relation: label 'w' of 'x0' not in V", False),
+    "empty-X": (
+        _graph_file(X={}),
+        1, "error: relation: label 'v' has an empty class", False),
+    "p-sums-to-2/3": (
+        _graph_file(edges=(("a", "v", "w", "1/3"), ("b", "v", "w", "1/3"))),
+        1, "error: transition probability: out-edges of 'v' at level 0 sum to 2/3, not 1", False),
+    "p-zero": (
+        _graph_file(edges=(("a", "v", "w", "0"), ("b", "v", "w", "1"))),
+        1, "error: transition probability: p(a) = 0 at level 1 is not positive", False),
+    "two-edge-levels": (
+        TWO_LEVELS,
+        2, "parse error: inclusion graph file must have exactly one edge level, got 2", False),
+    "X-as-list": (
+        _graph_file(X=["x0", "x1"]),
+        2, "parse error: inclusion graph file needs an 'X' object mapping points to vertices",
+        False),
+}
+
+
+@pytest.mark.parametrize("command", ["expect", "extractp"])
+@pytest.mark.parametrize("case", sorted(GRAPH_FAULTS))
+def test_graph_faults(tmp_path, capsys, command, case):
+    payload, expected_code, expected_err, diagram_fault = GRAPH_FAULTS[case]
+    g = write_json(tmp_path, "graph.json", payload)
+    code, out, err = run_main(capsys, [command, "--graph", g])
+    assert (code, out, err) == (expected_code, "", expected_err + "\n")
+    if diagram_fault:
+        _, _, validate_err = run_main(capsys, ["validate", g])
+        assert validate_err.replace("invalid diagram: ", "error: ", 1) == err
+
+
 def test_pascal_closed_forms(capsys):
     code, out, err = run_main(capsys, ["pascal", "--depth", "2", "--t", "1/3"])
     assert code == 0

@@ -13,6 +13,7 @@ from bratteli import (
     FiniteEquivRelation,
     IncompatibleData,
     InclusionGraph,
+    InvalidDiagram,
     ModelExpectation,
     NotACocycle,
     NotAMatrixUnit,
@@ -36,7 +37,9 @@ from bratteli import (
 )
 
 from helpers import (
+    chain_diagram,
     elements_to_matrix,
+    make_graph,
     oracle_verify_expectation,
     random_element,
     random_inclusion_graph,
@@ -50,7 +53,7 @@ F = Fraction
 
 def two_edge_graph(p=None):
     """One point over one vertex, two parallel edges to one target."""
-    g = InclusionGraph(
+    g = make_graph(
         X=["x"],
         V=["v"],
         E=["a", "b"],
@@ -159,7 +162,7 @@ def test_identity_element():
 
 
 def test_inclusion_graph_xbar_order():
-    g = InclusionGraph(
+    g = make_graph(
         X=["x0", "x1"],
         V=["v"],
         E=["a", "b"],
@@ -187,18 +190,18 @@ def test_inclusion_graph_adjacency_matches_scans():
 
 
 def test_inclusion_graph_surjectivity_errors():
-    with pytest.raises(IncompatibleData):
-        InclusionGraph(
+    with pytest.raises(InvalidDiagram):
+        make_graph(
             X=["x"], V=["v", "v2"], E=["a"], Vbar=["w"],
             vertex_of={"x": "v"}, source_of={"a": "v"}, range_of={"a": "w"},
         )
     with pytest.raises(IncompatibleData):
-        InclusionGraph(
+        make_graph(
             X=["x"], V=["v"], E=["a"], Vbar=["w"],
             vertex_of={"x": "zz"}, source_of={"a": "v"}, range_of={"a": "w"},
         )
     with pytest.raises(IncompatibleData):
-        InclusionGraph(
+        make_graph(
             X=["x"], V=["v"], E=["a"], Vbar=["w"],
             vertex_of={}, source_of={"a": "v"}, range_of={"a": "w"},
         )
@@ -267,7 +270,7 @@ def test_j_and_k_images_commute():
 
 def test_k_image_dimension_counts_parallel_pairs():
     # both edges share source and range, so R' is one 2-class of dimension 4
-    g = InclusionGraph(
+    g = make_graph(
         X=["x0", "x1"], V=["v"], E=["a", "b"], Vbar=["w"],
         vertex_of={"x0": "v", "x1": "v"},
         source_of={"a": "v", "b": "v"},
@@ -337,6 +340,18 @@ def test_expectation_probability_validation():
         ModelExpectation(g, {"a": 0, "b": 1})
     with pytest.raises(IncompatibleData):
         ModelExpectation(g, {"a": 1})
+    with pytest.raises(IncompatibleData, match="unknown edge 'no-such-edge'"):
+        ModelExpectation(g, {"a": F(1, 2), "b": F(1, 2), "no-such-edge": 7})
+
+
+def test_inclusion_graph_needs_one_valid_floor():
+    with pytest.raises(InvalidDiagram, match="^level 1: edge 'a': duplicate identifier$"):
+        make_graph(
+            X=["x"], V=["v"], E=["a", "a"], Vbar=["w"],
+            vertex_of={"x": "v"}, source_of={"a": "v"}, range_of={"a": "w"},
+        )
+    with pytest.raises(IncompatibleData, match="^inclusion graph: diagram has depth 2, need 1$"):
+        InclusionGraph(chain_diagram(2), {"x": "c0"})
 
 
 def test_expectation_is_projection_onto_j_image():
@@ -467,7 +482,7 @@ def test_verify_expectation_reports_leaving_the_range():
 @pytest.mark.parametrize("kind", ["adjoint", "wrong-p"])
 def test_verify_expectation_reports_non_bimodular(kind):
     rng = random.Random(73)
-    g = InclusionGraph(
+    g = make_graph(
         X=["x", "y"],
         V=["v"],
         E=["a", "b"],
@@ -538,7 +553,7 @@ def test_extraction_rejects_inexact_and_disproportionate():
     g, me = two_edge_graph({"a": F(1, 2), "b": F(1, 2)})
     with pytest.raises(IncompatibleData, match="non-exact"):
         extract_transition(lambda fbar: me(fbar).scale(0.5) + me(fbar).scale(0.5), g)
-    g2 = InclusionGraph(
+    g2 = make_graph(
         X=["x0", "x1"], V=["v"], E=["a"], Vbar=["w"],
         vertex_of={"x0": "v", "x1": "v"},
         source_of={"a": "v"}, range_of={"a": "w"},
@@ -587,7 +602,7 @@ def test_pinch_average_factors_expectation():
 
 
 def test_one_edge_per_vertex_average_is_relabeling():
-    g = InclusionGraph(
+    g = make_graph(
         X=["x0", "x1"], V=["v"], E=["a"], Vbar=["w"],
         vertex_of={"x0": "v", "x1": "v"},
         source_of={"a": "v"}, range_of={"a": "w"},
