@@ -8,7 +8,10 @@ all outputs use the original strings.
 Diagrams are immutable after construction and every operation here is a pure
 function, so values may be shared freely across threads.  Path enumeration is
 part of the public contract: paths come back in lexicographic order by edge
-index, and tests and CLI output depend on that order.
+index, and tests and CLI output depend on that order.  Every path consumer
+(``enumerate_paths``, the cylinder tables and the q-measure check of ``walk``)
+reads the one path tree of ``_path_levels``, which grows each level from the
+one before.
 """
 
 from __future__ import annotations
@@ -118,10 +121,7 @@ class BratteliDiagram:
         return self._edges[n - 1]
 
     def edge(self, n: int, edge_id: str) -> Edge:
-        idx = self._eidx[n - 1].get(edge_id)
-        if idx is None:
-            raise PathError(f"no edge '{edge_id}' at level {n}")
-        return self._edges[n - 1][idx]
+        return self._edges[n - 1][self.edge_index(n, edge_id)]
 
     def edge_index(self, n: int, edge_id: str) -> int:
         idx = self._eidx[n - 1].get(edge_id)
@@ -283,15 +283,13 @@ class BratteliDiagram:
                 raise PathError("empty path needs an anchor vertex")
             self.vertex_index(start_level, anchor)
             return FinitePath(start_level, anchor, (), anchor)
-        at = None
+        at = first_src = self.edge(start_level + 1, ids[0]).src
         for off, eid in enumerate(ids):
             e = self.edge(start_level + off + 1, eid)
-            if at is not None and e.src != at:
+            if e.src != at:
                 raise PathError(
                     f"path not in diagram: edge '{eid}' starts at '{e.src}', expected '{at}'"
                 )
-            if at is None:
-                first_src = e.src
             at = e.rng
         if anchor is not None and anchor != first_src:
             raise PathError(f"anchor '{anchor}' does not match first edge source '{first_src}'")
@@ -322,42 +320,45 @@ class BratteliDiagram:
         return [self.edge(p.start_level + i + 1, eid) for i, eid in enumerate(p.edges)]
 
 
-def enumerate_paths(d: BratteliDiagram, from_level: int, to_level: int) -> list[FinitePath]:
-    """All paths from ``from_level`` to ``to_level``, lexicographic by edge index.
+def _path_levels(d: BratteliDiagram, from_level: int, to_level: int):
+    """The path tree from ``from_level`` to ``to_level``, one level at a time.
 
-    Equal levels yield one empty path per vertex, in vertex order.
+    Yields ``(paths, prefix, last)`` per level, paths in ``enumerate_paths``
+    order: path j is path ``prefix[j]`` of the level before plus edge
+    ``last[j]`` of its floor.  The first level is the empty paths, with empty
+    index lists; level from+1 runs in edge order, and later levels extend each
+    path of the one before through its out-edges, in edge order.
     """
     d.require_valid()
     if not 0 <= from_level <= to_level <= d.depth:
         raise PathError(
             f"level range {from_level}..{to_level} out of bounds for depth {d.depth}"
         )
-    if from_level == to_level:
-        return [d.empty_path(v, from_level) for v in d.vertices(from_level)]
-    result: list[FinitePath] = []
-    # depth-first over edge indices with an explicit stack (one iterator per
-    # level), so deep diagrams cannot exhaust the interpreter's recursion
-    # limit; visiting branches in edge order gives lexicographic order
-    ids: list[str] = []
-    stack = [iter(range(len(d._edges[from_level])))]
-    anchor = None
-    while stack:
-        k = next(stack[-1], None)
-        if k is None:
-            stack.pop()
-            if ids:
-                ids.pop()
-            continue
-        m = from_level + len(ids)  # floor of the edge just chosen
-        e = d._edges[m][k]
-        if not ids:
-            anchor = e.src
-        if m + 1 == to_level:
-            result.append(FinitePath(from_level, anchor, (*ids, e.id), e.rng))
+    paths = [FinitePath(from_level, v, (), v) for v in d._vertices[from_level]]
+    yield paths, [], []
+    for m in range(from_level, to_level):
+        row, out = d._edges[m], d._out[m]
+        if m == from_level:
+            prefix, last = list(d._src[m]), list(range(len(row)))
         else:
-            ids.append(e.id)
-            stack.append(iter(d._out[m + 1][d._rng[m][k]]))
-    return result
+            prefix = [i for i, t in enumerate(ends) for _ in out[t]]
+            last = [k for t in ends for k in out[t]]
+        paths = [
+            FinitePath(from_level, paths[i].anchor, paths[i].edges + (row[k].id,), row[k].rng)
+            for i, k in zip(prefix, last)
+        ]
+        ends = [d._rng[m][k] for k in last]  # terminus index of each path
+        yield paths, prefix, last
+
+
+def enumerate_paths(d: BratteliDiagram, from_level: int, to_level: int) -> list[FinitePath]:
+    """All paths from ``from_level`` to ``to_level``, lexicographic by edge index.
+
+    Equal levels yield one empty path per vertex, in vertex order.
+    """
+    for paths, _, _ in _path_levels(d, from_level, to_level):
+        pass
+    return paths
 
 
 def count_paths(d: BratteliDiagram, from_level: int, to_level: int) -> dict[str, int]:

@@ -392,6 +392,8 @@ class ModelExpectation:
 class ExpectationReport:
     """Outcome of the conditional-expectation axiom checks."""
 
+    CHECKS = ("unital", "idempotent", "range_in_subalgebra", "bimodular", "positive", "faithful")
+
     unital: bool = True
     idempotent: bool = True
     range_in_subalgebra: bool = True
@@ -402,14 +404,7 @@ class ExpectationReport:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.unital
-            and self.idempotent
-            and self.range_in_subalgebra
-            and self.bimodular
-            and self.positive
-            and self.faithful
-        )
+        return all(getattr(self, check) for check in self.CHECKS)
 
     def _fail(self, which: str, message: str):
         setattr(self, which, False)

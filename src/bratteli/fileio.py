@@ -12,6 +12,7 @@ violate a domain invariant surface later as BratteliError.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,8 +29,19 @@ from .walk import RandomWalk, build_walk
 def _load_json(source):
     if isinstance(source, (dict, list)):
         return source
-    text = Path(source).read_text(encoding="utf-8")
-    return json.loads(text)
+    try:
+        return json.loads(Path(source).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, RecursionError, FileFormatError) as exc:
+        raise FileFormatError(f"{source}: {exc}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict; a repeated key is a parse error."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise FileFormatError(f"repeated key {key!r} in a JSON object")
+    return obj
 
 
 def _rational(raw, where: str) -> Fraction:

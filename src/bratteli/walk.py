@@ -20,6 +20,9 @@ denominators are large and differ from vertex to vertex, as in the Doob
 transforms of ``harmonic``.  Values become Fractions only where they leave
 the API (nu on first request).
 
+Cylinder tables and the q-measure check read the one level-by-level path tree
+of ``diagram._path_levels`` and carry mass and q(a) from prefix to extension.
+
 Everything here is exact; there is no floating point in this module.  The
 seeded sampler draws with ``randrange`` over the same integer numerators, so
 each draw follows the measure exactly.
@@ -32,7 +35,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diagram import BratteliDiagram, FinitePath, enumerate_paths, tail_related
+from .diagram import BratteliDiagram, FinitePath, _path_levels, tail_related
 from .errors import (
     IncompatibleData,
     NotAMeasure,
@@ -107,14 +110,11 @@ class TransitionProbability:
 
     @classmethod
     def uniform(cls, d: BratteliDiagram) -> "TransitionProbability":
-        values = []
-        for n in range(1, d.depth + 1):
-            row = {}
-            for v in d.vertices(n - 1):
-                out = d.out_edges(n - 1, v)
-                for e in out:
-                    row[e.id] = Fraction(1, len(out))
-            values.append(row)
+        d.require_valid()
+        values = [
+            {e.id: Fraction(1, len(out[i])) for e, i in zip(d.edges(m + 1), d._src[m])}
+            for m, out in enumerate(d._out)
+        ]
         return cls(d, values)
 
     def __call__(self, n: int, edge_id: str) -> Fraction:
@@ -312,12 +312,9 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
     if q.diagram is not d:
         raise IncompatibleData("cotransition must be built on the same diagram")
     levels = d.align("vertex", nus, as_fraction, "distribution", IncompatibleData)
-    for n in range(1, d.depth + 1):
-        for v in d.vertices(n - 1):
-            pushed = sum(
-                q(n, e.id) * levels[n][d.vertex_index(n, e.rng)] for e in d.out_edges(n - 1, v)
-            )
-            have = levels[n - 1][d.vertex_index(n - 1, v)]
+    for n, (qn, rng, out) in enumerate(zip(q._q, d._rng, d._out), start=1):
+        for v, have, ks in zip(d.vertices(n - 1), levels[n - 1], out):
+            pushed = sum(qn[k] * levels[n][rng[k]] for k in ks)
             if pushed != have:
                 raise IncompatibleData(
                     f"distributions not compatible with cotransition at level {n}, "
@@ -325,15 +322,14 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
                     f"pushforward gives {pushed}"
                 )
     p_values = []
-    for n in range(1, d.depth + 1):
+    for n, (qn, src, rng) in enumerate(zip(q._q, d._src, d._rng), start=1):
         row = {}
-        for e in d.edges(n):
-            src = levels[n - 1][d.vertex_index(n - 1, e.src)]
-            if src == 0:
+        for e, x, i, j in zip(d.edges(n), qn, src, rng):
+            if levels[n - 1][i] == 0:
                 raise SupportViolation(
                     f"distribution at level {n - 1} vanishes at '{e.src}'; walk has no full support"
                 )
-            row[e.id] = q(n, e.id) * levels[n][d.vertex_index(n, e.rng)] / src
+            row[e.id] = x * levels[n][j] / levels[n - 1][i]
         p_values.append(row)
     return build_walk(d, p_values, dict(zip(d.vertices(0), levels[0])))
 
@@ -344,10 +340,11 @@ def markov_cylinder_table(w: RandomWalk, depth: int) -> dict[FinitePath, Fractio
     """The walk's own cylinder masses on all paths of length <= depth."""
     if not 0 <= depth <= w.depth:
         raise PathError(f"table depth {depth} out of range 0..{w.depth}")
-    table = {}
-    for n in range(depth + 1):
-        for a in enumerate_paths(w.diagram, 0, n):
-            table[a] = cylinder_measure(w, a)
+    table, masses = {}, w.initial._nu0
+    for n, (paths, prefix, last) in enumerate(_path_levels(w.diagram, 0, depth)):
+        if n:  # mu(Z(a e)) = mu(Z(a)) p(e)
+            masses = [masses[i] * w.transition._p[n - 1][k] for i, k in zip(prefix, last)]
+        table.update(zip(paths, masses))
     return table
 
 
@@ -355,15 +352,33 @@ def table_from_leaves(
     d: BratteliDiagram, depth: int, leaf_masses: Mapping[FinitePath, Fraction]
 ) -> dict[FinitePath, Fraction]:
     """Extend masses on length-``depth`` paths to an additive cylinder table."""
-    table = {}
-    for a in enumerate_paths(d, 0, depth):
-        if a not in leaf_masses:
-            raise NotAMeasure(f"no mass for path {a.label()}")
-        table[a] = as_fraction(leaf_masses[a])
+    levels = list(_path_levels(d, 0, depth))
+    masses = _masses(levels[-1][0], leaf_masses)
+    table = dict(zip(levels[-1][0], masses))
     for n in range(depth - 1, -1, -1):
-        for a in enumerate_paths(d, 0, n):
-            table[a] = sum(table[b] for b in d.extensions(a))
+        masses = _prefix_sums(levels[n][0], levels[n + 1][1], masses)
+        table.update(zip(levels[n][0], masses))
     return table
+
+
+def _masses(paths, table, nonnegative: bool = False) -> list[Fraction]:
+    """The table's masses on ``paths``; NotAMeasure at a missing (or negative) one."""
+    row = []
+    for a in paths:
+        if a not in table:
+            raise NotAMeasure(f"no mass for path {a.label()}")
+        row.append(as_fraction(table[a]))
+        if nonnegative and row[-1] < 0:
+            raise NotAMeasure(f"negative mass on path {a.label()}")
+    return row
+
+
+def _prefix_sums(paths, prefix, masses) -> list:
+    """Per path of ``paths``, the sum of the masses of its one-edge extensions."""
+    sums = [0] * len(paths)
+    for i, x in zip(prefix, masses):
+        sums[i] += x
+    return sums
 
 
 def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
@@ -372,33 +387,30 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
         q = CotransitionProbability(d, q)
     if not 0 <= depth <= d.depth:
         raise PathError(f"depth {depth} out of range 0..{d.depth}")
-    paths_by_level = [enumerate_paths(d, 0, n) for n in range(depth + 1)]
-    for level in paths_by_level:
-        for a in level:
-            if a not in table:
-                raise NotAMeasure(f"no mass for path {a.label()}")
-            if as_fraction(table[a]) < 0:
-                raise NotAMeasure(f"negative mass on path {a.label()}")
-    total = sum(as_fraction(table[a]) for a in paths_by_level[0])
+    levels = list(_path_levels(d, 0, depth))
+    masses = [_masses(paths, table, nonnegative=True) for paths, _, _ in levels]
+    total = sum(masses[0])
     if total != ONE:
         raise NotAMeasure(f"empty-path masses sum to {total}, not 1")
     for n in range(depth):
-        for a in paths_by_level[n]:
-            parts = sum(as_fraction(table[b]) for b in d.extensions(a))
-            if as_fraction(table[a]) != parts:
-                raise NotAMeasure(
-                    f"not additive at {a.label()}: mass {as_fraction(table[a])}, "
-                    f"extensions sum to {parts}"
-                )
+        parts = _prefix_sums(levels[n][0], levels[n + 1][1], masses[n + 1])
+        for a, x, y in zip(levels[n][0], masses[n], parts):
+            if x != y:
+                raise NotAMeasure(f"not additive at {a.label()}: mass {x}, extensions sum to {y}")
     # criterion: masses are q(a) times the measure's own level marginal
-    for n in range(depth + 1):
-        marginal = {v: Fraction(0) for v in d.vertices(n)}
-        for a in paths_by_level[n]:
-            marginal[a.terminus] += as_fraction(table[a])
-        for a in paths_by_level[n]:
-            expected = q.of_path(a) * marginal[a.terminus]
-            if as_fraction(table[a]) != expected:
-                return (a, expected, as_fraction(table[a]))
+    qs = [ONE] * len(masses[0])
+    for n, ((paths, prefix, last), row) in enumerate(zip(levels, masses)):
+        if n:  # q(a e) = q(a) q(e), kept in a list only for levels with children
+            qn, above = [q(n, e.id) for e in d.edges(n)], qs
+            qs = (above[i] * qn[k] for i, k in zip(prefix, last))
+            qs = list(qs) if n < depth else qs
+        marginal = dict.fromkeys(d.vertices(n), Fraction(0))
+        for a, x in zip(paths, row):
+            marginal[a.terminus] += x
+        for a, qa, x in zip(paths, qs, row):
+            expected = qa * marginal[a.terminus]
+            if x != expected:
+                return (a, expected, x)
     return None
 
 

@@ -13,16 +13,21 @@ import numpy as np
 from bratteli import (
     AlgebraElement,
     BratteliDiagram,
+    CotransitionProbability,
     ExpectationReport,
     FinitePath,
     InclusionGraph,
+    NotAMeasure,
+    PathError,
     SupportViolation,
     build_walk,
     count_paths,
+    cylinder_measure,
     identity_element,
     matrix_unit,
     subdiagram,
 )
+from bratteli.rational import as_fraction
 
 
 def random_diagram(rng, max_depth=6, max_vertices=4, max_out=3):
@@ -105,7 +110,8 @@ def chain_walk(depth):
 
 # -- reference oracles for the walk kernel ---------------------------------------
 # Plain Fraction arithmetic with string-id lookups on every edge, kept as the
-# reference the integer-numerator kernel in walk.py and harmonic.py must equal.
+# reference the integer-numerator kernel in walk.py and harmonic.py, and the
+# shared path tree of the cylinder tables and the q-measure check, must equal.
 
 
 def oracle_enumerate_paths(d, from_level, to_level):
@@ -123,6 +129,74 @@ def oracle_enumerate_paths(d, from_level, to_level):
     for e in d.edges(from_level + 1):
         grow(e.src, (e.id,), e.rng, from_level + 1)
     return result
+
+
+def _oracle_paths(d, n):
+    """Paths from level 0 to level n: the empty paths when n = 0."""
+    if n == 0:
+        return [d.empty_path(v) for v in d.vertices(0)]
+    return oracle_enumerate_paths(d, 0, n)
+
+
+def oracle_markov_cylinder_table(w, depth):
+    """Each cylinder mass as its own product nu0(s(a)) p(e_1)..p(e_n), level by
+    level enumerated anew."""
+    if not 0 <= depth <= w.depth:
+        raise PathError(f"table depth {depth} out of range 0..{w.depth}")
+    table = {}
+    for n in range(depth + 1):
+        for a in _oracle_paths(w.diagram, n):
+            table[a] = cylinder_measure(w, a)
+    return table
+
+
+def oracle_table_from_leaves(d, depth, leaf_masses):
+    """Leaf masses summed upwards, one ``extensions`` call per path."""
+    table = {}
+    for a in _oracle_paths(d, depth):
+        if a not in leaf_masses:
+            raise NotAMeasure(f"no mass for path {a.label()}")
+        table[a] = as_fraction(leaf_masses[a])
+    for n in range(depth - 1, -1, -1):
+        for a in _oracle_paths(d, n):
+            table[a] = sum(table[b] for b in d.extensions(a))
+    return table
+
+
+def oracle_q_measure_witness(d, q, table, depth):
+    """The q-measure check phase by phase, every level enumerated anew
+    and q(a) taken per path by ``of_path``."""
+    if not isinstance(q, CotransitionProbability):
+        q = CotransitionProbability(d, q)
+    if not 0 <= depth <= d.depth:
+        raise PathError(f"depth {depth} out of range 0..{d.depth}")
+    paths_by_level = [_oracle_paths(d, n) for n in range(depth + 1)]
+    for level in paths_by_level:
+        for a in level:
+            if a not in table:
+                raise NotAMeasure(f"no mass for path {a.label()}")
+            if as_fraction(table[a]) < 0:
+                raise NotAMeasure(f"negative mass on path {a.label()}")
+    total = sum(as_fraction(table[a]) for a in paths_by_level[0])
+    if total != 1:
+        raise NotAMeasure(f"empty-path masses sum to {total}, not 1")
+    for n in range(depth):
+        for a in paths_by_level[n]:
+            parts = sum(as_fraction(table[b]) for b in d.extensions(a))
+            if as_fraction(table[a]) != parts:
+                raise NotAMeasure(
+                    f"not additive at {a.label()}: mass {as_fraction(table[a])}, "
+                    f"extensions sum to {parts}"
+                )
+    for n in range(depth + 1):
+        marginal = {v: Fraction(0) for v in d.vertices(n)}
+        for a in paths_by_level[n]:
+            marginal[a.terminus] += as_fraction(table[a])
+        for a in paths_by_level[n]:
+            expected = q.of_path(a) * marginal[a.terminus]
+            if as_fraction(table[a]) != expected:
+                return (a, expected, as_fraction(table[a]))
+    return None
 
 
 def oracle_stochastic_violation(d, rows, incoming, what, sym):

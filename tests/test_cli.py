@@ -390,6 +390,42 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert err.startswith("parse error:")
 
 
+def repeated_key(payload, key):
+    """JSON text of ``payload`` with its member ``key`` written twice."""
+    return json.dumps(payload)[:-1] + f", {json.dumps(key)}: {json.dumps(payload[key])}}}"
+
+
+# argv with FILE for the file under test (the diagram is vee.json), that
+# file's valid payload, and the key to repeat in it
+FILE_ROLES = {
+    "validate": (["validate", "FILE"], VEE, "nu0"),
+    "qcheck": (["qcheck", "vee.json", "--measure", "FILE"],
+               {"empty": {"a": "1/3", "b": "2/3"}, "paths": {"ea": "1/3", "eb": "2/3"}}, "empty"),
+    "harmonic": (["harmonic", "vee.json", "--terminal", "FILE"], {"c": "1"}, "c"),
+    "expect": (["expect", "--graph", "FILE"], GRAPH, "X"),
+}
+FILE_FAULTS = {
+    "not-utf8": lambda payload, key: b'{"\xff": 1}',
+    "deep-nesting": lambda payload, key: b"[" * 200_000,
+    "repeated-key": lambda payload, key: repeated_key(payload, key).encode(),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+@pytest.mark.parametrize("role", sorted(FILE_ROLES))
+def test_file_faults_exit_2(tmp_path, capsys, monkeypatch, role, fault):
+    argv, payload, key = FILE_ROLES[role]
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "vee.json", VEE)
+    write_json(tmp_path, "good.json", payload)
+    (tmp_path / "bad.json").write_bytes(FILE_FAULTS[fault](payload, key))
+    good = [x.replace("FILE", "good.json") for x in argv]
+    assert run_main(capsys, good)[0] == 0
+    code, out, err = run_main(capsys, [x.replace("FILE", "bad.json") for x in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     f = pascal_file(tmp_path, depth=3)
     first = run_main(capsys, ["measure", f, "--format", "json"])

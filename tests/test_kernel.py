@@ -1,8 +1,9 @@
-"""The integer walk kernel against the Fraction reference oracles.
+"""The integer walk kernel and the path tree against the reference oracles.
 
 Every value the kernel hands out must equal, exactly, what plain Fraction
 arithmetic on string ids gives (``helpers.oracle_*``), on random valid
-diagrams and walks.
+diagrams and walks; so must every cylinder table and q-measure verdict built
+on the shared path tree, down to key order and error messages.
 """
 
 import random
@@ -15,19 +16,28 @@ from hypothesis import strategies as st
 
 import bratteli.harmonic
 from bratteli import (
+    BratteliDiagram,
+    BratteliError,
     CotransitionProbability,
     SupportViolation,
     TransitionProbability,
     ergodic_components,
     harmonic_from_terminal,
+    markov_cylinder_table,
     pascal_diagram,
+    q_measure_witness,
+    table_from_leaves,
 )
 
 from helpers import (
     oracle_distributions,
     oracle_ergodic_components,
     oracle_harmonic_from_terminal,
+    oracle_markov_cylinder_table,
+    oracle_q_measure_witness,
     oracle_stochastic_violation,
+    oracle_table_from_leaves,
+    random_diagram,
     random_walk,
     random_walk_on,
 )
@@ -155,3 +165,63 @@ def test_deep_component_walk_builds_quickly():
     walk = comp.walk
     assert time.perf_counter() - start < 10.0
     assert walk.nu(100) == {comp.terminal: 1}
+
+
+def outcome(fn, *args):
+    """The value ``fn`` returns, or the class and message of its error."""
+    try:
+        return fn(*args)
+    except BratteliError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(fn, oracle, *args):
+    got, want = outcome(fn, *args), outcome(oracle, *args)
+    assert got == want
+    if isinstance(want, dict):
+        assert list(got.items()) == list(want.items())
+
+
+def perturbed_tables(rng, d, table, depth):
+    """The table and copies with one fault each: a deleted path, a negative,
+    doubled or unparsable mass, string masses, and re-weighted leaves."""
+    yield table
+    paths = list(table)
+    for fault in ("delete", "negate", "double", "garble"):
+        bad = dict(table)
+        a = rng.choice(paths)
+        if fault == "delete":
+            del bad[a]
+        elif fault == "negate":
+            bad[a] = -bad[a]
+        elif fault == "double":
+            bad[a] *= 2
+        else:
+            bad[a] = "not/a/number"
+        yield bad
+    yield {a: f"{x.numerator}/{x.denominator}" for a, x in table.items()}
+    leaves = {a: x * rng.randint(1, 3) for a, x in table.items() if len(a) == depth}
+    total = sum(leaves.values())
+    yield table_from_leaves(d, depth, {a: x / total for a, x in leaves.items()})
+
+
+def shuffled_floors(rng, d):
+    """``d`` with each floor's edges listed in random order, so that the
+    out-edges of a vertex are not adjacent."""
+    edges = [rng.sample(d.edges(n), len(d.edges(n))) for n in range(1, d.depth + 1)]
+    return BratteliDiagram([d.vertices(n) for n in range(d.depth + 1)], edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(randoms)
+def test_path_consumers_match_oracles(rng):
+    w = random_walk_on(rng, shuffled_floors(rng, random_diagram(rng, max_depth=5)))
+    d = w.diagram
+    depth = rng.randint(0, d.depth)
+    assert_same_outcome(markov_cylinder_table, oracle_markov_cylinder_table, w, depth)
+    table = markov_cylinder_table(w, depth)
+    q = rng.choice([w.cotransition, [w.cotransition.level(n) for n in range(1, d.depth + 1)]])
+    for bad in perturbed_tables(rng, d, table, depth):
+        assert_same_outcome(q_measure_witness, oracle_q_measure_witness, d, q, bad, depth)
+        leaves = {a: x for a, x in bad.items() if len(a) == depth}
+        assert_same_outcome(table_from_leaves, oracle_table_from_leaves, d, depth, leaves)

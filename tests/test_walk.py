@@ -380,3 +380,20 @@ def test_cotransition_probability_standalone_validation():
     CotransitionProbability(d, [{"ea": F(1, 3), "eb": F(2, 3)}])
     with pytest.raises(SupportViolation):
         CotransitionProbability(d, [{"ea": F(1, 3), "eb": F(1, 3)}])
+
+
+def test_path_consumers_on_deep_chain():
+    # every level grows from the one before, so a 3000-level chain stays
+    # linear in its paths' total length
+    depth = 3000
+    w = chain_walk(depth)
+    d = w.diagram
+    table = markov_cylinder_table(w, depth)
+    assert len(table) == depth + 1
+    assert all(m == 1 for m in table.values())
+    assert q_measure_witness(d, w.cotransition, table, depth) is None
+    (leaf,) = enumerate_paths(d, 0, depth)
+    del table
+    rebuilt = table_from_leaves(d, depth, {leaf: 1})
+    assert len(rebuilt) == depth + 1
+    assert all(m == 1 for m in rebuilt.values())
