@@ -77,9 +77,12 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _walk(args):
+    return walk_from_file(load_diagram(args.file))
+
+
 def cmd_measure(args) -> int:
-    df = load_diagram(args.file)
-    w = walk_from_file(df)
+    w = _walk(args)
     depth = args.depth if args.depth is not None else w.depth
     if not 0 <= depth <= w.depth:
         raise PathError(f"depth {depth} out of range 0..{w.depth}")
@@ -89,27 +92,21 @@ def cmd_measure(args) -> int:
 
 
 def cmd_cotransition(args) -> int:
-    df = load_diagram(args.file)
-    w = walk_from_file(df)
+    w = _walk(args)
     rows = [(n, eid, x) for n in range(1, w.depth + 1) for eid, x in w.cotransition.level(n).items()]
     emit(args, ("level", "id", "value"), rows)
     return 0
 
 
 def cmd_distributions(args) -> int:
-    df = load_diagram(args.file)
-    w = walk_from_file(df)
-    rows = []
-    for n in range(w.depth + 1):
-        for v in w.diagram.vertices(n):
-            rows.append((n, v, w.nu_at(n, v)))
+    w = _walk(args)
+    rows = [(n, v, x) for n in range(w.depth + 1) for v, x in w.nu(n).items()]
     emit(args, ("level", "id", "value"), rows)
     return 0
 
 
 def cmd_rn(args) -> int:
-    df = load_diagram(args.file)
-    w = walk_from_file(df)
+    w = _walk(args)
     a = _parse_path(w.diagram, args.a)
     b = _parse_path(w.diagram, args.b)
     value = radon_nikodym(w, a, b)
@@ -118,20 +115,15 @@ def cmd_rn(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
-    df = load_diagram(args.file)
-    w = walk_from_file(df)
+    w = _walk(args)
     h = harmonic_from_terminal(w, load_terminal(args.terminal))
-    rows = []
-    for n in range(w.depth + 1):
-        for v in w.diagram.vertices(n):
-            rows.append((n, v, h(n, v)))
+    rows = [(n, v, x) for n in range(w.depth + 1) for v, x in h.level(n).items()]
     emit(args, ("level", "id", "value"), rows)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    df = load_diagram(args.file)
-    w = walk_from_file(df)
+    w = _walk(args)
     rows = [
         (i, comp.weight, comp.terminal)
         for i, comp in enumerate(ergodic_components(w))
@@ -141,8 +133,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_qcheck(args) -> int:
-    df = load_diagram(args.file)
-    w = walk_from_file(df)
+    w = _walk(args)
     table, depth = load_measure_table(w.diagram, args.measure)
     witness = q_measure_witness(w.diagram, w.cotransition, table, depth)
     if witness is None:

@@ -22,8 +22,8 @@ from .diagram import BratteliDiagram, FinitePath
 from .errors import FileFormatError, IncompatibleData, InvalidDiagram
 from .fdalg import AlgebraElement, FiniteEquivRelation, InclusionGraph
 from .rational import as_fraction
-from .skew import EdgePotential, MultiplicativeRationals, ZLattice
-from .walk import RandomWalk, build_walk
+from .skew import ZLattice
+from .walk import EdgePotential, MultiplicativeRationals, RandomWalk, build_walk
 
 
 def _load_json(source):
@@ -31,7 +31,10 @@ def _load_json(source):
         return source
     try:
         return json.loads(Path(source).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, RecursionError, FileFormatError) as exc:
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError, FileFormatError) as exc:
+        # ValueError covers non-UTF-8 text and integer literals too long to convert
         raise FileFormatError(f"{source}: {exc}") from None
 
 

@@ -1,9 +1,9 @@
 """Skew products by group-valued edge potentials, and the worked generators.
 
-An edge potential assigns each edge an element of an exact group (an integer
-lattice or the positive rationals under multiplication).  The skew product
-puts a group coordinate on every vertex: an edge (e, g) runs from (s(e), g)
-to (r(e), g * rho(e)).  Only the finitely many coordinates reachable from a
+The potential type, ``EdgePotential``, and the positive rationals live in
+``walk``; the integer lattice lives here.  The skew product puts a group
+coordinate on every vertex: an edge (e, g) runs from (s(e), g) to
+(r(e), g * rho(e)).  Only the finitely many coordinates reachable from a
 user-supplied initial window are materialized, level by level; the windowed
 construction is equivariant under a common left translation of the window.
 
@@ -16,19 +16,13 @@ the edge set into the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diagram import BratteliDiagram, Edge, FinitePath, tail_related
-from .errors import (
-    IncompatibleData,
-    NotTailRelated,
-    SupportViolation,
-    WindowError,
-)
+from .diagram import BratteliDiagram, Edge, FinitePath
+from .errors import IncompatibleData, SupportViolation, WindowError
 from .harmonic import HarmonicSequence, harmonic_from_terminal
-from .rational import as_fraction, format_fraction
-from .walk import RandomWalk, build_walk
+from .rational import as_fraction
+from .walk import EdgePotential, RandomWalk, build_walk
 
 
 class ZLattice:
@@ -76,65 +70,10 @@ class ZLattice:
         return hash(("ZLattice", self.rank))
 
 
-class MultiplicativeRationals:
-    """Positive rationals under multiplication."""
-
-    identity = Fraction(1)
-
-    def op(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1 / a
-
-    def parse(self, raw):
-        value = as_fraction(raw)
-        if value <= 0:
-            raise IncompatibleData(f"not a positive rational: {raw!r}")
-        return value
-
-    def format(self, g) -> str:
-        return format_fraction(g)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiplicativeRationals)
-
-    def __hash__(self):
-        return hash("MultiplicativeRationals")
-
-
-class EdgePotential:
-    """A group element on every edge, one mapping per level."""
-
-    def __init__(self, d: BratteliDiagram, group, values: Sequence[Mapping[str, object]]):
-        d.require_valid()
-        self.diagram = d
-        self.group = group
-        self._rho = d.align("edge", values, group.parse, "potential", IncompatibleData)
-
-    def __call__(self, n: int, edge_id: str):
-        return self._rho[n - 1][self.diagram.edge_index(n, edge_id)]
-
-    def of_path(self, a: FinitePath):
-        """Ordered product of the potential along ``a``."""
-        value = self.group.identity
-        for off, eid in enumerate(a.edges):
-            value = self.group.op(value, self(a.start_level + off + 1, eid))
-        return value
-
-
-def group_cocycle(rho: EdgePotential, a: FinitePath, b: FinitePath):
-    """rho(a) * rho(b)^{-1} on a tail-related pair of paths."""
-    if not tail_related(a, b):
-        raise NotTailRelated("paths not tail equivalent")
-    return rho.group.op(rho.of_path(a), rho.group.inv(rho.of_path(b)))
-
-
 def cotransition_potential(w: RandomWalk) -> EdgePotential:
-    """The walk's cotransition as a multiplicative-rational edge potential, so
-    that the group cocycle coincides with the walk's density cocycle."""
-    values = [w.cotransition.level(n) for n in range(1, w.depth + 1)]
-    return EdgePotential(w.diagram, MultiplicativeRationals(), values)
+    """The walk's cotransition, a multiplicative-rational edge potential whose
+    group cocycle is the walk's density cocycle."""
+    return w.cotransition
 
 
 @dataclass(frozen=True, eq=False)

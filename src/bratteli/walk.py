@@ -1,4 +1,4 @@
-"""Random walks on a Bratteli diagram.
+"""Random walks on a Bratteli diagram, and edge potentials.
 
 A walk is a pair (p, nu0): transition probabilities on the out-edges of each
 vertex plus an initial distribution on V(0).  From these the level
@@ -6,6 +6,12 @@ distributions nu_n and the cotransition probabilities q_n on in-edges are
 derived once at construction, exactly.  The edge measure identity
 nu_{n-1}(s(e)) p_n(e) = nu_n(r(e)) q_n(e) holds by definition of q and is the
 source of every formula below.
+
+An edge potential assigns each edge an element of an exact group (an integer
+lattice, see ``skew``, or the positive rationals under multiplication).  p
+and q are edge potentials in the positive rationals: a path's value is the
+product along it, and the group cocycle of q, q(a)/q(b), is the walk's
+density cocycle.
 
 The derivation runs on the diagram's dense integer indices and on Python
 ints.  p_n(e) is held as an integer numerator A_n(e) over B_n(s(e)), the lcm
@@ -43,7 +49,7 @@ from .errors import (
     PathError,
     SupportViolation,
 )
-from .rational import as_fraction
+from .rational import as_fraction, format_fraction
 
 ONE = Fraction(1)
 
@@ -91,15 +97,74 @@ def _require_stochastic(d: BratteliDiagram, n: int, nums, units, incoming: bool,
             )
 
 
-class TransitionProbability:
+class MultiplicativeRationals:
+    """Positive rationals under multiplication."""
+
+    identity = ONE
+
+    def op(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return 1 / a
+
+    def parse(self, raw):
+        value = as_fraction(raw)
+        if value <= 0:
+            raise IncompatibleData(f"not a positive rational: {raw!r}")
+        return value
+
+    def format(self, g) -> str:
+        return format_fraction(g)
+
+    def __eq__(self, other):
+        return isinstance(other, MultiplicativeRationals)
+
+    def __hash__(self):
+        return hash("MultiplicativeRationals")
+
+
+class EdgePotential:
+    """A group element on every edge, one row per level in edge order."""
+
+    def __init__(self, d: BratteliDiagram, group, values: Sequence[Mapping[str, object]]):
+        d.require_valid()
+        self.diagram = d
+        self.group = group
+        self._rho = d.align("edge", values, group.parse, "potential", IncompatibleData)
+
+    def __call__(self, n: int, edge_id: str):
+        return self._rho[n - 1][self.diagram.edge_index(n, edge_id)]
+
+    def level(self, n: int) -> dict:
+        return {e.id: v for e, v in zip(self.diagram.edges(n), self._rho[n - 1])}
+
+    def of_path(self, a: FinitePath):
+        """Ordered product of the potential along ``a``; the identity on empty paths."""
+        value = self.group.identity
+        for off, eid in enumerate(a.edges):
+            value = self.group.op(value, self(a.start_level + off + 1, eid))
+        return value
+
+
+def group_cocycle(rho: EdgePotential, a: FinitePath, b: FinitePath):
+    """rho(a) * rho(b)^{-1} on a tail-related pair of paths."""
+    if not tail_related(a, b):
+        raise NotTailRelated("paths not tail equivalent")
+    return rho.group.op(rho.of_path(a), rho.group.inv(rho.of_path(b)))
+
+
+class TransitionProbability(EdgePotential):
     """Positive edge weights with unit sums over the out-edges of each vertex."""
+
+    group = MultiplicativeRationals()
 
     def __init__(self, d: BratteliDiagram, values: Sequence[Mapping[str, object]]):
         d.require_valid()
         self.diagram = d
-        self._p = d.align("edge", values, as_fraction, "transition probability", IncompatibleData)
+        self._rho = d.align("edge", values, as_fraction, "transition probability", IncompatibleData)
         nums, dens = [], []
-        for n, row in enumerate(self._p, start=1):
+        for n, row in enumerate(self._rho, start=1):
             num, den = _over_group_lcm(row, d._out[n - 1], d._src[n - 1])
             _require_stochastic(d, n, num, den, False, "transition probability", "p")
             nums.append(num)
@@ -116,12 +181,6 @@ class TransitionProbability:
             for m, out in enumerate(d._out)
         ]
         return cls(d, values)
-
-    def __call__(self, n: int, edge_id: str) -> Fraction:
-        return self._p[n - 1][self.diagram.edge_index(n, edge_id)]
-
-    def level(self, n: int) -> dict[str, Fraction]:
-        return {e.id: v for e, v in zip(self.diagram.edges(n), self._p[n - 1])}
 
 
 class InitialDistribution:
@@ -160,14 +219,16 @@ class InitialDistribution:
         return {v: x for v, x in zip(self.diagram.vertices(0), self._nu0)}
 
 
-class CotransitionProbability:
+class CotransitionProbability(EdgePotential):
     """Positive edge weights with unit sums over the in-edges of each vertex."""
+
+    group = MultiplicativeRationals()
 
     def __init__(self, d: BratteliDiagram, values: Sequence[Mapping[str, object]]):
         d.require_valid()
         self.diagram = d
-        self._q = d.align("edge", values, as_fraction, "cotransition probability", IncompatibleData)
-        for n, row in enumerate(self._q, start=1):
+        self._rho = d.align("edge", values, as_fraction, "cotransition probability", IncompatibleData)
+        for n, row in enumerate(self._rho, start=1):
             num, den = _over_group_lcm(row, d._in[n - 1], d._rng[n - 1])
             _require_stochastic(d, n, num, den, True, "cotransition probability", "q")
 
@@ -176,21 +237,8 @@ class CotransitionProbability:
         """Wrap per-level rows already aligned with edge order and checked."""
         self = cls.__new__(cls)
         self.diagram = d
-        self._q = rows
+        self._rho = rows
         return self
-
-    def __call__(self, n: int, edge_id: str) -> Fraction:
-        return self._q[n - 1][self.diagram.edge_index(n, edge_id)]
-
-    def level(self, n: int) -> dict[str, Fraction]:
-        return {e.id: v for e, v in zip(self.diagram.edges(n), self._q[n - 1])}
-
-    def of_path(self, a: FinitePath) -> Fraction:
-        """Product of the per-edge cotransitions along ``a``; 1 on empty paths."""
-        value = ONE
-        for off, eid in enumerate(a.edges):
-            value *= self(a.start_level + off + 1, eid)
-        return value
 
 
 class RandomWalk:
@@ -277,10 +325,7 @@ def _check_in_diagram(w: RandomWalk, a: FinitePath):
 def cylinder_measure(w: RandomWalk, a: FinitePath) -> Fraction:
     """Mass of the cylinder over ``a``: nu0(s(a)) times the edge transitions."""
     _check_in_diagram(w, a)
-    value = w.initial(a.anchor)
-    for off, eid in enumerate(a.edges):
-        value *= w.p(off + 1, eid)
-    return value
+    return w.initial(a.anchor) * w.transition.of_path(a)
 
 
 def cotransition_of_path(w: RandomWalk, a: FinitePath) -> Fraction:
@@ -312,7 +357,7 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
     if q.diagram is not d:
         raise IncompatibleData("cotransition must be built on the same diagram")
     levels = d.align("vertex", nus, as_fraction, "distribution", IncompatibleData)
-    for n, (qn, rng, out) in enumerate(zip(q._q, d._rng, d._out), start=1):
+    for n, (qn, rng, out) in enumerate(zip(q._rho, d._rng, d._out), start=1):
         for v, have, ks in zip(d.vertices(n - 1), levels[n - 1], out):
             pushed = sum(qn[k] * levels[n][rng[k]] for k in ks)
             if pushed != have:
@@ -322,7 +367,7 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
                     f"pushforward gives {pushed}"
                 )
     p_values = []
-    for n, (qn, src, rng) in enumerate(zip(q._q, d._src, d._rng), start=1):
+    for n, (qn, src, rng) in enumerate(zip(q._rho, d._src, d._rng), start=1):
         row = {}
         for e, x, i, j in zip(d.edges(n), qn, src, rng):
             if levels[n - 1][i] == 0:
@@ -343,7 +388,7 @@ def markov_cylinder_table(w: RandomWalk, depth: int) -> dict[FinitePath, Fractio
     table, masses = {}, w.initial._nu0
     for n, (paths, prefix, last) in enumerate(_path_levels(w.diagram, 0, depth)):
         if n:  # mu(Z(a e)) = mu(Z(a)) p(e)
-            masses = [masses[i] * w.transition._p[n - 1][k] for i, k in zip(prefix, last)]
+            masses = [masses[i] * w.transition._rho[n - 1][k] for i, k in zip(prefix, last)]
         table.update(zip(paths, masses))
     return table
 

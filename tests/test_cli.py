@@ -1,11 +1,15 @@
 """Command-line interface: output tables, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bratteli import (
     dump_diagram,
@@ -395,6 +399,15 @@ def repeated_key(payload, key):
     return json.dumps(payload)[:-1] + f", {json.dumps(key)}: {json.dumps(payload[key])}}}"
 
 
+# json_text writes this string as a 5,000-digit integer literal, longer than
+# Python converts from a string by default
+LONG = "<long integer>"
+
+
+def json_text(payload):
+    return json.dumps(payload).replace(json.dumps(LONG), "9" * 5000)
+
+
 # argv with FILE for the file under test (the diagram is vee.json), that
 # file's valid payload, and the key to repeat in it
 FILE_ROLES = {
@@ -408,6 +421,7 @@ FILE_FAULTS = {
     "not-utf8": lambda payload, key: b'{"\xff": 1}',
     "deep-nesting": lambda payload, key: b"[" * 200_000,
     "repeated-key": lambda payload, key: repeated_key(payload, key).encode(),
+    "long-integer": lambda payload, key: json_text({**payload, key: LONG}).encode(),
 }
 
 
@@ -424,6 +438,62 @@ def test_file_faults_exit_2(tmp_path, capsys, monkeypatch, role, fault):
     code, out, err = run_main(capsys, [x.replace("FILE", "bad.json") for x in argv])
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+KEYS = ["vertices", "edges", "id", "src", "rng", "p", "rho", "nu0", "X", "empty", "paths",
+        "a", "b", "c", "v", "w", "ea", "eb", "x0"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(KEYS + ["1/2", "2/3", "1/0", "-1", "0", "ea,eb", LONG]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+MEASURE = {"empty": {"a": "1/3", "b": "2/3"}, "paths": {"ea": "1/3", "eb": "2/3"}}
+TERMINAL = {"c": "1"}
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` with one member or item, at any depth, replaced by a random
+    JSON value or removed."""
+    if not isinstance(value, (dict, list)) or not value:
+        return draw(json_values)
+    key = draw(st.sampled_from(list(value) if isinstance(value, dict) else range(len(value))))
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    action = draw(st.sampled_from(["descend", "replace", "delete"]))
+    if action == "delete":
+        del copy[key]
+    else:
+        copy[key] = draw(mutated(value[key]) if action == "descend" else json_values)
+    return copy
+
+
+@settings(max_examples=40, deadline=None)
+@given(json_values | st.sampled_from([VEE, SKEW, GRAPH, MEASURE, TERMINAL]).flatmap(mutated))
+@example({**VEE, "nu0": {"a": LONG, "b": "2/3"}})
+def test_any_json_document_exits_0_1_or_2(tmp_path_factory, document):
+    tmp = tmp_path_factory.getbasetemp()
+    files = {"vee.json": VEE, "measure.json": MEASURE, "terminal.json": TERMINAL}
+    for name, payload in files.items():
+        (tmp / name).write_text(json.dumps(payload))
+    doc = tmp / "doc.json"
+    doc.write_text(json_text(document))
+    vee, doc = str(tmp / "vee.json"), str(doc)
+    for argv in (
+        *([cmd, doc] for cmd in ("validate", "measure", "distributions", "cotransition", "decompose")),
+        ["rn", doc, "--a", "ea", "--b", "eb"],
+        ["skew", doc, "--window", "0"],
+        ["harmonic", doc, "--terminal", str(tmp / "terminal.json")],
+        ["harmonic", vee, "--terminal", doc],
+        ["qcheck", doc, "--measure", str(tmp / "measure.json")],
+        ["qcheck", vee, "--measure", doc],
+        ["expect", "--graph", doc],
+        ["extractp", "--graph", doc],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
 
 
 def test_output_is_deterministic(tmp_path, capsys):

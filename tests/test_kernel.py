@@ -3,7 +3,8 @@
 Every value the kernel hands out must equal, exactly, what plain Fraction
 arithmetic on string ids gives (``helpers.oracle_*``), on random valid
 diagrams and walks; so must every cylinder table and q-measure verdict built
-on the shared path tree, down to key order and error messages.
+on the shared path tree, down to key order and error messages.  p and q are
+edge potentials: their path values must be the products of their level rows.
 """
 
 import random
@@ -19,9 +20,14 @@ from bratteli import (
     BratteliDiagram,
     BratteliError,
     CotransitionProbability,
+    EdgePotential,
     SupportViolation,
     TransitionProbability,
+    cotransition_potential,
+    cylinder_measure,
+    enumerate_paths,
     ergodic_components,
+    from_cotransition,
     harmonic_from_terminal,
     markov_cylinder_table,
     pascal_diagram,
@@ -74,6 +80,28 @@ def test_nu_and_q_match_oracle(rng):
         got = w.cotransition.level(n)
         assert got == qs[n - 1]
         assert all(type(x) is Fraction for x in got.values())
+
+
+@kernel_settings
+@given(randoms)
+def test_transition_and_cotransition_are_edge_potentials(rng):
+    w = random_walk(rng, max_depth=4)
+    d = w.diagram
+    assert cotransition_potential(w) is w.cotransition
+    start = rng.randint(0, d.depth)
+    paths = [a for end in range(start, d.depth + 1) for a in enumerate_paths(d, start, end)]
+    for rho in (w.transition, w.cotransition):
+        assert isinstance(rho, EdgePotential)
+        rows = {n: rho.level(n) for n in range(1, d.depth + 1)}
+        for a in paths:
+            want = F(1)
+            for n, eid in enumerate(a.edges, start=start + 1):
+                want *= rows[n][eid]
+            assert rho.of_path(a) == want
+            if rho is w.transition and start == 0:
+                assert cylinder_measure(w, a) == w.initial(a.anchor) * want
+    nus = [w.nu(n) for n in range(d.depth + 1)]
+    assert_same_walk(from_cotransition(d, w.cotransition, nus), w)
 
 
 @kernel_settings
