@@ -10,12 +10,15 @@ stderr), 2 on a parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
+import threading
 from fractions import Fraction
 
-from .diagram import enumerate_paths
+from .diagram import _level_counts
 from .errors import BratteliError, FileFormatError, PathError
 from .fdalg import ModelExpectation, extract_transition, verify_expectation
 from .fileio import (
@@ -29,13 +32,40 @@ from .fileio import (
 from .harmonic import ergodic_components, harmonic_from_terminal
 from .rational import as_fraction, format_fraction
 from .skew import pascal_diagram, skew_product
-from .walk import markov_cylinder_table, q_measure_witness, radon_nikodym
+from .walk import _q_ratios, markov_cylinder_table, q_measure_witness, radon_nikodym
 
 
-def _render_tsv(value) -> str:
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    return str(value)
+# The int-to-str digit limit guards parsing; computed results may be longer.
+_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+_DIGIT_LOCK = threading.RLock()
+
+
+@contextlib.contextmanager
+def _long_ints():
+    """Let ints of any length render while computed values are written.
+
+    The limit is interpreter-wide: the block holds a lock, so concurrent
+    writers take turns and the saved limit is always restored, but any
+    other thread that parses text meanwhile does so without the guard.
+    """
+    if not _DIGIT_LIMIT:
+        yield
+        return
+    with _DIGIT_LOCK:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def _tsv_line(row) -> str:
+    cells = [
+        f"{cell.numerator}/{cell.denominator}" if isinstance(cell, Fraction) else str(cell)
+        for cell in row
+    ]
+    return "\t".join(cells) + "\n"
 
 
 def _render_json(value):
@@ -44,17 +74,27 @@ def _render_json(value):
     return value
 
 
+ROW_BLOCK = 1024  # TSV rows per write: few writes, and no whole-table string
+
+
 def emit(args, columns, rows):
-    if args.format == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [[_render_json(cell) for cell in row] for row in rows],
-        }
-        print(json.dumps(payload))
-    else:
-        print("\t".join(columns))
-        for row in rows:
-            print("\t".join(_render_tsv(cell) for cell in row))
+    """Write the table; ``rows`` is any iterable of tuples, read once.
+
+    Ints of any length render (see ``_long_ints``, whose lock this holds).
+    """
+    with _long_ints():
+        if args.format == "json":
+            payload = {
+                "columns": list(columns),
+                "rows": [[_render_json(cell) for cell in row] for row in rows],
+            }
+            print(json.dumps(payload))
+        else:
+            out = sys.stdout
+            out.write("\t".join(columns) + "\n")
+            rows = iter(rows)
+            while block := list(itertools.islice(rows, ROW_BLOCK)):
+                out.write("".join(map(_tsv_line, block)))
 
 
 def _parse_path(d, text: str):
@@ -81,13 +121,24 @@ def _walk(args):
     return walk_from_file(load_diagram(args.file))
 
 
+MAX_PATHS = 1_000_000  # default of --max-paths
+
+
+def _refuse(what: str, count, limit: int):
+    with _long_ints():
+        raise PathError(f"{what} lists {count} paths, over the limit of {limit} (--max-paths)")
+
+
 def cmd_measure(args) -> int:
     w = _walk(args)
     depth = args.depth if args.depth is not None else w.depth
     if not 0 <= depth <= w.depth:
         raise PathError(f"depth {depth} out of range 0..{w.depth}")
-    rows = [(len(a), a.label(), m) for a, m in markov_cylinder_table(w, depth).items()]
-    emit(args, ("level", "id", "value"), rows)
+    count = sum(map(sum, _level_counts(w.diagram, 0, depth)))
+    if count > args.max_paths:
+        _refuse(f"measure to depth {depth}", count, args.max_paths)
+    table = markov_cylinder_table(w, depth)
+    emit(args, ("level", "id", "value"), ((len(a), a.label(), m) for a, m in table.items()))
     return 0
 
 
@@ -140,10 +191,11 @@ def cmd_qcheck(args) -> int:
         print("q-measure: OK")
         return 0
     path, expected, actual = witness
-    print(
-        f"q-measure: FAIL at {path.label()}: expected {format_fraction(expected)}, "
-        f"got {format_fraction(actual)}"
-    )
+    with _long_ints():
+        print(
+            f"q-measure: FAIL at {path.label()}: expected {format_fraction(expected)}, "
+            f"got {format_fraction(actual)}"
+        )
     return 1
 
 
@@ -174,21 +226,40 @@ def cmd_extractp(args) -> int:
     return 0
 
 
-def cmd_pascal(args) -> int:
-    d, w = pascal_diagram(args.depth, args.t)
+def _pascal_rows(d, q, depth: int):
+    """``(rows, None)``, the rows (depth, bits, q(a)) of every path a of the
+    triangle ``d`` in word order, when each q(a) is 1/C(depth, k) with k the
+    number of 1 bits; else ``(None, (bits, q(a), 1/C(depth, k)))`` at the
+    first path where it is not.
+    """
+    for ends, tops, bottoms in _q_ratios(d, q, depth):
+        pass
+    inverse = [Fraction(1, math.comb(depth, k)) for k in range(depth + 1)]
     rows = []
-    # edge order is bit order, so the paths come in the order of their words
-    for a in enumerate_paths(d, 0, args.depth):
-        bits = "".join(eid[-1] for eid in a.edges)
-        q = w.cotransition.of_path(a)
-        expected = Fraction(1, math.comb(args.depth, bits.count("1")))
-        if q != expected:
+    # edge order is bit order, so path j's word is j in binary; it ends at
+    # vertex (depth, k)
+    for j, (k, top, bottom) in enumerate(zip(ends, tops, bottoms)):
+        bits = format(j, f"0{depth}b")
+        if top * inverse[k].denominator != bottom:
+            return None, (bits, Fraction(top, bottom), inverse[k])
+        rows.append((depth, bits, inverse[k]))
+    return rows, None
+
+
+def cmd_pascal(args) -> int:
+    # 2^depth > max_paths exactly when depth reaches the limit's bit length
+    if args.depth >= max(args.max_paths, 0).bit_length():
+        _refuse(f"pascal --depth {args.depth}", f"2^{args.depth}", args.max_paths)
+    d, w = pascal_diagram(args.depth, args.t)
+    rows, mismatch = _pascal_rows(d, w.cotransition, args.depth)
+    if mismatch is not None:
+        bits, q, expected = mismatch
+        with _long_ints():
             print(
                 f"cotransition of {bits} is {format_fraction(q)}, not {format_fraction(expected)}",
                 file=sys.stderr,
             )
-            return 1
-        rows.append((args.depth, bits, q))
+        return 1
     emit(args, ("level", "id", "value"), rows)
     # q(a) depends on r(a) only, so the density cocycle q(a)/q(b) is 1 on
     # every tail-related pair
@@ -221,6 +292,9 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
+MAX_PATHS_HELP = f"refuse to list more paths than this, counted up front (default {MAX_PATHS:,})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bratteli",
@@ -240,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, "check the diagram invariants")
     p = add("measure", cmd_measure, "cylinder masses of the walk")
     p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--max-paths", type=int, default=MAX_PATHS, help=MAX_PATHS_HELP)
     add("cotransition", cmd_cotransition, "per-edge cotransition probabilities")
     add("distributions", cmd_distributions, "per-level vertex distributions")
     p = add("rn", cmd_rn, "density cocycle of a tail-related path pair")
@@ -257,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pascal", cmd_pascal, "verify the triangle walk's closed forms", with_file=False)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--t", type=_rational_arg, required=True, help="rational in (0,1), as 'num/den'")
+    p.add_argument("--max-paths", type=int, default=MAX_PATHS, help=MAX_PATHS_HELP)
     p = add("skew", cmd_skew, "windowed skew product from the 'rho' fields")
     p.add_argument("--window", "--rho-window", required=True, dest="window",
                    help="comma-separated group elements for level 0")

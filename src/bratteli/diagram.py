@@ -10,8 +10,8 @@ function, so values may be shared freely across threads.  Path enumeration is
 part of the public contract: paths come back in lexicographic order by edge
 index, and tests and CLI output depend on that order.  Every path consumer
 (``enumerate_paths``, the cylinder tables and the q-measure check of ``walk``)
-reads the one path tree of ``_path_levels``, which grows each level from the
-one before.
+reads the one path tree of ``_tree_levels``, which grows each level from the
+one before over integer indices; ``_path_levels`` adds the paths themselves.
 """
 
 from __future__ import annotations
@@ -283,17 +283,25 @@ class BratteliDiagram:
                 raise PathError("empty path needs an anchor vertex")
             self.vertex_index(start_level, anchor)
             return FinitePath(start_level, anchor, (), anchor)
-        at = first_src = self.edge(start_level + 1, ids[0]).src
-        for off, eid in enumerate(ids):
-            e = self.edge(start_level + off + 1, eid)
-            if e.src != at:
+        # walk the integer indices: edge k of floor m runs from vertex
+        # _src[m][k] of V(m) to vertex _rng[m][k] of V(m+1)
+        eidx, src, rng, at = self._eidx, self._src, self._rng, None
+        for m, eid in enumerate(ids, start_level):
+            k = eidx[m].get(eid)
+            if k is None:
+                raise PathError(f"no edge '{eid}' at level {m + 1}")
+            if at is None:
+                at = first = src[m][k]
+            elif src[m][k] != at:
                 raise PathError(
-                    f"path not in diagram: edge '{eid}' starts at '{e.src}', expected '{at}'"
+                    f"path not in diagram: edge '{eid}' starts at "
+                    f"'{self._vertices[m][src[m][k]]}', expected '{self._vertices[m][at]}'"
                 )
-            at = e.rng
+            at = rng[m][k]
+        first_src = self._vertices[start_level][first]
         if anchor is not None and anchor != first_src:
             raise PathError(f"anchor '{anchor}' does not match first edge source '{first_src}'")
-        return FinitePath(start_level, first_src, ids, at)
+        return FinitePath(start_level, first_src, ids, self._vertices[start_level + len(ids)][at])
 
     def empty_path(self, vertex_id: str, level: int = 0) -> FinitePath:
         return self.path((), start_level=level, anchor=vertex_id)
@@ -320,35 +328,49 @@ class BratteliDiagram:
         return [self.edge(p.start_level + i + 1, eid) for i, eid in enumerate(p.edges)]
 
 
-def _path_levels(d: BratteliDiagram, from_level: int, to_level: int):
-    """The path tree from ``from_level`` to ``to_level``, one level at a time.
+def _tree_levels(d: BratteliDiagram, from_level: int, to_level: int):
+    """The index structure of the path tree from ``from_level`` to ``to_level``.
 
-    Yields ``(paths, prefix, last)`` per level, paths in ``enumerate_paths``
+    Yields ``(prefix, last, ends)`` per level, paths in ``enumerate_paths``
     order: path j is path ``prefix[j]`` of the level before plus edge
-    ``last[j]`` of its floor.  The first level is the empty paths, with empty
-    index lists; level from+1 runs in edge order, and later levels extend each
-    path of the one before through its out-edges, in edge order.
+    ``last[j]`` of its floor, and ends at vertex ``ends[j]`` of its level.
+    The first level is the empty paths, one per vertex in vertex order, with
+    empty ``prefix`` and ``last``; level from+1 runs in edge order, and later
+    levels extend each path of the one before through its out-edges, in edge
+    order.
     """
     d.require_valid()
     if not 0 <= from_level <= to_level <= d.depth:
         raise PathError(
             f"level range {from_level}..{to_level} out of bounds for depth {d.depth}"
         )
-    paths = [FinitePath(from_level, v, (), v) for v in d._vertices[from_level]]
-    yield paths, [], []
+    ends = list(range(len(d._vertices[from_level])))
+    yield [], [], ends
     for m in range(from_level, to_level):
-        row, out = d._edges[m], d._out[m]
+        out = d._out[m]
         if m == from_level:
-            prefix, last = list(d._src[m]), list(range(len(row)))
+            prefix, last = list(d._src[m]), list(range(len(d._edges[m])))
         else:
             prefix = [i for i, t in enumerate(ends) for _ in out[t]]
             last = [k for t in ends for k in out[t]]
-        paths = [
-            FinitePath(from_level, paths[i].anchor, paths[i].edges + (row[k].id,), row[k].rng)
-            for i, k in zip(prefix, last)
-        ]
-        ends = [d._rng[m][k] for k in last]  # terminus index of each path
-        yield paths, prefix, last
+        ends = [d._rng[m][k] for k in last]
+        yield prefix, last, ends
+
+
+def _path_levels(d: BratteliDiagram, from_level: int, to_level: int):
+    """The path tree of ``_tree_levels`` with its paths: yields ``(paths,
+    prefix, last, ends)`` per level."""
+    levels = _tree_levels(d, from_level, to_level)
+    for m, (prefix, last, ends) in enumerate(levels, start=from_level - 1):
+        if m < from_level:
+            paths = [FinitePath(from_level, v, (), v) for v in d._vertices[from_level]]
+        else:
+            row = d._edges[m]
+            paths = [
+                FinitePath(from_level, paths[i].anchor, paths[i].edges + (row[k].id,), row[k].rng)
+                for i, k in zip(prefix, last)
+            ]
+        yield paths, prefix, last, ends
 
 
 def enumerate_paths(d: BratteliDiagram, from_level: int, to_level: int) -> list[FinitePath]:
@@ -356,21 +378,31 @@ def enumerate_paths(d: BratteliDiagram, from_level: int, to_level: int) -> list[
 
     Equal levels yield one empty path per vertex, in vertex order.
     """
-    for paths, _, _ in _path_levels(d, from_level, to_level):
+    for paths, *_ in _path_levels(d, from_level, to_level):
         pass
     return paths
 
 
+def _level_counts(d: BratteliDiagram, from_level: int, to_level: int):
+    """Path counts from V(from_level) into each vertex of V(n), by the
+    incidence recursion: yields one list per level n = from_level..to_level,
+    indexed like ``d.vertices(n)``."""
+    d.require_valid()
+    counts = [1] * len(d.vertices(from_level))
+    yield counts
+    for m in range(from_level, to_level):
+        below = [0] * len(d.vertices(m + 1))
+        for i, j in zip(d._src[m], d._rng[m]):
+            below[j] += counts[i]
+        counts = below
+        yield counts
+
+
 def count_paths(d: BratteliDiagram, from_level: int, to_level: int) -> dict[str, int]:
     """Path counts into each vertex of V(to_level), by the incidence recursion."""
-    d.require_valid()
-    counts = {v: 1 for v in d.vertices(from_level)}
-    for n in range(from_level + 1, to_level + 1):
-        nxt = {v: 0 for v in d.vertices(n)}
-        for e in d.edges(n):
-            nxt[e.rng] += counts[e.src]
-        counts = nxt
-    return counts
+    for n, counts in enumerate(_level_counts(d, from_level, to_level), from_level):
+        pass
+    return dict(zip(d.vertices(n), counts))
 
 
 def tail_related(a: FinitePath, b: FinitePath) -> bool:

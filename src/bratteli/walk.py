@@ -27,7 +27,14 @@ transforms of ``harmonic``.  Values become Fractions only where they leave
 the API (nu on first request).
 
 Cylinder tables and the q-measure check read the one level-by-level path tree
-of ``diagram._path_levels`` and carry mass and q(a) from prefix to extension.
+of ``diagram._path_levels``.  The table carries mu(Z(a)) from prefix to
+extension.  The q-measure check runs on Python ints the same way as the
+walk: it brings each level's masses over one denominator, so additivity is a
+cross-multiplied integer test; q(a) is carried by ``_q_ratios`` as an
+unreduced integer ratio top / bottom (the CLI's ``pascal`` check reads the
+same carry), marginals are integer sums by terminus index, and
+m(Z(a)) = q(a) m_n(r(a)) becomes x * bottom == top * marginal.  Fractions are
+built for the witness and the error messages only.
 
 Everything here is exact; there is no floating point in this module.  The
 seeded sampler draws with ``randrange`` over the same integer numerators, so
@@ -41,7 +48,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diagram import BratteliDiagram, FinitePath, _path_levels, tail_related
+from .diagram import BratteliDiagram, FinitePath, _path_levels, _tree_levels, tail_related
 from .errors import (
     IncompatibleData,
     NotAMeasure,
@@ -386,7 +393,7 @@ def markov_cylinder_table(w: RandomWalk, depth: int) -> dict[FinitePath, Fractio
     if not 0 <= depth <= w.depth:
         raise PathError(f"table depth {depth} out of range 0..{w.depth}")
     table, masses = {}, w.initial._nu0
-    for n, (paths, prefix, last) in enumerate(_path_levels(w.diagram, 0, depth)):
+    for n, (paths, prefix, last, _) in enumerate(_path_levels(w.diagram, 0, depth)):
         if n:  # mu(Z(a e)) = mu(Z(a)) p(e)
             masses = [masses[i] * w.transition._rho[n - 1][k] for i, k in zip(prefix, last)]
         table.update(zip(paths, masses))
@@ -406,13 +413,17 @@ def table_from_leaves(
     return table
 
 
+_MISSING = object()
+
+
 def _masses(paths, table, nonnegative: bool = False) -> list[Fraction]:
     """The table's masses on ``paths``; NotAMeasure at a missing (or negative) one."""
     row = []
     for a in paths:
-        if a not in table:
+        x = table.get(a, _MISSING)
+        if x is _MISSING:
             raise NotAMeasure(f"no mass for path {a.label()}")
-        row.append(as_fraction(table[a]))
+        row.append(as_fraction(x))
         if nonnegative and row[-1] < 0:
             raise NotAMeasure(f"negative mass on path {a.label()}")
     return row
@@ -433,30 +444,55 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
     if not 0 <= depth <= d.depth:
         raise PathError(f"depth {depth} out of range 0..{d.depth}")
     levels = list(_path_levels(d, 0, depth))
-    masses = [_masses(paths, table, nonnegative=True) for paths, _, _ in levels]
-    total = sum(masses[0])
-    if total != ONE:
-        raise NotAMeasure(f"empty-path masses sum to {total}, not 1")
+    # each level's masses as integer numerators over one denominator
+    masses = [_over_lcm(_masses(paths, table, nonnegative=True)) for paths, *_ in levels]
+    nums, den = masses[0]
+    if sum(nums) != den:
+        raise NotAMeasure(f"empty-path masses sum to {Fraction(sum(nums), den)}, not 1")
     for n in range(depth):
-        parts = _prefix_sums(levels[n][0], levels[n + 1][1], masses[n + 1])
-        for a, x, y in zip(levels[n][0], masses[n], parts):
-            if x != y:
-                raise NotAMeasure(f"not additive at {a.label()}: mass {x}, extensions sum to {y}")
-    # criterion: masses are q(a) times the measure's own level marginal
-    qs = [ONE] * len(masses[0])
-    for n, ((paths, prefix, last), row) in enumerate(zip(levels, masses)):
-        if n:  # q(a e) = q(a) q(e), kept in a list only for levels with children
-            qn, above = [q(n, e.id) for e in d.edges(n)], qs
-            qs = (above[i] * qn[k] for i, k in zip(prefix, last))
-            qs = list(qs) if n < depth else qs
-        marginal = dict.fromkeys(d.vertices(n), Fraction(0))
-        for a, x in zip(paths, row):
-            marginal[a.terminus] += x
-        for a, qa, x in zip(paths, qs, row):
-            expected = qa * marginal[a.terminus]
-            if x != expected:
-                return (a, expected, x)
+        (above, unit), (below, sub) = masses[n], masses[n + 1]
+        parts = _prefix_sums(levels[n][0], levels[n + 1][1], below)
+        for a, x, y in zip(levels[n][0], above, parts):
+            if x * sub != y * unit:
+                raise NotAMeasure(
+                    f"not additive at {a.label()}: mass {Fraction(x, unit)}, "
+                    f"extensions sum to {Fraction(y, sub)}"
+                )
+    # criterion: m(a) = q(a) times m's own level marginal at r(a); with q(a)
+    # = top / bottom and both masses over the level's unit, that is
+    # x * bottom == top * marginal
+    ratios = _q_ratios(d, q, depth, [row[1:] for row in levels])
+    for n, ((paths, *_), (ends, tops, bottoms), (row, unit)) in enumerate(
+        zip(levels, ratios, masses)
+    ):
+        marginal = [0] * len(d.vertices(n))
+        for t, x in zip(ends, row):
+            marginal[t] += x
+        for a, t, x, top, bottom in zip(paths, ends, row, tops, bottoms):
+            if x * bottom != top * marginal[t]:
+                return (a, Fraction(top * marginal[t], bottom * unit), Fraction(x, unit))
     return None
+
+
+def _q_ratios(d: BratteliDiagram, q, depth: int, tree=None):
+    """q(a) on every path a of length <= depth from V(0), carried from prefix
+    to extension as an unreduced integer ratio top / bottom.
+
+    Yields ``(ends, tops, bottoms)`` per level of the path tree of
+    ``diagram._tree_levels``: path j ends at vertex ``ends[j]`` and q(a) =
+    ``tops[j] / bottoms[j]``.  ``tree`` is that tree's ``(prefix, last,
+    ends)`` rows when the caller already holds them.
+    """
+    if tree is None:
+        tree = _tree_levels(d, 0, depth)
+    for n, (prefix, last, ends) in enumerate(tree):
+        if n:  # q(a e) = q(a) q(e)
+            qn = [q(n, e.id) for e in d.edges(n)]
+            tops = [tops[i] * qn[k].numerator for i, k in zip(prefix, last)]
+            bottoms = [bottoms[i] * qn[k].denominator for i, k in zip(prefix, last)]
+        else:
+            tops = bottoms = [1] * len(ends)
+        yield ends, tops, bottoms
 
 
 def check_q_measure(d: BratteliDiagram, q, table, depth: int) -> bool:

@@ -5,6 +5,7 @@ is reproducible; oracles are deliberately naive (explicit enumeration, dense
 linear algebra) and independent of the library's own shortcuts.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,13 +21,16 @@ from bratteli import (
     NotAMeasure,
     PathError,
     SupportViolation,
+    IncompatibleData,
     build_walk,
     count_paths,
     cylinder_measure,
+    enumerate_paths,
     identity_element,
     matrix_unit,
     subdiagram,
 )
+from bratteli.diagram import _path_levels
 from bratteli.rational import as_fraction
 
 
@@ -131,6 +135,33 @@ def oracle_enumerate_paths(d, from_level, to_level):
     return result
 
 
+def oracle_path(d, edge_ids, start_level=0, anchor=None):
+    """``d.path`` by string lookups: each edge by id, its source compared with
+    the previous edge's range."""
+    d.require_valid()
+    ids = tuple(edge_ids)
+    if not 0 <= start_level <= d.depth:
+        raise PathError(f"start level {start_level} out of range 0..{d.depth}")
+    if start_level + len(ids) > d.depth:
+        raise PathError("path not in diagram: runs past the last level")
+    if not ids:
+        if anchor is None:
+            raise PathError("empty path needs an anchor vertex")
+        d.vertex_index(start_level, anchor)
+        return FinitePath(start_level, anchor, (), anchor)
+    at = first_src = d.edge(start_level + 1, ids[0]).src
+    for off, eid in enumerate(ids):
+        e = d.edge(start_level + off + 1, eid)
+        if e.src != at:
+            raise PathError(
+                f"path not in diagram: edge '{eid}' starts at '{e.src}', expected '{at}'"
+            )
+        at = e.rng
+    if anchor is not None and anchor != first_src:
+        raise PathError(f"anchor '{anchor}' does not match first edge source '{first_src}'")
+    return FinitePath(start_level, first_src, ids, at)
+
+
 def _oracle_paths(d, n):
     """Paths from level 0 to level n: the empty paths when n = 0."""
     if n == 0:
@@ -197,6 +228,103 @@ def oracle_q_measure_witness(d, q, table, depth):
             if as_fraction(table[a]) != expected:
                 return (a, expected, as_fraction(table[a]))
     return None
+
+
+# -- Fraction versions of the integer path-tree kernels and table I/O -----------
+# The same path tree, parsers and renderers as the library's, computed with
+# Fraction objects throughout: the reference the integer q-measure check,
+# pascal rows, 'num/den' parser and TSV rows must equal.
+
+
+def _fraction_masses(paths, table):
+    row = []
+    for a in paths:
+        if a not in table:
+            raise NotAMeasure(f"no mass for path {a.label()}")
+        row.append(fraction_as_fraction(table[a]))
+        if row[-1] < 0:
+            raise NotAMeasure(f"negative mass on path {a.label()}")
+    return row
+
+
+def fraction_q_measure_witness(d, q, table, depth):
+    """The q-measure check on the path tree, with Fraction masses, Fraction
+    marginals by vertex id and q(a) carried as a Fraction."""
+    if not isinstance(q, CotransitionProbability):
+        q = CotransitionProbability(d, q)
+    if not 0 <= depth <= d.depth:
+        raise PathError(f"depth {depth} out of range 0..{d.depth}")
+    levels = list(_path_levels(d, 0, depth))
+    masses = [_fraction_masses(paths, table) for paths, *_ in levels]
+    total = sum(masses[0])
+    if total != 1:
+        raise NotAMeasure(f"empty-path masses sum to {total}, not 1")
+    for n in range(depth):
+        parts = [0] * len(levels[n][0])
+        for i, x in zip(levels[n + 1][1], masses[n + 1]):
+            parts[i] += x
+        for a, x, y in zip(levels[n][0], masses[n], parts):
+            if x != y:
+                raise NotAMeasure(f"not additive at {a.label()}: mass {x}, extensions sum to {y}")
+    qs = [Fraction(1)] * len(masses[0])
+    for n, ((paths, prefix, last, _), row) in enumerate(zip(levels, masses)):
+        if n:
+            qn = [q(n, e.id) for e in d.edges(n)]
+            qs = [qs[i] * qn[k] for i, k in zip(prefix, last)]
+        marginal = dict.fromkeys(d.vertices(n), Fraction(0))
+        for a, x in zip(paths, row):
+            marginal[a.terminus] += x
+        for a, qa, x in zip(paths, qs, row):
+            expected = qa * marginal[a.terminus]
+            if x != expected:
+                return (a, expected, x)
+    return None
+
+
+def fraction_pascal_rows(d, q, depth):
+    """The pascal command's row loop: q(a) by ``of_path`` on every path, in
+    ``bratteli.cli._pascal_rows``'s (rows, mismatch) shape."""
+    rows = []
+    for a in enumerate_paths(d, 0, depth):
+        bits = "".join(eid[-1] for eid in a.edges)
+        value = q.of_path(a)
+        expected = Fraction(1, math.comb(depth, bits.count("1")))
+        if value != expected:
+            return None, (bits, value, expected)
+        rows.append((depth, bits, value))
+    return rows, None
+
+
+def fraction_as_fraction(value):
+    """``as_fraction`` with every string through ``Fraction(text)``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise IncompatibleData(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise IncompatibleData(f"not a rational: {value!r} ({exc})") from None
+    raise IncompatibleData(
+        f"not an exact rational: {value!r} (floats are not accepted; use 'num/den')"
+    )
+
+
+def fraction_render_tsv(value):
+    """One TSV cell, through a ``Fraction`` copy of each value."""
+    if isinstance(value, Fraction):
+        q = Fraction(value)
+        return f"{q.numerator}/{q.denominator}"
+    return str(value)
+
+
+def fraction_tsv(columns, rows):
+    """The TSV table as ``print`` wrote it, one call per row."""
+    lines = ["\t".join(columns)] + ["\t".join(fraction_render_tsv(c) for c in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def oracle_stochastic_violation(d, rows, incoming, what, sym):

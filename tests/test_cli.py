@@ -89,19 +89,94 @@ def test_measure_depth_flag(tmp_path, capsys):
 
 
 def test_measure_on_deep_chain(tmp_path, capsys):
-    depth = 1500
-    chain = {
-        "vertices": [[f"c{n}"] for n in range(depth + 1)],
-        "edges": [[{"id": f"l{n}", "src": f"c{n - 1}", "rng": f"c{n}", "p": "1"}]
-                  for n in range(1, depth + 1)],
-        "nu0": {"c0": "1"},
-    }
-    f = write_json(tmp_path, "chain.json", chain)
-    code, out, err = run_main(capsys, ["measure", f])
-    assert (code, err) == (0, "")
-    lines = out.splitlines()
-    assert len(lines) == depth + 2
-    assert lines[-1] == f"{depth}\t" + ",".join(f"l{n}" for n in range(1, depth + 1)) + "\t1/1"
+    for depth in (1500, 5000):
+        chain = {
+            "vertices": [[f"c{n}"] for n in range(depth + 1)],
+            "edges": [[{"id": f"l{n}", "src": f"c{n - 1}", "rng": f"c{n}", "p": "1"}]
+                      for n in range(1, depth + 1)],
+            "nu0": {"c0": "1"},
+        }
+        f = write_json(tmp_path, "chain.json", chain)
+        # the table's labels run to tens of MB at depth 5000: write them to a file
+        with open(tmp_path / "out.tsv", "w", encoding="utf-8") as out:
+            with contextlib.redirect_stdout(out):
+                code = main(["measure", f])
+        assert (code, capsys.readouterr().err) == (0, "")
+        with open(tmp_path / "out.tsv", encoding="utf-8") as out:
+            lines = out.read().splitlines()
+        assert len(lines) == depth + 2
+        assert lines[-1] == f"{depth}\t" + ",".join(f"l{n}" for n in range(1, depth + 1)) + "\t1/1"
+
+
+def complete_diagram(width, depth):
+    """``width`` vertices per level, each joined to every vertex below it."""
+    vertices = [[f"v{n}.{i}" for i in range(width)] for n in range(depth + 1)]
+    edges = [
+        [{"id": f"e{n}.{i}.{j}", "src": f"v{n - 1}.{i}", "rng": f"v{n}.{j}", "p": f"1/{width}"}
+         for i in range(width) for j in range(width)]
+        for n in range(1, depth + 1)
+    ]
+    return {"vertices": vertices, "edges": edges, "nu0": {v: f"1/{width}" for v in vertices[0]}}
+
+
+def test_path_requests_over_the_limit_are_refused(tmp_path, capsys):
+    f = write_json(tmp_path, "complete.json", complete_diagram(4, 10))
+    count = sum(4 ** (n + 1) for n in range(11))  # 4^(n+1) paths of length n
+    assert run_main(capsys, ["measure", f]) == (
+        1, "", f"error: measure to depth 10 lists {count} paths, over the limit of 1000000 (--max-paths)\n"
+    )
+    assert run_main(capsys, ["measure", f, "--depth", "5"])[0] == 0
+    for depth in (20, 10**9):
+        assert run_main(capsys, ["pascal", "--depth", str(depth), "--t", "1/3"]) == (
+            1, "", f"error: pascal --depth {depth} lists 2^{depth} paths, "
+            "over the limit of 1000000 (--max-paths)\n"
+        )
+
+
+def test_max_paths_sets_the_limit(tmp_path, capsys):
+    f = write_json(tmp_path, "vee.json", VEE)  # 2 empty paths and 2 edges
+    default = run_main(capsys, ["measure", f])
+    assert run_main(capsys, ["measure", f, "--max-paths", "4"]) == default
+    assert run_main(capsys, ["measure", f, "--max-paths", "3"]) == (
+        1, "", "error: measure to depth 1 lists 4 paths, over the limit of 3 (--max-paths)\n"
+    )
+    assert run_main(capsys, ["measure", f, "--depth", "0", "--max-paths", "2"])[0] == 0
+    default = run_main(capsys, ["pascal", "--depth", "3", "--t", "1/3"])
+    assert run_main(capsys, ["pascal", "--depth", "3", "--t", "1/3", "--max-paths", "8"]) == default
+    assert run_main(capsys, ["pascal", "--depth", "3", "--t", "1/3", "--max-paths", "7"]) == (
+        1, "", "error: pascal --depth 3 lists 2^3 paths, over the limit of 7 (--max-paths)\n"
+    )
+
+
+def test_results_longer_than_the_digit_limit_render(tmp_path, capsys):
+    # every p parses (3,000 digits), but the depth-2 masses have 5,999-digit
+    # denominators, more than ints convert to strings by default
+    big = 10**2999
+    p = [F(1, big), 1 - F(1, big)]
+    floors = [
+        [{"id": f"{x}{i}", "src": u, "rng": v, "p": f"{q.numerator}/{q.denominator}"}
+         for i, q in enumerate(p)]
+        for x, u, v in (("e", "a", "b"), ("f", "b", "c"))
+    ]
+    payload = {"vertices": [["a"], ["b"], ["c"]], "edges": floors, "nu0": {"a": "1"}}
+    f = write_json(tmp_path, "long.json", payload)
+    limit = sys.get_int_max_str_digits()
+    tsv = run_main(capsys, ["measure", f])
+    doc = run_main(capsys, ["measure", f, "--format", "json"])
+    assert sys.get_int_max_str_digits() == limit
+    rows = [(0, "@a", F(1))] + [(1, f"e{i}", x) for i, x in enumerate(p)]
+    rows += [(2, f"e{i},f{j}", x * y) for i, x in enumerate(p) for j, y in enumerate(p)]
+    sys.set_int_max_str_digits(0)
+    try:
+        want = "".join(f"{n}\t{a}\t{x.numerator}/{x.denominator}\n" for n, a, x in rows)
+        assert tsv == (0, "level\tid\tvalue\n" + want, "")
+        assert doc[0] == 0 and doc[2] == ""
+        assert json.loads(doc[1]) == {
+            "columns": ["level", "id", "value"],
+            "rows": [[n, a, {"num": x.numerator, "den": x.denominator}] for n, a, x in rows],
+        }
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cotransition_and_distributions(tmp_path, capsys):

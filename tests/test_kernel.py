@@ -3,19 +3,26 @@
 Every value the kernel hands out must equal, exactly, what plain Fraction
 arithmetic on string ids gives (``helpers.oracle_*``), on random valid
 diagrams and walks; so must every cylinder table and q-measure verdict built
-on the shared path tree, down to key order and error messages.  p and q are
-edge potentials: their path values must be the products of their level rows.
+on the shared path tree, down to key order and error messages, and so must
+the Fraction versions of the integer path-tree kernels and of the table
+parser and renderer (``helpers.fraction_*``).  p and q are edge potentials:
+their path values must be the products of their level rows.
 """
 
+import contextlib
+import io
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bratteli.harmonic
+from bratteli import cli
 from bratteli import (
     BratteliDiagram,
     BratteliError,
@@ -34,12 +41,18 @@ from bratteli import (
     q_measure_witness,
     table_from_leaves,
 )
+from bratteli.rational import as_fraction
 
 from helpers import (
+    fraction_as_fraction,
+    fraction_pascal_rows,
+    fraction_q_measure_witness,
+    fraction_tsv,
     oracle_distributions,
     oracle_ergodic_components,
     oracle_harmonic_from_terminal,
     oracle_markov_cylinder_table,
+    oracle_path,
     oracle_q_measure_witness,
     oracle_stochastic_violation,
     oracle_table_from_leaves,
@@ -251,5 +264,86 @@ def test_path_consumers_match_oracles(rng):
     q = rng.choice([w.cotransition, [w.cotransition.level(n) for n in range(1, d.depth + 1)]])
     for bad in perturbed_tables(rng, d, table, depth):
         assert_same_outcome(q_measure_witness, oracle_q_measure_witness, d, q, bad, depth)
+        assert_same_outcome(q_measure_witness, fraction_q_measure_witness, d, q, bad, depth)
         leaves = {a: x for a, x in bad.items() if len(a) == depth}
         assert_same_outcome(table_from_leaves, oracle_table_from_leaves, d, depth, leaves)
+
+
+@settings(max_examples=100, deadline=None)
+@given(randoms)
+def test_path_matches_string_walk(rng):
+    # random edge ids, composable or not, unknown, empty or too many, from a
+    # random start level, with or without an anchor: d.path's index walk
+    # returns the same path as the string lookups, or raises the same error
+    d = shuffled_floors(rng, random_diagram(rng, max_depth=4))
+    ids = [e.id for n in range(1, d.depth + 1) for e in d.edges(n)] + ["", "zz"]
+    anchors = [None, "zz"] + [v for n in range(d.depth + 1) for v in d.vertices(n)]
+    for _ in range(20):
+        start = rng.randint(0, d.depth + 1)
+        edges = [rng.choice(ids) for _ in range(rng.randint(0, d.depth + 1))]
+        anchor = rng.choice(anchors)
+        assert_same_outcome(d.path, lambda *args: oracle_path(d, *args), edges, start, anchor)
+
+
+@kernel_settings
+@given(randoms, st.booleans())
+def test_pascal_rows_match_fraction_loop(rng, own_walk):
+    # the triangle walk's own q passes; a random walk on the triangle fails
+    # at some path, and both loops must name the same one
+    depth = rng.randint(1, 7)
+    d, w = pascal_diagram(depth, F(rng.randint(1, 9), 10))
+    if not own_walk:
+        w = random_walk_on(rng, d)
+    got = cli._pascal_rows(d, w.cotransition, depth)
+    assert got == fraction_pascal_rows(d, w.cotransition, depth)
+    rows, mismatch = got
+    values = [row[2] for row in rows] if mismatch is None else mismatch[1:]
+    assert all(type(x) is Fraction for x in values)
+
+
+RATIONAL_PARTS = ["0", "1", "7", "12", "00", "-", "+", "/", " ", "\t", ".", "e", "E", "_",
+                  "\u0663", "\u00b2", "\u00a0", "\uff11", "x"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(RATIONAL_PARTS), max_size=8).map("".join) | st.text(max_size=12))
+@example("1/0")
+@example("0/0")
+@example("1.5")
+@example("1e3")
+@example("1_0/3")
+@example(" -3/4 ")
+@example("+3/4")
+@example("3 / 4")
+@example("-0/5")
+@example("007/010")
+@example("\u0663/\u0664")
+@example("1/\u00b2")
+@example("9" * 5000 + "/7")
+@example("7/" + "9" * 5000)
+@example("-" + "9" * 4300 + "/" + "1" * 4300)
+def test_as_fraction_matches_fraction_parser(text):
+    got, want = outcome(as_fraction, text), outcome(fraction_as_fraction, text)
+    assert got == want
+    assert type(got) is type(want)
+
+
+TSV_CELLS = st.one_of(
+    st.fractions(),
+    st.integers(),
+    st.text(max_size=6),
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(max_size=4), min_size=1, max_size=3),
+    st.lists(st.lists(TSV_CELLS, min_size=1, max_size=4).map(tuple), max_size=12),
+    st.sampled_from([1, 2, 5, cli.ROW_BLOCK]),
+)
+def test_tsv_rows_match_fraction_renderer(columns, rows, block):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(cli, "ROW_BLOCK", block):
+        cli.emit(SimpleNamespace(format="tsv"), columns, iter(rows))
+    assert out.getvalue() == fraction_tsv(columns, rows)
