@@ -10,12 +10,10 @@ stderr), 2 on a parse error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
 import sys
-import threading
 from fractions import Fraction
 
 from .diagram import _level_counts
@@ -30,39 +28,16 @@ from .fileio import (
     walk_from_file,
 )
 from .harmonic import ergodic_components, harmonic_from_terminal
-from .rational import as_fraction, format_fraction
+from .rational import as_fraction, format_fraction, long_ints
 from .skew import pascal_diagram, skew_product
 from .walk import _q_ratios, markov_cylinder_table, q_measure_witness, radon_nikodym
 
 
-# The int-to-str digit limit guards parsing; computed results may be longer.
-_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
-_DIGIT_LOCK = threading.RLock()
-
-
-@contextlib.contextmanager
-def _long_ints():
-    """Let ints of any length render while computed values are written.
-
-    The limit is interpreter-wide: the block holds a lock, so concurrent
-    writers take turns and the saved limit is always restored, but any
-    other thread that parses text meanwhile does so without the guard.
-    """
-    if not _DIGIT_LIMIT:
-        yield
-        return
-    with _DIGIT_LOCK:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            yield
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
 def _tsv_line(row) -> str:
     cells = [
-        f"{cell.numerator}/{cell.denominator}" if isinstance(cell, Fraction) else str(cell)
+        cell if type(cell) is str
+        else f"{cell.numerator}/{cell.denominator}" if isinstance(cell, Fraction)
+        else str(cell)
         for cell in row
     ]
     return "\t".join(cells) + "\n"
@@ -80,9 +55,9 @@ ROW_BLOCK = 1024  # TSV rows per write: few writes, and no whole-table string
 def emit(args, columns, rows):
     """Write the table; ``rows`` is any iterable of tuples, read once.
 
-    Ints of any length render (see ``_long_ints``, whose lock this holds).
+    Ints of any length render (see ``rational.long_ints``, whose lock this holds).
     """
-    with _long_ints():
+    with long_ints():
         if args.format == "json":
             payload = {
                 "columns": list(columns),
@@ -125,7 +100,7 @@ MAX_PATHS = 1_000_000  # default of --max-paths
 
 
 def _refuse(what: str, count, limit: int):
-    with _long_ints():
+    with long_ints():
         raise PathError(f"{what} lists {count} paths, over the limit of {limit} (--max-paths)")
 
 
@@ -191,7 +166,7 @@ def cmd_qcheck(args) -> int:
         print("q-measure: OK")
         return 0
     path, expected, actual = witness
-    with _long_ints():
+    with long_ints():
         print(
             f"q-measure: FAIL at {path.label()}: expected {format_fraction(expected)}, "
             f"got {format_fraction(actual)}"
@@ -254,7 +229,7 @@ def cmd_pascal(args) -> int:
     rows, mismatch = _pascal_rows(d, w.cotransition, args.depth)
     if mismatch is not None:
         bits, q, expected = mismatch
-        with _long_ints():
+        with long_ints():
             print(
                 f"cotransition of {bits} is {format_fraction(q)}, not {format_fraction(expected)}",
                 file=sys.stderr,
@@ -270,18 +245,15 @@ def cmd_pascal(args) -> int:
 def cmd_skew(args) -> int:
     df = load_diagram(args.file)
     rho = potential_from_file(df)
-    group = rho.group
-    window = [group.parse(part) for part in args.window.split(",") if part]
+    window = [rho.group.parse(part) for part in args.window.split(",") if part]
     sd = skew_product(df.diagram, rho, window)
-    rows = []
-    for n in range(sd.diagram.depth + 1):
-        for vid, (_, g) in zip(sd.diagram.vertices(n), sd.vertex_pairs(n)):
-            rows.append((n, vid, group.format(g)))
-    for n in range(1, sd.diagram.depth + 1):
-        for edge, (base_id, g) in zip(sd.diagram.edges(n), sd.edge_pairs(n)):
-            g2 = group.op(g, rho(n, base_id))
-            rows.append((n, edge.id, group.format(g2)))
-    emit(args, ("level", "id", "value"), rows)
+    d, names = sd.diagram, sd._element_names
+    vertex_rows = ((n, v, x) for n in range(d.depth + 1) for v, x in zip(d.vertices(n), names[n]))
+    # an edge (e, g) carries g rho(e), the element of its range vertex
+    edge_rows = (
+        (n, e.id, names[n][j]) for n, rng in enumerate(d._rng, 1) for e, j in zip(d.edges(n), rng)
+    )
+    emit(args, ("level", "id", "value"), itertools.chain(vertex_rows, edge_rows))
     return 0
 
 

@@ -34,6 +34,7 @@ from .errors import (
     ShapeMismatch,
     SupportViolation,
 )
+from .rational import long_str
 from .walk import TransitionProbability
 
 
@@ -614,13 +615,15 @@ def extract_transition(
                 f"Q(eps({c!r})) is not proportional to the unit of the block at {v!r}"
             )
         if scalar <= 0:
-            raise SupportViolation(f"extracted p({c!r}) = {scalar}: the expectation is not faithful")
+            raise SupportViolation(
+                f"extracted p({c!r}) = {long_str(scalar)}: the expectation is not faithful"
+            )
         p[c] = scalar
     for v in g.V:
         total = sum(p[c] for c in g.out_edges(v))
         if total != 1:
             raise IncompatibleData(
-                f"extracted transitions out of {v!r} sum to {total}, not 1"
+                f"extracted transitions out of {v!r} sum to {long_str(total)}, not 1"
             )
     return p
 

@@ -94,6 +94,7 @@ def load_diagram(source) -> DiagramFile:
     p_levels: list = []
     rho_levels: list = []
     has_p = no_p = has_rho = no_rho = 0
+    p_values: dict = {}  # each distinct 'p' text is parsed once
     for m, level in enumerate(raw_edges):
         row = []
         p_row: dict = {}
@@ -108,7 +109,10 @@ def load_diagram(source) -> DiagramFile:
             row.append((eid, _string(rec["src"], eid), _string(rec["rng"], eid)))
             if "p" in rec:
                 has_p += 1
-                p_row[eid] = _rational(rec["p"], f"edge '{eid}' field 'p'")
+                raw = rec["p"]
+                if type(raw) is not str or raw not in p_values:
+                    p_values[raw] = _rational(raw, f"edge '{eid}' field 'p'")
+                p_row[eid] = p_values[raw]
             else:
                 no_p += 1
             if "rho" in rec:

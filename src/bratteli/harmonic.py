@@ -15,7 +15,8 @@ and level n of h as integer numerators H_n over one denominator E_n, the sum
 over out-edges e of v of A_n(e) H_n(r(e)) is h_{n-1}(v) times E_n B_n(v);
 each vertex cancels its gcd with B_n(v) and the level is brought over
 E_{n-1} = E_n S_n, S_n the lcm of what is left of the B_n(v).  Values become
-Fractions once, at the end of the sweep.
+Fractions once, at the end of the sweep, straight from its rows, which are in
+vertex order already.
 Ergodic components carry their terminal vertex and weight nu_N(t) at once;
 each component's walk, the Doob transform of the terminal indicator, is built
 on first access, so reading only the weights builds no walk.  Everything is
@@ -24,7 +25,6 @@ exact; there is no floating point in this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .diagram import BratteliDiagram, FinitePath, subdiagram
 from .errors import NotAMeasure, NotHarmonic, ShapeMismatch
-from .rational import as_fraction
+from .rational import as_fraction, long_str
 from .walk import RandomWalk, _cancel, _over_lcm, build_walk, cylinder_measure, markov_cylinder_table
 
 
@@ -110,34 +110,32 @@ def is_harmonic(w: RandomWalk, h) -> HarmonicCheck:
     return HarmonicCheck(True)
 
 
-def _backward_sweep(w: RandomWalk, bottom: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    """Integer numerators of the harmonic extension of ``bottom`` on V(N),
-    and per-level scales: if bottom is over E_N, level m of the result is
-    over E_m = E_{m+1} scales[m]."""
+def _backward_sweep(w: RandomWalk, bottom: Sequence[int], den: int = 1):
+    """Integer numerators of the harmonic extension of the values
+    bottom[j] / den on V(N), and their per-level denominators: level m of
+    the result is over dens[m], with dens[N] = den."""
     d, p = w.diagram, w.transition
-    levels = [None] * (d.depth + 1)
-    levels[d.depth] = list(bottom)
-    scales = [None] * d.depth
+    levels, dens = [None] * (d.depth + 1), [None] * (d.depth + 1)
+    levels[d.depth], dens[d.depth] = list(bottom), den
     for m in range(d.depth - 1, -1, -1):
         below = levels[m + 1]
         terms = [x * below[j] for x, j in zip(p._num[m], d._rng[m])]
         sums = [sum(terms[k] for k in ks) for ks in d._out[m]]
-        levels[m], scales[m] = _cancel(sums, p._den[m])
-    return levels, scales
+        levels[m], scale = _cancel(sums, p._den[m])
+        dens[m] = dens[m + 1] * scale
+    return levels, dens
 
 
 def harmonic_from_terminal(w: RandomWalk, terminal: Mapping[str, object]) -> HarmonicSequence:
     """Backward induction from values on V(N); linear in the terminal data."""
     d = w.diagram
     bottom = d.align("vertex", terminal, as_fraction, "terminal data", ShapeMismatch, level=d.depth)
-    top, den = _over_lcm(bottom)
-    nums, scales = _backward_sweep(w, top)
-    levels = [None] * (d.depth + 1)
-    for n in range(d.depth, -1, -1):
-        levels[n] = {v: Fraction(x, den) for v, x in zip(d.vertices(n), nums[n])}
-        if n:
-            den *= scales[n - 1]
-    return HarmonicSequence(d, levels)
+    nums, dens = _backward_sweep(w, *_over_lcm(bottom))
+    # the sweep's rows are in vertex order already: no re-alignment
+    h = HarmonicSequence.__new__(HarmonicSequence)
+    h.diagram = d
+    h._h = tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(nums, dens))
+    return h
 
 
 def invariant_to_harmonic(w: RandomWalk, f: InvariantFunction) -> HarmonicSequence:
@@ -155,7 +153,7 @@ def _require_harmonic(w: RandomWalk, h) -> HarmonicSequence:
     if not check:
         raise NotHarmonic(
             f"recursion fails at step {check.level}, vertex '{check.vertex}': "
-            f"{check.lhs} != {check.rhs}"
+            f"{long_str(check.lhs)} != {long_str(check.rhs)}"
         )
     return h
 
@@ -178,7 +176,7 @@ def measure_from_harmonic(w: RandomWalk, h) -> dict[FinitePath, Fraction]:
         for v in d.vertices(n):
             if h(n, v) < 0:
                 raise NotAMeasure(
-                    f"harmonic sequence is negative at level {n}, vertex '{v}': {h(n, v)}"
+                    f"harmonic sequence is negative at level {n}, vertex '{v}': {long_str(h(n, v))}"
                 )
     table = markov_cylinder_table(w, w.depth)
     return {a: h(a.end_level, a.terminus) * mass for a, mass in table.items()}
@@ -223,7 +221,7 @@ def _doob_transform(w: RandomWalk, target: str, weight: Fraction) -> RandomWalk:
     A_n(e) G_n(r(e)) S_n / (B_n(s(e)) G_{n-1}(s(e))).
     """
     d, p = w.diagram, w.transition
-    g, scales = _backward_sweep(w, [1 if v == target else 0 for v in d.vertices(d.depth)])
+    g, dens = _backward_sweep(w, [1 if v == target else 0 for v in d.vertices(d.depth)])
     keep_vertices = [
         {v for v, x in zip(d.vertices(n), g[n]) if x > 0} for n in range(d.depth + 1)
     ]
@@ -234,7 +232,7 @@ def _doob_transform(w: RandomWalk, target: str, weight: Fraction) -> RandomWalk:
     sub = subdiagram(d, keep_vertices, keep_edges)
     p_values = []
     for m in range(d.depth):
-        below, above, den, scale = g[m + 1], g[m], p._den[m], scales[m]
+        below, above, den, scale = g[m + 1], g[m], p._den[m], dens[m] // dens[m + 1]
         p_values.append(
             {
                 e.id: Fraction(x * below[j] * scale, den[i] * above[i])
@@ -242,8 +240,7 @@ def _doob_transform(w: RandomWalk, target: str, weight: Fraction) -> RandomWalk:
                 if below[j] > 0
             }
         )
-    top_den = math.prod(scales) * weight
-    nu0 = {v: w.initial(v) * x / top_den for v, x in zip(d.vertices(0), g[0]) if x > 0}
+    nu0 = {v: w.initial(v) * x / (dens[0] * weight) for v, x in zip(d.vertices(0), g[0]) if x > 0}
     return build_walk(sub, p_values, nu0)
 
 

@@ -2,13 +2,47 @@
 
 Probabilities in this package are arbitrary-precision rationals throughout;
 floats are rejected at the boundary instead of being silently truncated.
+The interpreter's int-to-str digit limit guards parsing, so input literals
+keep it; computed values may be longer, and render under ``long_ints``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import threading
 from fractions import Fraction
 
 from .errors import IncompatibleData
+
+_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+_DIGIT_LOCK = threading.RLock()
+
+
+@contextlib.contextmanager
+def long_ints():
+    """Let ints of any length render while computed values are written.
+
+    The limit is interpreter-wide: the block holds a lock, so concurrent
+    writers take turns and the saved limit is always restored, but any
+    other thread that parses text meanwhile does so without the guard.
+    """
+    if not _DIGIT_LIMIT:
+        yield
+        return
+    with _DIGIT_LOCK:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def long_str(value) -> str:
+    """``str(value)`` however many digits it has: computed values in messages."""
+    with long_ints():
+        return str(value)
 
 
 def _digits(text: str) -> bool:

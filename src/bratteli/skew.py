@@ -6,6 +6,9 @@ coordinate on every vertex: an edge (e, g) runs from (s(e), g) to
 (r(e), g * rho(e)).  Only the finitely many coordinates reachable from a
 user-supplied initial window are materialized, level by level; the windowed
 construction is equivariant under a common left translation of the window.
+It runs over the base diagram's integer indices and formats each distinct
+group element once; the skew diagram keeps those names for the ``skew``
+command's rows.
 
 Two generator families live here as well: the binomial triangle with its
 t-walk (whose cotransition is t-independent), and single-vertex diagrams
@@ -15,13 +18,14 @@ the edge set into the group.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .diagram import BratteliDiagram, Edge, FinitePath
 from .errors import IncompatibleData, SupportViolation, WindowError
 from .harmonic import HarmonicSequence, harmonic_from_terminal
-from .rational import as_fraction
+from .rational import as_fraction, long_str
 from .walk import EdgePotential, RandomWalk, build_walk
 
 
@@ -35,10 +39,10 @@ class ZLattice:
         self.identity = (0,) * rank
 
     def op(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def parse(self, raw):
         if isinstance(raw, bool):
@@ -90,6 +94,7 @@ class SkewDiagram:
     diagram: BratteliDiagram
     _vertex_pairs: tuple
     _edge_pairs: tuple
+    _element_names: tuple  # per level, the name of each skew vertex's group element
 
     def window(self, n: int) -> tuple:
         """Group elements present at level n, sorted."""
@@ -134,26 +139,27 @@ def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window) -> Skew
     window0 = sorted({group.parse(g) for g in initial_window})
     if not window0:
         raise WindowError("initial window is empty")
-    fmt = group.format
-    vertex_pairs = [tuple((v, g) for v in d.vertices(0) for g in window0)]
-    vertex_levels = [[f"{v}@{fmt(g)}" for (v, g) in vertex_pairs[0]]]
-    edge_levels = []
-    edge_pairs = []
-    for n in range(1, d.depth + 1):
-        reached = set()
-        edges_here = []
-        pairs_here = []
-        for (v, g) in vertex_pairs[n - 1]:
-            for e in d.out_edges(n - 1, v):
-                g2 = group.op(g, rho(n, e.id))
-                reached.add((e.rng, g2))
-                edges_here.append(
-                    Edge(f"{e.id}@{fmt(g)}", f"{v}@{fmt(g)}", f"{e.rng}@{fmt(g2)}")
-                )
-                pairs_here.append((e.id, g))
-        ordered = sorted(reached, key=lambda p: (d.vertex_index(n, p[0]), p[1]))
-        vertex_pairs.append(tuple(ordered))
-        vertex_levels.append([f"{v}@{fmt(g)}" for (v, g) in ordered])
+    names = {g: group.format(g) for g in window0}  # each element's name, formatted once
+    # a level's skew vertices are (base vertex index, element) keys, sorted
+    keys = [[(i, g) for i in range(len(d._vertices[0])) for g in window0]]
+    vertex_levels = [[f"{d._vertices[0][i]}@{names[g]}" for i, g in keys[0]]]
+    edge_levels, edge_pairs = [], []
+    for m, (out, rng, row) in enumerate(zip(d._out, d._rng, rho._rho)):
+        reached = {}  # key -> skew vertex id
+        edges_here, pairs_here = [], []
+        for (i, g), src in zip(keys[m], vertex_levels[m]):
+            for k in out[i]:
+                j, g2 = rng[k], group.op(g, row[k])
+                target = reached.get((j, g2))
+                if target is None:
+                    if g2 not in names:
+                        names[g2] = group.format(g2)
+                    target = reached[j, g2] = f"{d._vertices[m + 1][j]}@{names[g2]}"
+                eid = d._edges[m][k].id
+                edges_here.append(Edge(f"{eid}@{names[g]}", src, target))
+                pairs_here.append((eid, g))
+        keys.append(sorted(reached))
+        vertex_levels.append([reached[key] for key in keys[-1]])
         edge_levels.append(edges_here)
         edge_pairs.append(tuple(pairs_here))
     skewed = BratteliDiagram(vertex_levels, edge_levels)
@@ -164,8 +170,11 @@ def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window) -> Skew
         potential=rho,
         initial_window=tuple(window0),
         diagram=skewed,
-        _vertex_pairs=tuple(vertex_pairs),
+        _vertex_pairs=tuple(
+            tuple((ids[i], g) for i, g in level) for ids, level in zip(d._vertices, keys)
+        ),
         _edge_pairs=tuple(edge_pairs),
+        _element_names=tuple(tuple(names[g] for _, g in level) for level in keys),
     )
 
 
@@ -187,7 +196,7 @@ def lift_walk(sd: SkewDiagram, w: RandomWalk, lam0: Mapping) -> RandomWalk:
             raise WindowError(f"no initial weight for window element {sd.group.format(g)}")
         if weights[g] <= 0:
             raise SupportViolation(
-                f"initial weight of {sd.group.format(g)} is {weights[g]}, not positive"
+                f"initial weight of {sd.group.format(g)} is {long_str(weights[g])}, not positive"
             )
     total = sum(weights.values())
     fmt = sd.group.format
@@ -296,13 +305,13 @@ def uhf_from_group_walk(
             wt = as_fraction(weight)
             if wt <= 0:
                 raise SupportViolation(
-                    f"weight of {group.format(g)} at level {m + 1} is {wt}, not positive"
+                    f"weight of {group.format(g)} at level {m + 1} is {long_str(wt)}, not positive"
                 )
             row.append((g, wt))
         row.sort(key=lambda item: item[0])
         total = sum(wt for _, wt in row)
         if total != 1:
-            raise SupportViolation(f"weights at level {m + 1} sum to {total}, not 1")
+            raise SupportViolation(f"weights at level {m + 1} sum to {long_str(total)}, not 1")
         parsed.append(row)
     vertices = [[f"u{n}"] for n in range(len(parsed) + 1)]
     edges = []

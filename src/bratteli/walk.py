@@ -3,7 +3,7 @@
 A walk is a pair (p, nu0): transition probabilities on the out-edges of each
 vertex plus an initial distribution on V(0).  From these the level
 distributions nu_n and the cotransition probabilities q_n on in-edges are
-derived once at construction, exactly.  The edge measure identity
+derived exactly, as integers, once at construction.  The edge measure identity
 nu_{n-1}(s(e)) p_n(e) = nu_n(r(e)) q_n(e) holds by definition of q and is the
 source of every formula below.
 
@@ -20,11 +20,13 @@ N_n over one denominator D_n per level.  Pushing nu_{n-1} forward, each
 source v first cancels g = gcd(N_{n-1}(v), B_n(v)) and its weight is brought
 over D_n = D_{n-1} S_n, S_n the lcm of the B_n(v) / g; then
 N_n(w) = sum over edges e into w of W(s(e)) A_n(e), and
-q_n(e) = W(s(e)) A_n(e) / N_n(r(e)), one Fraction per edge.  The per-vertex
-cancellation keeps D_n near the true common denominator even when the p
-denominators are large and differ from vertex to vertex, as in the Doob
-transforms of ``harmonic``.  Values become Fractions only where they leave
-the API (nu on first request).
+q_n(e) = W(s(e)) A_n(e) / N_n(r(e)).  Construction keeps the integer edge
+measures W(s(e)) A_n(e) and checks there that q is positive with unit sums
+over in-edges.  The per-vertex cancellation keeps D_n near the true common
+denominator even when the p denominators are large and differ from vertex to
+vertex, as in the Doob transforms of ``harmonic``.  Values become Fractions
+only where they leave the API: each nu_n row and the whole of q on first
+request, so a command that reads only nu builds no q.
 
 Cylinder tables and the q-measure check read the one level-by-level path tree
 of ``diagram._path_levels``.  The table carries mu(Z(a)) from prefix to
@@ -46,6 +48,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .diagram import BratteliDiagram, FinitePath, _path_levels, _tree_levels, tail_related
@@ -56,7 +59,7 @@ from .errors import (
     PathError,
     SupportViolation,
 )
-from .rational import as_fraction, format_fraction
+from .rational import as_fraction, format_fraction, long_str
 
 ONE = Fraction(1)
 
@@ -93,14 +96,14 @@ def _require_stochastic(d: BratteliDiagram, n: int, nums, units, incoming: bool,
     for e, x, i in zip(d.edges(n), nums, owner):
         if x <= 0:
             raise SupportViolation(
-                f"{what}: {sym}({e.id}) = {Fraction(x, units[i])} at level {n} is not positive"
+                f"{what}: {sym}({e.id}) = {long_str(Fraction(x, units[i]))} at level {n} is not positive"
             )
     level, side, groups = (n, "in", d._in[m]) if incoming else (n - 1, "out", d._out[m])
     for v, unit, ks in zip(d.vertices(level), units, groups):
         total = sum(nums[k] for k in ks)
         if total != unit:
             raise SupportViolation(
-                f"{what}: {side}-edges of '{v}' at level {level} sum to {Fraction(total, unit)}, not 1"
+                f"{what}: {side}-edges of '{v}' at level {level} sum to {long_str(Fraction(total, unit))}, not 1"
             )
 
 
@@ -199,10 +202,10 @@ class InitialDistribution:
         vec = d.align("vertex", values, as_fraction, "initial distribution", IncompatibleData, level=0)
         for v, x in zip(d.vertices(0), vec):
             if x <= 0:
-                raise SupportViolation(f"initial distribution: nu0({v}) = {x} is not positive")
+                raise SupportViolation(f"initial distribution: nu0({v}) = {long_str(x)} is not positive")
         total = sum(vec)
         if total != ONE:
-            raise SupportViolation(f"initial distribution sums to {total}, not 1")
+            raise SupportViolation(f"initial distribution sums to {long_str(total)}, not 1")
         self._nu0 = tuple(vec)
 
     @classmethod
@@ -265,7 +268,7 @@ class RandomWalk:
         self.transition = p
         self.initial = nu0
         top, den = _over_lcm(nu0._nu0)
-        nus, dens, qs = [top], [den], []
+        nus, dens, masses = [top], [den], []
         for m, (src, rng, pnum, pden) in enumerate(zip(d._src, d._rng, p._num, p._den)):
             # weight[i] / D_n = nu_{n-1}(v_i) / B_n(v_i), so the edge measure
             # nu_{n-1}(s(e)) p_n(e) is mass[k] / D_n
@@ -275,14 +278,22 @@ class RandomWalk:
             for j, x in zip(rng, mass):
                 nxt[j] += x
             _require_stochastic(d, m + 1, mass, nxt, True, "cotransition probability", "q")
-            qs.append(tuple(Fraction(x, nxt[j]) for j, x in zip(rng, mass)))
+            masses.append(tuple(mass))
             nus.append(nxt)
             dens.append(dens[-1] * scale)
-        # nu_n(v_i) = _nu_num[n][i] / _nu_den[n]
+        # nu_n(v_i) = _nu_num[n][i] / _nu_den[n]; q_n(e_k) = _mass[n - 1][k]
+        # / _nu_num[n][index of r(e_k)]
         self._nu_num = tuple(tuple(row) for row in nus)
         self._nu_den = tuple(dens)
+        self._mass = tuple(masses)
         self._nus = [None] * len(nus)  # Fraction rows, filled on first request
-        self.cotransition = CotransitionProbability._from_rows(d, tuple(qs))
+
+    @cached_property
+    def cotransition(self) -> CotransitionProbability:
+        """q as Fractions, built on first request from the integer edge measures."""
+        rows = zip(self.diagram._rng, self._mass, self._nu_num[1:])
+        q = tuple(tuple(Fraction(x, nu[j]) for j, x in zip(rng, mass)) for rng, mass, nu in rows)
+        return CotransitionProbability._from_rows(self.diagram, q)
 
     def _nu_row(self, n: int) -> tuple[Fraction, ...]:
         if not 0 <= n <= self.depth:
@@ -370,8 +381,8 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
             if pushed != have:
                 raise IncompatibleData(
                     f"distributions not compatible with cotransition at level {n}, "
-                    f"vertex '{v}': nu_{n - 1}({v}) = {have} but the level-{n} "
-                    f"pushforward gives {pushed}"
+                    f"vertex '{v}': nu_{n - 1}({v}) = {long_str(have)} but the level-{n} "
+                    f"pushforward gives {long_str(pushed)}"
                 )
     p_values = []
     for n, (qn, src, rng) in enumerate(zip(q._rho, d._src, d._rng), start=1):
@@ -448,15 +459,15 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
     masses = [_over_lcm(_masses(paths, table, nonnegative=True)) for paths, *_ in levels]
     nums, den = masses[0]
     if sum(nums) != den:
-        raise NotAMeasure(f"empty-path masses sum to {Fraction(sum(nums), den)}, not 1")
+        raise NotAMeasure(f"empty-path masses sum to {long_str(Fraction(sum(nums), den))}, not 1")
     for n in range(depth):
         (above, unit), (below, sub) = masses[n], masses[n + 1]
         parts = _prefix_sums(levels[n][0], levels[n + 1][1], below)
         for a, x, y in zip(levels[n][0], above, parts):
             if x * sub != y * unit:
                 raise NotAMeasure(
-                    f"not additive at {a.label()}: mass {Fraction(x, unit)}, "
-                    f"extensions sum to {Fraction(y, sub)}"
+                    f"not additive at {a.label()}: mass {long_str(Fraction(x, unit))}, "
+                    f"extensions sum to {long_str(Fraction(y, sub))}"
                 )
     # criterion: m(a) = q(a) times m's own level marginal at r(a); with q(a)
     # = top / bottom and both masses over the level's unit, that is

@@ -15,6 +15,7 @@ from bratteli import (
     AlgebraElement,
     BratteliDiagram,
     CotransitionProbability,
+    Edge,
     ExpectationReport,
     FinitePath,
     InclusionGraph,
@@ -22,6 +23,7 @@ from bratteli import (
     PathError,
     SupportViolation,
     IncompatibleData,
+    WindowError,
     build_walk,
     count_paths,
     cylinder_measure,
@@ -401,6 +403,47 @@ def oracle_ergodic_components(w):
         nu0 = {v: w.initial(v) * g[0][v] / weight for v in sub.vertices(0)}
         out.append((target, weight, build_walk(sub, p_values, nu0)))
     return out
+
+
+# -- reference oracle for the skew product -----------------------------------
+
+
+def oracle_skew_product(d, rho, initial_window):
+    """The windowed skew product on string ids, one ``out_edges``, potential
+    and ``format`` call per edge: (skew diagram, vertex pairs per level 0..N,
+    edge pairs per level 1..N)."""
+    d.require_valid()
+    if rho.diagram is not d:
+        raise IncompatibleData("potential must be built on the diagram being skewed")
+    group = rho.group
+    window0 = sorted({group.parse(g) for g in initial_window})
+    if not window0:
+        raise WindowError("initial window is empty")
+    fmt = group.format
+    vertex_pairs = [tuple((v, g) for v in d.vertices(0) for g in window0)]
+    vertex_levels = [[f"{v}@{fmt(g)}" for (v, g) in vertex_pairs[0]]]
+    edge_levels = []
+    edge_pairs = []
+    for n in range(1, d.depth + 1):
+        reached = set()
+        edges_here = []
+        pairs_here = []
+        for (v, g) in vertex_pairs[n - 1]:
+            for e in d.out_edges(n - 1, v):
+                g2 = group.op(g, rho(n, e.id))
+                reached.add((e.rng, g2))
+                edges_here.append(
+                    Edge(f"{e.id}@{fmt(g)}", f"{v}@{fmt(g)}", f"{e.rng}@{fmt(g2)}")
+                )
+                pairs_here.append((e.id, g))
+        ordered = sorted(reached, key=lambda p: (d.vertex_index(n, p[0]), p[1]))
+        vertex_pairs.append(tuple(ordered))
+        vertex_levels.append([f"{v}@{fmt(g)}" for (v, g) in ordered])
+        edge_levels.append(edges_here)
+        edge_pairs.append(tuple(pairs_here))
+    skewed = BratteliDiagram(vertex_levels, edge_levels)
+    skewed.require_valid()
+    return skewed, tuple(vertex_pairs), tuple(edge_pairs)
 
 
 # -- reference oracle for the expectation checks -----------------------------

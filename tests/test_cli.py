@@ -179,6 +179,26 @@ def test_results_longer_than_the_digit_limit_render(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_messages_longer_than_the_digit_limit_render(tmp_path, capsys):
+    # each mass parses (3,000 digits), but the extensions of @a sum to a
+    # rational with a ~6,000-digit denominator, named in the error message
+    big = 10**2999
+    floor = [{"id": f"e{i}", "src": "a", "rng": "b", "p": "1/2"} for i in range(2)]
+    f = write_json(tmp_path, "one.json", {"vertices": [["a"], ["b"]], "edges": [floor], "nu0": {"a": "1"}})
+    masses = [F(1, big), F(1, big + 1)]
+    paths = {f"e{i}": f"{x.numerator}/{x.denominator}" for i, x in enumerate(masses)}
+    m = write_json(tmp_path, "table.json", {"empty": {"a": "1"}, "paths": paths})
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_main(capsys, ["qcheck", f, "--measure", m])
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"error: not additive at @a: mass 1, extensions sum to {sum(masses)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (1, "", want)
+
+
 def test_cotransition_and_distributions(tmp_path, capsys):
     f = write_json(tmp_path, "vee.json", VEE)
     code, out, _ = run_main(capsys, ["cotransition", f])

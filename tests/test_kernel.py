@@ -6,13 +6,20 @@ diagrams and walks; so must every cylinder table and q-measure verdict built
 on the shared path tree, down to key order and error messages, and so must
 the Fraction versions of the integer path-tree kernels and of the table
 parser and renderer (``helpers.fraction_*``).  p and q are edge potentials:
-their path values must be the products of their level rows.
+their path values must be the products of their level rows.  The walk's q is
+built on first request, and the index-native skew product must equal the
+string-id one of ``helpers.oracle_skew_product``, down to its errors and the
+``skew`` command's output.
 """
 
 import contextlib
 import io
+import json
 import random
+import tempfile
+import threading
 import time
+from pathlib import Path
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -28,8 +35,13 @@ from bratteli import (
     BratteliError,
     CotransitionProbability,
     EdgePotential,
+    IncompatibleData,
+    MultiplicativeRationals,
+    RandomWalk,
     SupportViolation,
     TransitionProbability,
+    WindowError,
+    ZLattice,
     cotransition_potential,
     cylinder_measure,
     enumerate_paths,
@@ -39,8 +51,10 @@ from bratteli import (
     markov_cylinder_table,
     pascal_diagram,
     q_measure_witness,
+    skew_product,
     table_from_leaves,
 )
+from bratteli.fileio import dump_diagram
 from bratteli.rational import as_fraction
 
 from helpers import (
@@ -54,6 +68,7 @@ from helpers import (
     oracle_markov_cylinder_table,
     oracle_path,
     oracle_q_measure_witness,
+    oracle_skew_product,
     oracle_stochastic_violation,
     oracle_table_from_leaves,
     random_diagram,
@@ -347,3 +362,147 @@ def test_tsv_rows_match_fraction_renderer(columns, rows, block):
     with contextlib.redirect_stdout(out), mock.patch.object(cli, "ROW_BLOCK", block):
         cli.emit(SimpleNamespace(format="tsv"), columns, iter(rows))
     assert out.getvalue() == fraction_tsv(columns, rows)
+
+
+# -- the cotransition, built on first request -----------------------------------
+
+
+@kernel_settings
+@given(randoms)
+def test_cotransition_is_built_on_first_request(rng):
+    w = random_walk(rng)
+    for n in range(w.depth + 1):  # what ``distributions`` reads
+        w.nu(n)
+    assert "cotransition" not in vars(w)
+    _, qs = oracle_distributions(w)
+    assert [w.cotransition.level(n) for n in range(1, w.depth + 1)] == qs
+    assert "cotransition" in vars(w)
+    assert w.cotransition is w.cotransition
+
+
+@settings(max_examples=20, deadline=None)
+@given(randoms)
+def test_concurrent_first_cotransition_requests_agree(rng):
+    w = random_walk(rng)
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def read(i):
+        start.wait()
+        got[i] = [w.cotransition.level(n) for n in range(1, w.depth + 1)]
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    _, qs = oracle_distributions(w)
+    assert got[0] == got[1] == qs
+
+
+@kernel_settings
+@given(randoms)
+def test_walk_checks_q_at_construction(rng):
+    # zero the transition numerator of one edge into a vertex with another
+    # in-edge: q vanishes on that edge, and building the walk must fail
+    w = random_walk(rng)
+    d = w.diagram
+    into_shared = [
+        (n, k) for n in range(1, d.depth + 1)
+        for k, j in enumerate(d._rng[n - 1]) if len(d._in[n - 1][j]) > 1
+    ]
+    if not into_shared:
+        return
+    n, k = rng.choice(into_shared)
+    p = TransitionProbability(d, [w.transition.level(m) for m in range(1, d.depth + 1)])
+    p._num = tuple(
+        tuple(0 if (m, i) == (n - 1, k) else x for i, x in enumerate(row))
+        for m, row in enumerate(p._num)
+    )
+    with pytest.raises(SupportViolation) as info:
+        RandomWalk(d, p, w.initial)
+    eid = d.edges(n)[k].id
+    assert str(info.value) == f"cotransition probability: q({eid}) = 0 at level {n} is not positive"
+
+
+# -- the skew product against the string-id oracle ------------------------------
+
+
+def random_potential(rng, d, kind):
+    """A random edge potential on ``d`` and a window of two to four drawn
+    elements, some written as text: rank-1 or rank-2 lattice vectors
+    (``kind`` 1 or 2) or positive rationals."""
+    if kind == "rationals":
+        group = MultiplicativeRationals()
+
+        def draw():
+            return F(rng.randint(1, 4), rng.randint(1, 4))
+    else:
+        group = ZLattice(kind)
+
+        def draw():
+            return tuple(rng.randint(-2, 2) for _ in range(kind))
+
+    values = [{e.id: draw() for e in d.edges(n)} for n in range(1, d.depth + 1)]
+    window = [draw() for _ in range(rng.randint(2, 4))]
+    window = [rng.choice([g, group.format(g)]) for g in window]
+    return EdgePotential(d, group, values), window
+
+
+@kernel_settings
+@given(randoms, st.sampled_from([1, 2, "rationals"]))
+def test_skew_product_matches_oracle(rng, kind):
+    d = shuffled_floors(rng, random_diagram(rng, max_depth=5))
+    rho, window = random_potential(rng, d, kind)
+    sd = skew_product(d, rho, window)
+    skewed, vertex_pairs, edge_pairs = oracle_skew_product(d, rho, window)
+    for n in range(d.depth + 1):
+        assert sd.diagram.vertices(n) == skewed.vertices(n)
+        assert sd.vertex_pairs(n) == vertex_pairs[n]
+        assert sd._element_names[n] == tuple(rho.group.format(g) for _, g in vertex_pairs[n])
+    for n in range(1, d.depth + 1):
+        assert sd.diagram.edges(n) == skewed.edges(n)
+        assert sd.edge_pairs(n) == edge_pairs[n - 1]
+    # an empty window, or a potential on an equal copy of the diagram
+    twin = BratteliDiagram([d.vertices(n) for n in range(d.depth + 1)],
+                           [d.edges(n) for n in range(1, d.depth + 1)])
+    foreign = EdgePotential(twin, rho.group, [rho.level(n) for n in range(1, d.depth + 1)])
+    for args in ((d, rho, []), (d, foreign, window)):
+        want = outcome(oracle_skew_product, *args)
+        assert isinstance(want, tuple) and want[0] in (WindowError, IncompatibleData)
+        assert outcome(skew_product, *args) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(randoms, st.sampled_from([1, 2, "rationals"]), st.sampled_from(["tsv", "json"]))
+def test_skew_command_matches_oracle_rows(rng, kind, fmt):
+    d = random_diagram(rng, max_depth=4)
+    rho, window = random_potential(rng, d, kind)
+    group = rho.group
+    # the file writes lattice vectors as arrays and rationals as 'num/den'
+    cell = group.format if kind == "rationals" else list
+    values = {(n, e): cell(g) for n in range(1, d.depth + 1) for e, g in rho.level(n).items()}
+    text = ",".join(group.format(group.parse(g)) for g in window)
+    skewed, vertex_pairs, edge_pairs = oracle_skew_product(d, rho, window)
+    rows = [
+        (n, vid, group.format(g))
+        for n in range(d.depth + 1)
+        for vid, (_, g) in zip(skewed.vertices(n), vertex_pairs[n])
+    ]
+    rows += [
+        (n, edge.id, group.format(group.op(g, rho(n, base_id))))
+        for n in range(1, d.depth + 1)
+        for edge, (base_id, g) in zip(skewed.edges(n), edge_pairs[n - 1])
+    ]
+    columns = ("level", "id", "value")
+    if fmt == "json":
+        want = json.dumps({"columns": list(columns), "rows": [list(row) for row in rows]}) + "\n"
+    else:
+        want = fraction_tsv(columns, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "skew.json"
+        path.write_text(json.dumps(dump_diagram(d, rho=values)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["skew", str(path), f"--window={text}", "--format", fmt])
+    assert (code, out.getvalue()) == (0, want)

@@ -1,6 +1,7 @@
 """Markov measures, cotransitions, and the density cocycle."""
 
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -85,6 +86,27 @@ def test_initial_distribution_validation():
         InitialDistribution.point_mass(vee_diagram(), "a")
     uni = InitialDistribution.uniform(vee_diagram())
     assert uni("b") == F(1, 2)
+
+
+def test_messages_name_values_longer_than_the_digit_limit():
+    # computed sums with ~6,000-digit denominators, past the int-to-str limit
+    big = 10**2999
+    x, y = F(1, big), F(1, big + 1)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SupportViolation) as nu_error:
+        InitialDistribution(vee_diagram(), {"a": x, "b": y})
+    d = BratteliDiagram([["a"], ["b"]], [[("e0", "a", "b"), ("e1", "a", "b")]])
+    with pytest.raises(SupportViolation) as p_error:
+        TransitionProbability(d, [{"e0": x, "e1": y}])
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert str(nu_error.value) == f"initial distribution sums to {x + y}, not 1"
+        assert str(p_error.value) == (
+            f"transition probability: out-edges of 'a' at level 0 sum to {x + y}, not 1"
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_walk_requires_own_diagram():

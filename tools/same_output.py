@@ -6,9 +6,10 @@ PARENT_SRC is the ``src`` directory of the other tree, e.g. of a
 ``git archive`` of the parent commit.  For each benchmark workload and seed
 the inputs come from ``perfbench/gen.py``; every invocation of the workload's
 script in ``perfbench/workloads.py``, plus the start-up probe, then runs as
-``python -m bratteli`` under both trees.  Exit code, stdout and stderr must be
-byte-identical.  Each command that differs is listed, and the exit code is 1
-if any does, else 0.
+``python -m bratteli`` under both trees, once as scripted (TSV) and once
+more with ``--format json``.  Exit code, stdout and stderr must be
+byte-identical.  Each command that differs is listed, the counts are reported
+per format, and the exit code is 1 if any command differs, else 0.
 """
 
 import argparse
@@ -42,7 +43,9 @@ def main():
     here, there = ROOT / "src", args.parent_src.resolve()
     if not (there / "bratteli").is_dir():
         parser.error(f"{there} holds no bratteli package")
-    same = differ = 0
+    formats = {"TSV": (), "JSON": ("--format", "json")}
+    same = dict.fromkeys(formats, 0)
+    differ = dict.fromkeys(formats, 0)
     for workload in gen.WORKLOADS:
         for seed in args.seeds:
             files, facts, _ = gen.generate(workload, seed)
@@ -50,13 +53,17 @@ def main():
                 for name, text in files.items():
                     (Path(tmp) / name).write_text(text, encoding="utf-8")
                 for inv in [workloads.STARTUP, *workloads.SCRIPTS[workload](facts)]:
-                    if run(here, inv.argv, tmp) == run(there, inv.argv, tmp):
-                        same += 1
-                    else:
-                        differ += 1
-                        print(f"DIFFERS: {workload} seed {seed}: bratteli {' '.join(inv.argv)}")
-    print(f"{same} commands identical, {differ} differ")
-    return 1 if differ else 0
+                    for fmt, extra in formats.items():
+                        argv = (*inv.argv, *extra)
+                        if run(here, argv, tmp) == run(there, argv, tmp):
+                            same[fmt] += 1
+                        else:
+                            differ[fmt] += 1
+                            print(f"DIFFERS: {workload} seed {seed}: bratteli {' '.join(argv)}")
+    for fmt in formats:
+        total = same[fmt] + differ[fmt]
+        print(f"{fmt}: {same[fmt]} of {total} commands identical, {differ[fmt]} differ")
+    return 1 if any(differ.values()) else 0
 
 
 if __name__ == "__main__":
