@@ -36,6 +36,7 @@ from .walk import _q_ratios, markov_cylinder_table, q_measure_witness, radon_nik
 def _tsv_line(row) -> str:
     cells = [
         cell if type(cell) is str
+        else str(cell) if type(cell) is int
         else f"{cell.numerator}/{cell.denominator}" if isinstance(cell, Fraction)
         else str(cell)
         for cell in row

@@ -22,7 +22,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -153,6 +153,15 @@ class AlgebraElement:
         self.entries = clean
 
     @classmethod
+    def _valid(cls, relation: FiniteEquivRelation, entries: Mapping) -> "AlgebraElement":
+        """The element with ``entries``, which the caller knows lie on the
+        relation; zeros are dropped, the support is not tested."""
+        self = object.__new__(cls)
+        self.relation = relation
+        self.entries = _nonzero(entries)
+        return self
+
+    @classmethod
     def zero(cls, relation) -> "AlgebraElement":
         return cls(relation, {})
 
@@ -165,32 +174,32 @@ class AlgebraElement:
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) + v
-        return AlgebraElement(self.relation, out)
+        return AlgebraElement._valid(self.relation, out)
 
     def __sub__(self, other):
         self._same_relation(other)
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) - v
-        return AlgebraElement(self.relation, out)
+        return AlgebraElement._valid(self.relation, out)
 
     def __neg__(self):
-        return AlgebraElement(self.relation, {k: -v for k, v in self.entries.items()})
+        return AlgebraElement._valid(self.relation, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar):
-        return AlgebraElement(self.relation, {k: scalar * v for k, v in self.entries.items()})
+        return AlgebraElement._valid(self.relation, {k: scalar * v for k, v in self.entries.items()})
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._same_relation(other)
-        return AlgebraElement(self.relation, _product(self.entries, _rows(other.entries)))
+        return AlgebraElement._valid(self.relation, _product(self.entries, _rows(other.entries)))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(
+        return AlgebraElement._valid(
             self.relation, {(y, x): v.conjugate() for (x, y), v in self.entries.items()}
         )
 
@@ -238,26 +247,42 @@ def _nonzero(entries: Mapping) -> dict:
     return {k: v for k, v in entries.items() if v != 0}
 
 
+_EXACT = (int, Fraction)
+
+
 def _product(entries: Mapping, rows: Mapping) -> dict:
-    """Entries of the product of sparse entries with a row map; zeros kept."""
+    """Entries of the product of sparse entries with a row map; zeros kept.
+
+    An int 1 times an int or Fraction is the other factor, and a key's first
+    term is stored as it is, so each value equals the sum ``0 + u * v + ...``
+    in value and type.
+    """
     out: dict = {}
     if not rows:
         return out
     for (x, y), u in entries.items():
+        u_one = type(u) is int and u == 1
+        u_exact = type(u) in _EXACT
         for z, v in rows.get(y, ()):
+            if u_one and type(v) in _EXACT:
+                w = v
+            elif u_exact and type(v) is int and v == 1:
+                w = u
+            else:
+                w = u * v
             key = (x, z)
-            out[key] = out.get(key, 0) + u * v
+            out[key] = out[key] + w if key in out else w
     return out
 
 
 def matrix_unit(rel: FiniteEquivRelation, x, y) -> AlgebraElement:
     if not rel.related(x, y):
         raise IncompatibleData(f"({x!r}, {y!r}) is not in the relation")
-    return AlgebraElement(rel, {(x, y): 1})
+    return AlgebraElement._valid(rel, {(x, y): 1})
 
 
 def identity_element(rel: FiniteEquivRelation) -> AlgebraElement:
-    return AlgebraElement(rel, {(x, x): 1 for x in rel.X})
+    return AlgebraElement._valid(rel, {(x, x): 1 for x in rel.X})
 
 
 def canonical_units(rel: FiniteEquivRelation) -> dict:
@@ -334,7 +359,7 @@ def include_j(g: InclusionGraph, f: AlgebraElement) -> AlgebraElement:
     for (x, y), v in f.entries.items():
         for e in g.out_edges(g.vertex_of[x]):
             out[((x, e), (y, e))] = v
-    return AlgebraElement(g.big_relation(), out)
+    return AlgebraElement._valid(g.big_relation(), out)
 
 
 def commutant_embed_k(g: InclusionGraph, h: AlgebraElement) -> AlgebraElement:
@@ -345,7 +370,7 @@ def commutant_embed_k(g: InclusionGraph, h: AlgebraElement) -> AlgebraElement:
     for (a, b), v in h.entries.items():
         for x in g.fiber(g.source_of[a]):
             out[((x, a), (x, b))] = v
-    return AlgebraElement(g.big_relation(), out)
+    return AlgebraElement._valid(g.big_relation(), out)
 
 
 def expectation_map(g: InclusionGraph, p: Mapping, fbar: AlgebraElement) -> AlgebraElement:
@@ -357,7 +382,7 @@ def expectation_map(g: InclusionGraph, p: Mapping, fbar: AlgebraElement) -> Alge
         if a == b:
             key = (x, y)
             out[key] = out.get(key, 0) + p[a] * v
-    return AlgebraElement(g.base_relation(), out)
+    return AlgebraElement._valid(g.base_relation(), out)
 
 
 class ModelExpectation:
@@ -435,6 +460,16 @@ def verify_expectation(
     checks read those images instead of applying Q again wherever the element
     to map is a matrix unit or zero, as every product of a unit with the
     j-image of a matrix unit is.  Linearity of Q is not assumed.
+
+    The module check pairs each basis element m with the units u whose
+    products m u, u m, m Q(u) or Q(u) m can be non-empty, in unit order.  Every
+    other pair compares Q(0) with two empty products and holds when Q(0) is
+    0; if Q(0) is not 0, every pair is checked from the first such pair on.
+
+    Each of the three positivity samples f*f has, on every class, the block
+    B*B of a block B whose entries are ``complex(rng.gauss(0, 1),
+    rng.gauss(0, 1))``, drawn row by row from ``rng`` (``random.Random(7)``
+    when none is given).
     """
     rng = rng or random.Random(7)
     report = ExpectationReport()
@@ -465,6 +500,7 @@ def verify_expectation(
         u_mat = u_mat[:, keep]
     else:
         u_mat = np.zeros((dim, 0), dtype=complex)
+    u_adj = u_mat.conj().T
     for u, img in zip(units, images):
         if not img.entries:
             continue
@@ -472,7 +508,7 @@ def verify_expectation(
         for k, v in img.entries.items():
             vec[index[k]] = complex(v)
         # explicit residual vector; the norm-difference form cancels badly
-        resid = vec - u_mat @ (u_mat.conj().T @ vec)
+        resid = vec - u_mat @ (u_adj @ vec)
         resid2 = float(np.vdot(resid, resid).real)
         norm2 = float(np.vdot(vec, vec).real)
         if resid2 > tol * tol * max(1.0, norm2):
@@ -488,16 +524,32 @@ def verify_expectation(
     # makes the product a unit, whose image is in ``images``; an empty line
     # makes it 0.  m Q(u) and Q(u) m are summed as AlgebraElement.__mul__
     # sums them, and the distance is taken only where they differ.
+    # A unit is touched by a column c of m when c is its row or a row of its
+    # image, and by a row r of m when r is its column or a column of its
+    # image; an untouched pair compares Q(0) with two empty products.
     q_zero = functools.cache(lambda: Q(AlgebraElement.zero(ambient)))
     image_rows = [_rows(img.entries) for img in images]
+    by_col: dict = {}
+    by_row: dict = {}
+    for k, ((s, t), img_rows) in enumerate(zip(pairs, image_rows)):
+        for c in {s, *img_rows}:
+            by_col.setdefault(c, []).append(k)
+        for r in {t, *(z for line in img_rows.values() for z, _ in line)}:
+            by_row.setdefault(r, []).append(k)
     for m in sub_basis:
         m._same_relation(one)
         m_rows = _rows(m.entries)
         m_cols: dict = {}
         for (x, y), c in m.entries.items():
             m_cols.setdefault(y, []).append((x, c))
+        touched = set()
+        for c in m_cols:
+            touched.update(by_col.get(c, ()))
+        for r in m_rows:
+            touched.update(by_row.get(r, ()))
         bad = None
-        for (s, t), u, img, img_rows in zip(pairs, units, images, image_rows):
+        for k in _pairs_to_check(sorted(touched), len(pairs), q_zero):
+            (s, t), u, img, img_rows = pairs[k], units[k], images[k], image_rows[k]
             col = m_cols.get(s)
             if col is None:
                 q_left = q_zero()
@@ -529,17 +581,17 @@ def verify_expectation(
             break
 
     classes = ambient.classes()
-    np_rng = np.random.default_rng(rng.getrandbits(32))
     for _ in range(3):
         entries: dict = {}
         for cls_ in classes:
-            n = len(cls_)
-            block = np_rng.standard_normal((n, n)) + 1j * np_rng.standard_normal((n, n))
+            block = np.array(
+                [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in cls_] for _ in cls_]
+            )
             gram = block.conj().T @ block
             for i, x in enumerate(cls_):
                 for j, y in enumerate(cls_):
                     entries[(x, y)] = gram[i, j]
-        image = Q(AlgebraElement(ambient, entries))
+        image = Q(AlgebraElement._valid(ambient, entries))
         scale = max(1.0, image.max_abs())
         for cls_ in classes:
             n = len(cls_)
@@ -577,6 +629,24 @@ def verify_expectation(
             )
             break
     return report
+
+
+def _pairs_to_check(touched: list, count: int, q_zero: Callable) -> Iterator[int]:
+    """Unit indices for one basis element: the ``touched`` ones in order while
+    Q(0) is 0, and every index from the first untouched one on otherwise.
+
+    Q(0) is first asked for where the first untouched pair would ask for it.
+    """
+    nxt = 0
+    for k in touched:
+        if k > nxt and q_zero().entries:
+            break
+        yield k
+        nxt = k + 1
+    else:
+        if nxt == count or not q_zero().entries:
+            return
+    yield from range(nxt, count)
 
 
 def extract_transition(

@@ -189,7 +189,16 @@ def potential_from_file(df: DiagramFile) -> EdgePotential:
         group = MultiplicativeRationals()
     else:
         raise FileFormatError("'rho' values mix lattice and rational group elements")
-    return EdgePotential(df.diagram, group, df.rho_levels)
+    parsed: dict = {}  # each distinct value is parsed once, and its element shared
+
+    def parse(raw):
+        # 1, True and [1] are equal or hash alike: the key carries the type
+        key = (type(raw), tuple(raw) if type(raw) is list else raw)
+        if key not in parsed:
+            parsed[key] = group.parse(raw)
+        return parsed[key]
+
+    return EdgePotential(df.diagram, group, df.rho_levels, parse=parse)
 
 
 def load_measure_table(d: BratteliDiagram, source) -> tuple[dict, int]:

@@ -49,7 +49,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .diagram import BratteliDiagram, FinitePath, _path_levels, _tree_levels, tail_related
 from .errors import (
@@ -135,13 +135,23 @@ class MultiplicativeRationals:
 
 
 class EdgePotential:
-    """A group element on every edge, one row per level in edge order."""
+    """A group element on every edge, one row per level in edge order.
 
-    def __init__(self, d: BratteliDiagram, group, values: Sequence[Mapping[str, object]]):
+    Each value passes through ``parse``, by default ``group.parse``.
+    """
+
+    def __init__(
+        self,
+        d: BratteliDiagram,
+        group,
+        values: Sequence[Mapping[str, object]],
+        *,
+        parse: Callable | None = None,
+    ):
         d.require_valid()
         self.diagram = d
         self.group = group
-        self._rho = d.align("edge", values, group.parse, "potential", IncompatibleData)
+        self._rho = d.align("edge", values, parse or group.parse, "potential", IncompatibleData)
 
     def __call__(self, n: int, edge_id: str):
         return self._rho[n - 1][self.diagram.edge_index(n, edge_id)]

@@ -515,12 +515,12 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
             break
 
     classes = ambient.classes()
-    np_rng = np.random.default_rng(rng.getrandbits(32))
     for _ in range(3):
         entries: dict = {}
         for cls_ in classes:
-            n = len(cls_)
-            block = np_rng.standard_normal((n, n)) + 1j * np_rng.standard_normal((n, n))
+            block = np.array(
+                [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in cls_] for _ in cls_]
+            )
             gram = block.conj().T @ block
             for i, x in enumerate(cls_):
                 for j, y in enumerate(cls_):

@@ -333,6 +333,19 @@ def test_expect_requires_weights(tmp_path, capsys):
     assert "no 'p' fields" in err
 
 
+def test_expect_leaves_numpy_random_unloaded(tmp_path):
+    # the positivity samples come from random.Random, not numpy.random
+    g = write_json(tmp_path, "graph.json", GRAPH)
+    script = (
+        "import sys\n"
+        "from bratteli.cli import main\n"
+        f"code = main(['expect', '--graph', {g!r}])\n"
+        "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 True False", proc.stderr
+
+
 def test_extractp(tmp_path, capsys):
     g = write_json(tmp_path, "graph.json", GRAPH)
     code, out, _ = run_main(capsys, ["extractp", "--graph", g])

@@ -5,8 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bratteli import (
+    BratteliError,
+    EdgePotential,
     FileFormatError,
     IncompatibleData,
     MultiplicativeRationals,
@@ -23,6 +27,7 @@ from bratteli import (
     potential_from_file,
     walk_from_file,
 )
+from bratteli import fileio
 from bratteli.fdalg import FiniteEquivRelation
 
 from helpers import random_element, random_walk
@@ -154,6 +159,46 @@ def test_potential_group_inference_errors():
                            "edges": [[{"id": "e", "src": "a", "rng": "b"}]]})
     with pytest.raises(IncompatibleData):
         potential_from_file(no_rho)
+
+
+RHO_VALUES = st.one_of(
+    st.integers(-2, 2),
+    st.booleans(),
+    st.floats(-2, 2),
+    st.lists(st.one_of(st.integers(-2, 2), st.booleans()), max_size=3),
+    st.sampled_from(["1/2", "2", "2/1", "0", "-1/3", "1/0", "x", "1_2", ""]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RHO_VALUES, min_size=1, max_size=6))
+def test_potential_from_file_parses_like_group_parse(values):
+    # each distinct value is parsed once; the rows and errors are those of
+    # parsing every value with group.parse
+    df = load_diagram({
+        "vertices": [["a"], ["b"]],
+        "edges": [[{"id": f"e{i}", "src": "a", "rng": "b", "rho": r}
+                   for i, r in enumerate(values)]],
+    })
+
+    def outcome():
+        try:
+            rho = potential_from_file(df)
+        except (BratteliError, FileFormatError) as exc:
+            return type(exc), str(exc)
+        return rho.group, rho._rho
+
+    got = outcome()
+    plain = lambda d, group, levels, parse: EdgePotential(d, group, levels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "EdgePotential", plain)
+        assert got == outcome()
+    if not isinstance(got[0], type):  # parsed: equal values share one element
+        row = got[1][0]
+        for i, a in enumerate(values):
+            for j, b in enumerate(values[:i]):
+                if type(a) is type(b) and a == b:
+                    assert row[i] is row[j]
 
 
 def test_measure_table_round_trip():

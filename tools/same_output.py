@@ -10,9 +10,18 @@ script in ``perfbench/workloads.py``, plus the start-up probe, then runs as
 more with ``--format json``.  Exit code, stdout and stderr must be
 byte-identical.  Each command that differs is listed, the counts are reported
 per format, and the exit code is 1 if any command differs, else 0.
+
+Each run's max RSS is read with ``os.wait4``, as the benchmark reads it, and
+every command whose max RSS moved by more than RSS_MOVE_MB between the trees
+is listed with both values; the benchmark itself reports only the run-wide
+maximum.  A child's max RSS starts at its parent's peak, so this process
+stays small: a helper process writes the inputs and lists the commands, and
+outputs are compared by digest, never held whole.
 """
 
 import argparse
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,16 +32,56 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # leave perfbench/ as committed
 
-import gen  # noqa: E402
-import workloads  # noqa: E402
+import gen  # noqa: E402  (only the standard library; generate() runs in the helper)
+
+RSS_MOVE_MB = 0.5
+
+# argv: perfbench dir, workload, seed, input dir; prints the commands as JSON
+LIST_COMMANDS = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+sys.dont_write_bytecode = True  # leave perfbench/ as committed
+import gen, workloads
+workload, seed, out = sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])
+files, facts, _ = gen.generate(workload, seed)
+for name, text in files.items():
+    (out / name).write_text(text, encoding="utf-8")
+script = [workloads.STARTUP, *workloads.SCRIPTS[workload](facts)]
+print(json.dumps([list(inv.argv) for inv in script]))
+"""
+
+
+def commands(workload, seed, cwd):
+    """Write the workload's inputs for ``seed`` into ``cwd``; its argv lists."""
+    argv = [sys.executable, "-c", LIST_COMMANDS, str(ROOT / "perfbench"), workload, str(seed), cwd]
+    return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+
+
+def digest(f):
+    f.seek(0)
+    h = hashlib.sha256()
+    for block in iter(lambda: f.read(1 << 16), b""):
+        h.update(block)
+    return h.digest()
 
 
 def run(src, argv, cwd):
+    """((exit code, stdout digest, stderr digest), max RSS in MB) of one command."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "bratteli", *argv], cwd=cwd, env=env, capture_output=True
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bratteli", *argv],
+            cwd=cwd, env=env, stdin=subprocess.DEVNULL, stdout=out, stderr=err,
+        )
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        return (proc.returncode, digest(out), digest(err)), usage.ru_maxrss / 1024
 
 
 def main():
@@ -48,18 +97,20 @@ def main():
     differ = dict.fromkeys(formats, 0)
     for workload in gen.WORKLOADS:
         for seed in args.seeds:
-            files, facts, _ = gen.generate(workload, seed)
             with tempfile.TemporaryDirectory() as tmp:
-                for name, text in files.items():
-                    (Path(tmp) / name).write_text(text, encoding="utf-8")
-                for inv in [workloads.STARTUP, *workloads.SCRIPTS[workload](facts)]:
+                for inv in commands(workload, seed, tmp):
                     for fmt, extra in formats.items():
-                        argv = (*inv.argv, *extra)
-                        if run(here, argv, tmp) == run(there, argv, tmp):
+                        argv = (*inv, *extra)
+                        mine, my_rss = run(here, argv, tmp)
+                        theirs, their_rss = run(there, argv, tmp)
+                        command = f"{workload} seed {seed}: bratteli {' '.join(argv)}"
+                        if mine == theirs:
                             same[fmt] += 1
                         else:
                             differ[fmt] += 1
-                            print(f"DIFFERS: {workload} seed {seed}: bratteli {' '.join(argv)}")
+                            print(f"DIFFERS: {command}")
+                        if abs(my_rss - their_rss) > RSS_MOVE_MB:
+                            print(f"RSS MOVED: {command}: {their_rss:.2f} MB there, {my_rss:.2f} MB here")
     for fmt in formats:
         total = same[fmt] + differ[fmt]
         print(f"{fmt}: {same[fmt]} of {total} commands identical, {differ[fmt]} differ")
