@@ -7,6 +7,8 @@ products for group-valued potentials.  All probability arithmetic is exact
 (fractions.Fraction); floats appear only in numeric verification helpers.
 """
 
+from types import ModuleType as _ModuleType
+
 from .diagram import (
     BratteliDiagram,
     Edge,
@@ -114,95 +116,5 @@ from .walk import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "AlgebraStructure",
-    "BratteliDiagram",
-    "BratteliError",
-    "CotransitionProbability",
-    "DiagonalizedState",
-    "DiagramFile",
-    "Edge",
-    "EdgePotential",
-    "ErgodicComponent",
-    "ExpectationReport",
-    "FileFormatError",
-    "FiniteEquivRelation",
-    "FinitePath",
-    "HarmonicCheck",
-    "HarmonicSequence",
-    "InclusionGraph",
-    "IncompatibleData",
-    "InitialDistribution",
-    "InvalidDiagram",
-    "InvariantFunction",
-    "ModelExpectation",
-    "MultiplicativeRationals",
-    "NotACocycle",
-    "NotAMatrixUnit",
-    "NotAMeasure",
-    "NotHarmonic",
-    "NotTailRelated",
-    "PathError",
-    "RandomWalk",
-    "ShapeMismatch",
-    "SkewDiagram",
-    "SupportViolation",
-    "TorusCocycle",
-    "TransitionProbability",
-    "Violation",
-    "WindowError",
-    "ZLattice",
-    "algebra_of",
-    "brute_force_commutant",
-    "build_walk",
-    "canonical_units",
-    "check_q_measure",
-    "commutant_embed_k",
-    "cotransition_of_path",
-    "cotransition_potential",
-    "count_paths",
-    "cylinder_measure",
-    "diagonalize_state",
-    "dump_diagram",
-    "dump_element",
-    "enumerate_paths",
-    "ergodic_components",
-    "expectation_map",
-    "extend_matrix_unit",
-    "extract_transition",
-    "from_cotransition",
-    "group_cocycle",
-    "harmonic_from_terminal",
-    "harmonic_to_invariant",
-    "identity_element",
-    "include_j",
-    "invariant_to_harmonic",
-    "is_harmonic",
-    "lift_walk",
-    "load_diagram",
-    "load_element",
-    "load_inclusion_graph",
-    "load_measure_table",
-    "load_terminal",
-    "markov_cylinder_table",
-    "matrix_unit",
-    "measure_from_harmonic",
-    "pascal_diagram",
-    "pascal_edge_potential",
-    "pascal_path",
-    "pinch_average_decompose",
-    "potential_from_file",
-    "q_measure_witness",
-    "radon_nikodym",
-    "sample_path",
-    "skew_harmonic",
-    "skew_product",
-    "subdiagram",
-    "table_from_leaves",
-    "tail_related",
-    "trivialize_cocycle",
-    "uhf_from_group_walk",
-    "verify_expectation",
-    "walk_from_file",
-]
+# the public names: everything imported above, less the submodules
+__all__ = sorted(k for k, v in vars().items() if k[0] != "_" and not isinstance(v, _ModuleType))

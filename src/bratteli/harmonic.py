@@ -9,18 +9,26 @@ together with the induced measures h mu and the ergodic decomposition by
 terminal vertex.  The infinite-depth statements are the projective limit of
 what this module verifies exactly.
 
-The backward induction runs on the walk's integer kernel: with p_n(e) held
-as a numerator A_n(e) over a per-vertex denominator B_n(s(e)) (see ``walk``)
-and level n of h as integer numerators H_n over one denominator E_n, the sum
-over out-edges e of v of A_n(e) H_n(r(e)) is h_{n-1}(v) times E_n B_n(v);
-each vertex cancels its gcd with B_n(v) and the level is brought over
-E_{n-1} = E_n S_n, S_n the lcm of what is left of the B_n(v).  Values become
-Fractions once, at the end of the sweep, straight from its rows, which are in
-vertex order already.
-Ergodic components carry their terminal vertex and weight nu_N(t) at once;
-each component's walk, the Doob transform of the terminal indicator, is built
-on first access, so reading only the weights builds no walk.  Everything is
-exact; there is no floating point in this module.
+The backward step h_{n-1}(v) = sum over out-edges e of v of K(e) h_n(r(e))
+is ``walk._pull``, for any edge values K: the sweep of the harmonic
+extension, the check ``is_harmonic`` and the component marginals all take it.
+The sweep runs on the walk's integer kernel: with p_n(e) held as a numerator
+A_n(e) over a per-vertex denominator B_n(s(e)) (see ``walk``) and level n of
+h as integer numerators H_n over one denominator E_n, the pull of H_n through
+A_n is h_{n-1}(v) times E_n B_n(v); each vertex cancels its gcd with B_n(v)
+and the level is brought over E_{n-1} = E_n S_n, S_n the lcm of what is left
+of the B_n(v).  Values become Fractions once, at the end of the sweep,
+straight from its rows, which are in vertex order already.
+
+Conditioned to end at the terminal vertex t, the Markov measure keeps the
+walk's cotransition q, and its terminal law is the point mass at t.  So each
+ergodic component is the q-measure with terminal law delta_t: its level
+marginals are the backward steps of delta_t through q, and its walk is
+``from_cotransition`` of q and those marginals on the subdiagram where they
+are positive.  Components carry their terminal vertex and weight nu_N(t) at
+once; each component's walk is built on first access, so reading only the
+weights builds no walk.  Everything is exact; there is no floating point in
+this module.
 """
 
 from __future__ import annotations
@@ -33,7 +41,16 @@ from typing import Mapping, Sequence
 from .diagram import BratteliDiagram, FinitePath, subdiagram
 from .errors import NotAMeasure, NotHarmonic, ShapeMismatch
 from .rational import as_fraction, long_str
-from .walk import RandomWalk, _cancel, _over_lcm, build_walk, cylinder_measure, markov_cylinder_table
+from .walk import (
+    RandomWalk,
+    _cancel,
+    _first_mismatch,
+    _over_lcm,
+    _pull,
+    cylinder_measure,
+    from_cotransition,
+    markov_cylinder_table,
+)
 
 
 class HarmonicSequence:
@@ -100,14 +117,8 @@ def is_harmonic(w: RandomWalk, h) -> HarmonicCheck:
     """Exact check of h_{n-1}(v) = sum p_n(e) h_n(r(e)) at every vertex."""
     if not isinstance(h, HarmonicSequence):
         h = HarmonicSequence(w.diagram, h)
-    d = w.diagram
-    for n in range(1, d.depth + 1):
-        for v in d.vertices(n - 1):
-            rhs = sum(w.p(n, e.id) * h(n, e.rng) for e in d.out_edges(n - 1, v))
-            lhs = h(n - 1, v)
-            if lhs != rhs:
-                return HarmonicCheck(False, n, v, lhs, rhs)
-    return HarmonicCheck(True)
+    bad = _first_mismatch(w.diagram, w.transition._rho, h._h)
+    return HarmonicCheck(False, *bad) if bad else HarmonicCheck(True)
 
 
 def _backward_sweep(w: RandomWalk, bottom: Sequence[int], den: int = 1):
@@ -118,10 +129,7 @@ def _backward_sweep(w: RandomWalk, bottom: Sequence[int], den: int = 1):
     levels, dens = [None] * (d.depth + 1), [None] * (d.depth + 1)
     levels[d.depth], dens[d.depth] = list(bottom), den
     for m in range(d.depth - 1, -1, -1):
-        below = levels[m + 1]
-        terms = [x * below[j] for x, j in zip(p._num[m], d._rng[m])]
-        sums = [sum(terms[k] for k in ks) for ks in d._out[m]]
-        levels[m], scale = _cancel(sums, p._den[m])
+        levels[m], scale = _cancel(_pull(d, m + 1, p._num[m], levels[m + 1]), p._den[m])
         dens[m] = dens[m + 1] * scale
     return levels, dens
 
@@ -184,12 +192,29 @@ def measure_from_harmonic(w: RandomWalk, h) -> dict[FinitePath, Fraction]:
 
 @dataclass(frozen=True)
 class ErgodicComponent:
-    """One piece of the decomposition: the conditioned walk given that the
-    path ends at ``terminal``, carrying mass ``weight`` = nu_N(terminal)."""
+    """One piece of the decomposition of ``source``: the conditioned walk
+    given that the path ends at ``terminal``, carrying mass ``weight`` =
+    nu_N(terminal).  Its ``walk`` is built on first read."""
 
     terminal: str
     weight: Fraction
-    walk: RandomWalk
+    source: RandomWalk
+
+    @cached_property
+    def walk(self) -> RandomWalk:
+        """The walk with the source's q and the marginals swept back from the
+        point mass at ``terminal``, on the subdiagram where they are positive."""
+        d, q = self.source.diagram, self.source.cotransition._rho
+        levels = [[int(v == self.terminal) for v in d.vertices(d.depth)]]
+        for n in range(d.depth, 0, -1):
+            levels.insert(0, _pull(d, n, q[n - 1], levels[0]))
+        nus = [{v: x for v, x in zip(d.vertices(n), row) if x} for n, row in enumerate(levels)]
+        qs = [
+            {e.id: x for e, x, j in zip(d.edges(n), q[n - 1], d._rng[n - 1]) if levels[n][j]}
+            for n in range(1, d.depth + 1)
+        ]
+        sub = subdiagram(d, nus, qs)
+        return from_cotransition(sub, qs, nus)
 
     def cylinder_measure(self, a: FinitePath) -> Fraction:
         """Component mass of a path of the ORIGINAL diagram (0 off support)."""
@@ -198,60 +223,15 @@ class ErgodicComponent:
         return cylinder_measure(self.walk, self.walk.diagram.path(a.edges, 0, a.anchor))
 
 
-class _DoobComponent(ErgodicComponent):
-    """A component of ``ergodic_components``: its ``walk`` is the Doob
-    transform of the decomposed walk, built on first access."""
-
-    def __init__(self, terminal: str, weight: Fraction, source: RandomWalk):
-        object.__setattr__(self, "terminal", terminal)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_source", source)
-
-    @cached_property
-    def walk(self) -> RandomWalk:
-        return _doob_transform(self._source, self.terminal, self.weight)
-
-
-def _doob_transform(w: RandomWalk, target: str, weight: Fraction) -> RandomWalk:
-    """The walk conditioned on ending at ``target``, on the subdiagram where
-    the harmonic extension g of the target's indicator is positive.
-
-    With g_n = G_n / E_n from the integer sweep (E_N = 1, E_{n-1} = E_n S_n),
-    the transformed transition p(e) g_n(r(e)) / g_{n-1}(s(e)) is
-    A_n(e) G_n(r(e)) S_n / (B_n(s(e)) G_{n-1}(s(e))).
-    """
-    d, p = w.diagram, w.transition
-    g, dens = _backward_sweep(w, [1 if v == target else 0 for v in d.vertices(d.depth)])
-    keep_vertices = [
-        {v for v, x in zip(d.vertices(n), g[n]) if x > 0} for n in range(d.depth + 1)
-    ]
-    keep_edges = [
-        {e.id for e, j in zip(d.edges(m + 1), d._rng[m]) if g[m + 1][j] > 0}
-        for m in range(d.depth)
-    ]
-    sub = subdiagram(d, keep_vertices, keep_edges)
-    p_values = []
-    for m in range(d.depth):
-        below, above, den, scale = g[m + 1], g[m], p._den[m], dens[m] // dens[m + 1]
-        p_values.append(
-            {
-                e.id: Fraction(x * below[j] * scale, den[i] * above[i])
-                for e, x, i, j in zip(d.edges(m + 1), p._num[m], d._src[m], d._rng[m])
-                if below[j] > 0
-            }
-        )
-    nu0 = {v: w.initial(v) * x / (dens[0] * weight) for v, x in zip(d.vertices(0), g[0]) if x > 0}
-    return build_walk(sub, p_values, nu0)
-
-
 def ergodic_components(w: RandomWalk) -> list[ErgodicComponent]:
     """Decomposition of the walk's measure over terminal vertices.
 
-    Each component is the Doob transform by the harmonic extension g of the
-    terminal indicator: p*(e) = p(e) g_n(r(e)) / g_{n-1}(s(e)) on the
-    subdiagram where g > 0.  Components have point-mass terminal
-    distributions and recombine to the original measure cylinder by cylinder.
-    A component's walk is built when first read; its weight needs none.
+    Conditioned to end at t, the Markov measure keeps the walk's cotransition
+    q and its terminal law is the point mass at t: the component is the
+    q-measure with terminal law delta_t, and its walk is recovered from q and
+    the level marginals by ``from_cotransition``.  Components recombine to
+    the original measure cylinder by cylinder.  A component's walk is built
+    when first read; its weight needs none.
     """
     d = w.diagram
-    return [_DoobComponent(t, w.nu_at(d.depth, t), w) for t in d.vertices(d.depth)]
+    return [ErgodicComponent(t, w.nu_at(d.depth, t), w) for t in d.vertices(d.depth)]

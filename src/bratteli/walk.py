@@ -24,9 +24,10 @@ q_n(e) = W(s(e)) A_n(e) / N_n(r(e)).  Construction keeps the integer edge
 measures W(s(e)) A_n(e) and checks there that q is positive with unit sums
 over in-edges.  The per-vertex cancellation keeps D_n near the true common
 denominator even when the p denominators are large and differ from vertex to
-vertex, as in the Doob transforms of ``harmonic``.  Values become Fractions
-only where they leave the API: each nu_n row and the whole of q on first
-request, so a command that reads only nu builds no q.
+vertex, as in the p that ``from_cotransition`` recovers for an ergodic
+component.  Values become Fractions only where they leave the API: each nu_n
+row and the whole of q on first request, so a command that reads only nu
+builds no q.
 
 Cylinder tables and the q-measure check read the one level-by-level path tree
 of ``diagram._path_levels``.  The table carries mu(Z(a)) from prefix to
@@ -84,6 +85,25 @@ def _cancel(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
     dens = [y // g for y, g in zip(dens, gs)]
     scale = math.lcm(*dens)
     return [x // g * (scale // y) for x, g, y in zip(nums, gs, dens)], scale
+
+
+def _pull(d: BratteliDiagram, n: int, row: Sequence, below: Sequence) -> list:
+    """One backward step: per vertex v of V(n-1), the sum over the out-edges
+    e_k of v of row[k] * below[index of r(e_k)]."""
+    terms = [x * below[j] for x, j in zip(row, d._rng[n - 1])]
+    return [sum(terms[k] for k in ks) for ks in d._out[n - 1]]
+
+
+def _first_mismatch(d: BratteliDiagram, rows, levels):
+    """The first (n, v, levels[n-1] at v, pull of levels[n] at v), level n up
+    then v in vertex order, where level n-1 is not the backward step of level
+    n through the edge values ``rows[n - 1]``; None if there is none."""
+    for n in range(1, d.depth + 1):
+        pulled = _pull(d, n, rows[n - 1], levels[n])
+        for v, have, got in zip(d.vertices(n - 1), levels[n - 1], pulled):
+            if have != got:
+                return n, v, have, got
+    return None
 
 
 def _require_stochastic(d: BratteliDiagram, n: int, nums, units, incoming: bool, what: str, sym: str):
@@ -385,15 +405,14 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
     if q.diagram is not d:
         raise IncompatibleData("cotransition must be built on the same diagram")
     levels = d.align("vertex", nus, as_fraction, "distribution", IncompatibleData)
-    for n, (qn, rng, out) in enumerate(zip(q._rho, d._rng, d._out), start=1):
-        for v, have, ks in zip(d.vertices(n - 1), levels[n - 1], out):
-            pushed = sum(qn[k] * levels[n][rng[k]] for k in ks)
-            if pushed != have:
-                raise IncompatibleData(
-                    f"distributions not compatible with cotransition at level {n}, "
-                    f"vertex '{v}': nu_{n - 1}({v}) = {long_str(have)} but the level-{n} "
-                    f"pushforward gives {long_str(pushed)}"
-                )
+    bad = _first_mismatch(d, q._rho, levels)
+    if bad:
+        n, v, have, pushed = bad
+        raise IncompatibleData(
+            f"distributions not compatible with cotransition at level {n}, "
+            f"vertex '{v}': nu_{n - 1}({v}) = {long_str(have)} but the level-{n} "
+            f"pushforward gives {long_str(pushed)}"
+        )
     p_values = []
     for n, (qn, src, rng) in enumerate(zip(q._rho, d._src, d._rng), start=1):
         row = {}

@@ -18,6 +18,7 @@ from bratteli import (
     Edge,
     ExpectationReport,
     FinitePath,
+    HarmonicCheck,
     InclusionGraph,
     NotAMeasure,
     PathError,
@@ -33,7 +34,7 @@ from bratteli import (
     subdiagram,
 )
 from bratteli.diagram import _path_levels
-from bratteli.rational import as_fraction
+from bratteli.rational import as_fraction, long_str
 
 
 def random_diagram(rng, max_depth=6, max_vertices=4, max_out=3):
@@ -377,6 +378,36 @@ def oracle_harmonic_from_terminal(w, terminal):
             for v in d.vertices(n - 1)
         }
     return levels
+
+
+def oracle_is_harmonic(w, h):
+    """``is_harmonic`` on the HarmonicSequence ``h`` by string-id lookups:
+    one ``out_edges``, ``p`` and ``h`` call per edge."""
+    d = w.diagram
+    for n in range(1, d.depth + 1):
+        for v in d.vertices(n - 1):
+            rhs = sum(w.p(n, e.id) * h(n, e.rng) for e in d.out_edges(n - 1, v))
+            lhs = h(n - 1, v)
+            if lhs != rhs:
+                return HarmonicCheck(False, n, v, lhs, rhs)
+    return HarmonicCheck(True)
+
+
+def oracle_cotransition_check(d, q, nus):
+    """``from_cotransition``'s compatibility check by string-id lookups:
+    IncompatibleData at the first level, then vertex, where nu_{n-1}(v) is
+    not the sum of q_n(e) nu_n(r(e)) over the out-edges e of v."""
+    levels = [{v: as_fraction(x) for v, x in row.items()} for row in nus]
+    for n in range(1, d.depth + 1):
+        for v in d.vertices(n - 1):
+            pushed = sum(q(n, e.id) * levels[n][e.rng] for e in d.out_edges(n - 1, v))
+            have = levels[n - 1][v]
+            if pushed != have:
+                raise IncompatibleData(
+                    f"distributions not compatible with cotransition at level {n}, "
+                    f"vertex '{v}': nu_{n - 1}({v}) = {long_str(have)} but the level-{n} "
+                    f"pushforward gives {long_str(pushed)}"
+                )
 
 
 def oracle_ergodic_components(w):

@@ -1,6 +1,7 @@
 """Diagram structure, validation, and path enumeration."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,10 @@ def test_public_names_resolve():
     assert len(set(bratteli.__all__)) == len(bratteli.__all__)
     for name in bratteli.__all__:
         getattr(bratteli, name)
+    assert not [n for n in bratteli.__all__ if isinstance(getattr(bratteli, n), types.ModuleType)]
+    namespace = {}
+    exec("from bratteli import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(bratteli.__all__)
 
 
 # -- per-level data keyed by id ---------------------------------------------------

@@ -9,7 +9,11 @@ parser and renderer (``helpers.fraction_*``).  p and q are edge potentials:
 their path values must be the products of their level rows.  The walk's q is
 built on first request, and the index-native skew product must equal the
 string-id one of ``helpers.oracle_skew_product``, down to its errors and the
-``skew`` command's output.
+``skew`` command's output.  The one backward step behind the harmonic sweep,
+``is_harmonic`` and ``from_cotransition``'s check must report the first
+mismatch the string-id loops of ``helpers`` report, and each ergodic
+component must be the oracle's Doob transform, keep the walk's q and
+decompose to itself.
 """
 
 import contextlib
@@ -35,6 +39,7 @@ from bratteli import (
     BratteliError,
     CotransitionProbability,
     EdgePotential,
+    HarmonicSequence,
     IncompatibleData,
     MultiplicativeRationals,
     RandomWalk,
@@ -48,6 +53,7 @@ from bratteli import (
     ergodic_components,
     from_cotransition,
     harmonic_from_terminal,
+    is_harmonic,
     markov_cylinder_table,
     pascal_diagram,
     q_measure_witness,
@@ -62,9 +68,11 @@ from helpers import (
     fraction_pascal_rows,
     fraction_q_measure_witness,
     fraction_tsv,
+    oracle_cotransition_check,
     oracle_distributions,
     oracle_ergodic_components,
     oracle_harmonic_from_terminal,
+    oracle_is_harmonic,
     oracle_markov_cylinder_table,
     oracle_path,
     oracle_q_measure_witness,
@@ -183,6 +191,56 @@ def test_component_walks_match_oracle(rng):
         assert_same_walk(c.walk, walk)
 
 
+@settings(max_examples=30, deadline=None)
+@given(randoms)
+def test_components_keep_q_and_decompose_to_themselves(rng):
+    w = random_walk(rng, max_depth=5)
+    d = w.diagram
+    comps = ergodic_components(w)
+    assert [(c.terminal, c.weight) for c in comps] == list(w.nu(d.depth).items())
+    assert sum(c.weight for c in comps) == 1
+    for c in comps:
+        sub = c.walk.diagram
+        for n in range(1, d.depth + 1):
+            assert c.walk.cotransition.level(n) == {e.id: w.q(n, e.id) for e in sub.edges(n)}
+        (again,) = ergodic_components(c.walk)
+        assert (again.terminal, again.weight) == (c.terminal, 1)
+        assert_same_walk(again.walk, c.walk)
+
+
+def _perturb(rng, d, levels):
+    """``levels`` (one {vertex: value} per level) with one value, at a random
+    level and vertex, moved by a random rational (zero included)."""
+    n = rng.randint(0, d.depth)
+    v = rng.choice(d.vertices(n))
+    levels[n][v] += F(rng.randint(-3, 3), rng.randint(1, 4))
+    return levels
+
+
+@kernel_settings
+@given(randoms)
+def test_is_harmonic_matches_oracle(rng):
+    w = random_walk(rng)
+    d = w.diagram
+    h = harmonic_from_terminal(w, {v: rng.randint(-9, 9) for v in d.vertices(d.depth)})
+    h = HarmonicSequence(d, _perturb(rng, d, [h.level(n) for n in range(d.depth + 1)]))
+    assert is_harmonic(w, h) == oracle_is_harmonic(w, h)
+
+
+@kernel_settings
+@given(randoms)
+def test_cotransition_check_matches_oracle(rng):
+    w = random_walk(rng)
+    d = w.diagram
+    nus = _perturb(rng, d, [w.nu(n) for n in range(d.depth + 1)])
+    got = outcome(from_cotransition, d, w.cotransition, nus)
+    want = outcome(oracle_cotransition_check, d, w.cotransition, nus)
+    if want is None:
+        assert_same_walk(got, w)
+    else:
+        assert got == want
+
+
 def test_lazy_components_equal_eager_on_criterion_7_inputs():
     rng = random.Random(7)
     walks = [pascal_diagram(2, F(1, 2))[1], pascal_diagram(4, F(1, 2))[1]]
@@ -201,7 +259,7 @@ def test_weights_build_no_component_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("a component walk was built")
 
-    monkeypatch.setattr(bratteli.harmonic, "build_walk", refuse)
+    monkeypatch.setattr(bratteli.harmonic, "from_cotransition", refuse)
     _, w = pascal_diagram(6, F(1, 3))
     comps = ergodic_components(w)
     assert [c.weight for c in comps] == list(w.nu(6).values())
