@@ -29,7 +29,7 @@ from .fileio import (
 )
 from .harmonic import ergodic_components, harmonic_from_terminal
 from .rational import as_fraction, format_fraction, long_ints
-from .skew import pascal_diagram, skew_product
+from .skew import _skew_edges, pascal_diagram, skew_product
 from .walk import _q_ratios, markov_cylinder_table, q_measure_witness, radon_nikodym
 
 
@@ -50,25 +50,28 @@ def _render_json(value):
     return value
 
 
-ROW_BLOCK = 1024  # TSV rows per write: few writes, and no whole-table string
+ROW_BLOCK = 1024  # rows per write: few writes, and no whole-table string
 
 
 def emit(args, columns, rows):
-    """Write the table; ``rows`` is any iterable of tuples, read once.
+    """Write the table; ``rows`` is any iterable of tuples, read once and
+    written ROW_BLOCK rows at a time.  JSON is byte for byte
+    ``json.dumps({"columns": columns, "rows": rows})`` and a newline.
 
     Ints of any length render (see ``rational.long_ints``, whose lock this holds).
     """
+    out, rows = sys.stdout, iter(rows)
     with long_ints():
         if args.format == "json":
-            payload = {
-                "columns": list(columns),
-                "rows": [[_render_json(cell) for cell in row] for row in rows],
-            }
-            print(json.dumps(payload))
+            out.write(f'{{"columns": {json.dumps(list(columns))}, "rows": [')
+            sep = ""
+            while block := list(itertools.islice(rows, ROW_BLOCK)):
+                # a block's rows without the brackets of their list
+                out.write(sep + json.dumps([[_render_json(c) for c in row] for row in block])[1:-1])
+                sep = ", "
+            out.write("]}\n")
         else:
-            out = sys.stdout
             out.write("\t".join(columns) + "\n")
-            rows = iter(rows)
             while block := list(itertools.islice(rows, ROW_BLOCK)):
                 out.write("".join(map(_tsv_line, block)))
 
@@ -248,11 +251,17 @@ def cmd_skew(args) -> int:
     rho = potential_from_file(df)
     window = [rho.group.parse(part) for part in args.window.split(",") if part]
     sd = skew_product(df.diagram, rho, window)
-    d, names = sd.diagram, sd._element_names
-    vertex_rows = ((n, v, x) for n in range(d.depth + 1) for v, x in zip(d.vertices(n), names[n]))
+    d, keys, names = df.diagram, sd._keys, sd._names
+    vertex_rows = (
+        (n, f"{ids[i]}@{names[g]}", names[g])
+        for n, (ids, level) in enumerate(zip(d._vertices, keys))
+        for i, g in level
+    )
     # an edge (e, g) carries g rho(e), the element of its range vertex
     edge_rows = (
-        (n, e.id, names[n][j]) for n, rng in enumerate(d._rng, 1) for e, j in zip(d.edges(n), rng)
+        (m + 1, f"{edges[k].id}@{names[g]}", names[g2])
+        for m, edges in enumerate(d._edges)
+        for g, k, g2 in _skew_edges(d, rho, keys[m], m)
     )
     emit(args, ("level", "id", "value"), itertools.chain(vertex_rows, edge_rows))
     return 0

@@ -204,11 +204,21 @@ class ErgodicComponent:
     def walk(self) -> RandomWalk:
         """The walk with the source's q and the marginals swept back from the
         point mass at ``terminal``, on the subdiagram where they are positive."""
-        d, q = self.source.diagram, self.source.cotransition._rho
-        levels = [[int(v == self.terminal) for v in d.vertices(d.depth)]]
+        w = self.source
+        d, q = w.diagram, w.cotransition._rho
+        # level n of the marginals is integer numerators over dens[n]; q_n(e)
+        # is _mass[n-1][k] / _nu_num[n][index of r(e)], so each step brings
+        # the marginal over _nu_num[n] to one denominator, then pulls it
+        # through the integer edge measures
+        levels, dens = [[int(v == self.terminal) for v in d.vertices(d.depth)]], [1]
         for n in range(d.depth, 0, -1):
-            levels.insert(0, _pull(d, n, q[n - 1], levels[0]))
-        nus = [{v: x for v, x in zip(d.vertices(n), row) if x} for n, row in enumerate(levels)]
+            below, scale = _cancel(levels[0], w._nu_num[n])
+            levels.insert(0, _pull(d, n, w._mass[n - 1], below))
+            dens.insert(0, dens[0] * scale)
+        nus = [
+            {v: Fraction(x, den) for v, x in zip(d.vertices(n), row) if x}
+            for n, (row, den) in enumerate(zip(levels, dens))
+        ]
         qs = [
             {e.id: x for e, x, j in zip(d.edges(n), q[n - 1], d._rng[n - 1]) if levels[n][j]}
             for n in range(1, d.depth + 1)

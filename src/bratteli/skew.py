@@ -6,9 +6,12 @@ coordinate on every vertex: an edge (e, g) runs from (s(e), g) to
 (r(e), g * rho(e)).  Only the finitely many coordinates reachable from a
 user-supplied initial window are materialized, level by level; the windowed
 construction is equivariant under a common left translation of the window.
-It runs over the base diagram's integer indices and formats each distinct
-group element once; the skew diagram keeps those names for the ``skew``
-command's rows.
+It runs over the base diagram's integer indices and keeps only what defines
+the product: each level's sorted (base vertex index, element) keys and the
+name of each distinct element, formatted once.  The skew product as a
+``BratteliDiagram`` is built and validated when ``SkewDiagram.diagram`` is
+first read (lifted walks read it); the ``skew`` command streams its rows
+from the keys and builds none.
 
 Two generator families live here as well: the binomial triangle with its
 t-walk (whose cotransition is t-independent), and single-vertex diagrams
@@ -18,8 +21,10 @@ the edge set into the group.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .diagram import BratteliDiagram, Edge, FinitePath
@@ -80,47 +85,82 @@ def cotransition_potential(w: RandomWalk) -> EdgePotential:
     return w.cotransition
 
 
+def _skew_edges(d: BratteliDiagram, rho: EdgePotential, keys, m: int):
+    """The skew edges over floor m+1 out of the level-m ``keys``, in edge
+    order: (source element g, base edge index k, range element g rho(e_k))."""
+    out, row, op = d._out[m], rho._rho[m], rho.group.op
+    for i, g in keys:
+        for k in out[i]:
+            yield g, k, op(g, row[k])
+
+
 @dataclass(frozen=True, eq=False)
 class SkewDiagram:
     """A windowed skew product: the base diagram with group coordinates.
 
-    ``diagram`` is itself a valid Bratteli diagram whose ids are
-    'base@element'; ``pairs`` recovers (base id, group element) per level."""
+    Level n is ``_keys[n]``, its (base vertex index, group element) keys in
+    sorted order, and ``_names`` names each element; every accessor reads
+    these.  ``diagram``, the product as a valid Bratteli diagram whose ids
+    are 'base@element', is built on first read."""
 
     base: BratteliDiagram
     group: object
     potential: EdgePotential
     initial_window: tuple
-    diagram: BratteliDiagram
-    _vertex_pairs: tuple
-    _edge_pairs: tuple
-    _element_names: tuple  # per level, the name of each skew vertex's group element
+    _keys: tuple
+    _names: dict
+
+    @cached_property
+    def diagram(self) -> BratteliDiagram:
+        d, names = self.base, self._names
+        vertex_levels = [
+            [f"{ids[i]}@{names[g]}" for i, g in level] for ids, level in zip(d._vertices, self._keys)
+        ]
+        edge_levels = []
+        for m, (edges, src, rng) in enumerate(zip(d._edges, d._src, d._rng)):
+            here, there = d._vertices[m], d._vertices[m + 1]
+            edge_levels.append([
+                Edge(f"{edges[k].id}@{names[g]}", f"{here[src[k]]}@{names[g]}",
+                     f"{there[rng[k]]}@{names[g2]}")
+                for g, k, g2 in _skew_edges(d, self.potential, self._keys[m], m)
+            ])
+        skewed = BratteliDiagram(vertex_levels, edge_levels)
+        skewed.require_valid()
+        return skewed
+
+    @cached_property
+    def _element_names(self) -> tuple:
+        """Per level, the name of each skew vertex's group element."""
+        return tuple(tuple(self._names[g] for _, g in level) for level in self._keys)
 
     def window(self, n: int) -> tuple:
         """Group elements present at level n, sorted."""
-        return tuple(sorted({g for (_, g) in self._vertex_pairs[n]}))
+        return tuple(sorted({g for _, g in self._keys[n]}))
 
     def vertex_pairs(self, n: int) -> tuple:
         """(base vertex id, group element) per skew vertex, in vertex order."""
-        return self._vertex_pairs[n]
+        ids = self.base._vertices[n]
+        return tuple((ids[i], g) for i, g in self._keys[n])
 
     def edge_pairs(self, n: int) -> tuple:
         """(base edge id, source group element) per skew edge, in edge order."""
-        return self._edge_pairs[n - 1]
+        edges, out = self.base._edges[n - 1], self.base._out[n - 1]
+        return tuple((edges[k].id, g) for i, g in self._keys[n - 1] for k in out[i])
 
     def vertex_id(self, n: int, base_vertex: str, g) -> str:
-        name = f"{base_vertex}@{self.group.format(g)}"
-        if not self.diagram.has_vertex(n, name):
-            raise WindowError(
-                f"group element {self.group.format(g)} is not in the level-{n} window "
-                f"(vertex '{base_vertex}')"
-            )
-        return name
+        name = self.group.format(g)
+        if self.base.has_vertex(n, base_vertex):
+            # the keys of base vertex i are a run of the sorted level
+            keys, i = self._keys[n], self.base._vidx[n][base_vertex]
+            run = keys[bisect.bisect_left(keys, (i,)):bisect.bisect_left(keys, (i + 1,))]
+            if any(self._names[h] == name for _, h in run):
+                return f"{base_vertex}@{name}"
+        raise WindowError(f"group element {name} is not in the level-{n} window (vertex '{base_vertex}')")
 
     def source_range_law_holds(self) -> bool:
         """s(e,g) = (s(e), g) and r(e,g) = (r(e), g rho(e)) on every skew edge."""
         for n in range(1, self.diagram.depth + 1):
-            for edge, (base_id, g) in zip(self.diagram.edges(n), self._edge_pairs[n - 1]):
+            for edge, (base_id, g) in zip(self.diagram.edges(n), self.edge_pairs(n)):
                 base_edge = self.base.edge(n, base_id)
                 g2 = self.group.op(g, self.potential(n, base_id))
                 if edge.src != f"{base_edge.src}@{self.group.format(g)}":
@@ -131,7 +171,10 @@ class SkewDiagram:
 
 
 def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window) -> SkewDiagram:
-    """Build the reachable part of the skew product over the initial window."""
+    """The reachable part of the skew product over the initial window.
+
+    Only the sorted keys of each level and the element names are computed;
+    the skew diagram itself is built when ``diagram`` is first read."""
     d.require_valid()
     if rho.diagram is not d:
         raise IncompatibleData("potential must be built on the diagram being skewed")
@@ -140,42 +183,14 @@ def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window) -> Skew
     if not window0:
         raise WindowError("initial window is empty")
     names = {g: group.format(g) for g in window0}  # each element's name, formatted once
-    # a level's skew vertices are (base vertex index, element) keys, sorted
-    keys = [[(i, g) for i in range(len(d._vertices[0])) for g in window0]]
-    vertex_levels = [[f"{d._vertices[0][i]}@{names[g]}" for i, g in keys[0]]]
-    edge_levels, edge_pairs = [], []
-    for m, (out, rng, row) in enumerate(zip(d._out, d._rng, rho._rho)):
-        reached = {}  # key -> skew vertex id
-        edges_here, pairs_here = [], []
-        for (i, g), src in zip(keys[m], vertex_levels[m]):
-            for k in out[i]:
-                j, g2 = rng[k], group.op(g, row[k])
-                target = reached.get((j, g2))
-                if target is None:
-                    if g2 not in names:
-                        names[g2] = group.format(g2)
-                    target = reached[j, g2] = f"{d._vertices[m + 1][j]}@{names[g2]}"
-                eid = d._edges[m][k].id
-                edges_here.append(Edge(f"{eid}@{names[g]}", src, target))
-                pairs_here.append((eid, g))
-        keys.append(sorted(reached))
-        vertex_levels.append([reached[key] for key in keys[-1]])
-        edge_levels.append(edges_here)
-        edge_pairs.append(tuple(pairs_here))
-    skewed = BratteliDiagram(vertex_levels, edge_levels)
-    skewed.require_valid()
-    return SkewDiagram(
-        base=d,
-        group=group,
-        potential=rho,
-        initial_window=tuple(window0),
-        diagram=skewed,
-        _vertex_pairs=tuple(
-            tuple((ids[i], g) for i, g in level) for ids, level in zip(d._vertices, keys)
-        ),
-        _edge_pairs=tuple(edge_pairs),
-        _element_names=tuple(tuple(names[g] for _, g in level) for level in keys),
-    )
+    keys = [tuple((i, g) for i in range(len(d._vertices[0])) for g in window0)]
+    for m, rng in enumerate(d._rng):
+        reached = {(rng[k], g2) for _, k, g2 in _skew_edges(d, rho, keys[m], m)}
+        for _, g in reached:
+            if g not in names:
+                names[g] = group.format(g)
+        keys.append(tuple(sorted(reached)))
+    return SkewDiagram(d, group, rho, tuple(window0), tuple(keys), names)
 
 
 def lift_walk(sd: SkewDiagram, w: RandomWalk, lam0: Mapping) -> RandomWalk:

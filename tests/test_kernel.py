@@ -5,11 +5,14 @@ arithmetic on string ids gives (``helpers.oracle_*``), on random valid
 diagrams and walks; so must every cylinder table and q-measure verdict built
 on the shared path tree, down to key order and error messages, and so must
 the Fraction versions of the integer path-tree kernels and of the table
-parser and renderer (``helpers.fraction_*``).  p and q are edge potentials:
-their path values must be the products of their level rows.  The walk's q is
-built on first request, and the index-native skew product must equal the
-string-id one of ``helpers.oracle_skew_product``, down to its errors and the
-``skew`` command's output.  The one backward step behind the harmonic sweep,
+parser and renderer (``helpers.fraction_*``); the streamed JSON table must
+be the bytes of ``json.dumps`` of the whole table.  p and q are edge
+potentials: their path values must be the products of their level rows.  The
+walk's q is built on first request, and the index-native skew product must
+equal the string-id one of ``helpers.oracle_skew_product``, down to its
+errors and the ``skew`` command's output; its accessors must not depend on
+the skew diagram, which is built on first read and which ``skew`` never
+builds.  The one backward step behind the harmonic sweep,
 ``is_harmonic`` and ``from_cotransition``'s check must report the first
 mismatch the string-id loops of ``helpers`` report, and each ergodic
 component must be the oracle's Doob transform, keep the walk's q and
@@ -20,6 +23,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
 import threading
 import time
@@ -56,6 +60,7 @@ from bratteli import (
     is_harmonic,
     markov_cylinder_table,
     pascal_diagram,
+    pascal_edge_potential,
     q_measure_witness,
     skew_product,
     table_from_leaves,
@@ -422,6 +427,48 @@ def test_tsv_rows_match_fraction_renderer(columns, rows, block):
     assert out.getvalue() == fraction_tsv(columns, rows)
 
 
+def json_oracle(columns, rows) -> str:
+    """``json.dumps`` of the whole table, with ints of any length."""
+    payload = {
+        "columns": list(columns),
+        "rows": [
+            [{"num": c.numerator, "den": c.denominator} if isinstance(c, F) else c for c in row]
+            for row in rows
+        ],
+    }
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+LONG_INTS = st.builds(
+    lambda k, sign: sign * (10**k - 1), st.integers(4301, 4400), st.sampled_from([1, -1])
+)
+JSON_CELLS = st.one_of(
+    TSV_CELLS,
+    LONG_INTS,
+    st.builds(F, LONG_INTS, st.integers(1, 10**9)),
+    st.text(alphabet="aé∂\u00a0\U0001d11e\"\\\n\t", max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(max_size=4), min_size=1, max_size=3),
+    st.lists(st.lists(JSON_CELLS, min_size=1, max_size=4).map(tuple), max_size=12),
+    st.sampled_from([1, 2, 5, cli.ROW_BLOCK]),
+)
+@example(["level", "id", "value"], [], 1)
+def test_json_rows_match_whole_table_dump(columns, rows, block):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(cli, "ROW_BLOCK", block):
+        cli.emit(SimpleNamespace(format="json"), columns, iter(rows))
+    assert out.getvalue() == json_oracle(columns, rows)
+
+
 # -- the cotransition, built on first request -----------------------------------
 
 
@@ -564,3 +611,70 @@ def test_skew_command_matches_oracle_rows(rng, kind, fmt):
         with contextlib.redirect_stdout(out):
             code = cli.main(["skew", str(path), f"--window={text}", "--format", fmt])
     assert (code, out.getvalue()) == (0, want)
+
+
+def skew_accessors(sd, outside):
+    """Every value a skew product hands out other than ``diagram``, with the
+    outcome of ``vertex_id`` on each reached key (as an element and as its
+    name), on the element ``outside`` of every window, on an unknown base
+    vertex and past the last level."""
+    base, depth, fmt = sd.base, sd.base.depth, sd.group.format
+    values = [sd.initial_window, sd._element_names]
+    for n in range(depth + 1):
+        pairs = sd.vertex_pairs(n)
+        values += [sd.window(n), pairs]
+        values += [outcome(sd.vertex_id, n, v, g) for v, g in pairs]
+        values += [outcome(sd.vertex_id, n, v, fmt(g)) for v, g in pairs[:2]]
+        values.append(outcome(sd.vertex_id, n, base.vertices(n)[0], outside))
+        values.append(outcome(sd.vertex_id, n, "no-such-vertex", sd.window(n)[0]))
+    values.append(outcome(sd.vertex_id, depth + 1, base.vertices(0)[0], sd.initial_window[0]))
+    values += [sd.edge_pairs(n) for n in range(1, depth + 1)]
+    return values
+
+
+@kernel_settings
+@given(randoms, st.sampled_from([1, 2, "rationals"]))
+def test_skew_accessors_do_not_need_the_diagram(rng, kind):
+    d = shuffled_floors(rng, random_diagram(rng, max_depth=5))
+    rho, window = random_potential(rng, d, kind)
+    lazy, eager = skew_product(d, rho, window), skew_product(d, rho, window)
+    # no drawn element reaches a coordinate of 100, nor a factor 7
+    outside = F(7) if kind == "rationals" else (100,) * kind
+    before = skew_accessors(lazy, outside)
+    assert "diagram" not in vars(lazy)
+    built = eager.diagram
+    assert eager.diagram is built
+    assert skew_accessors(eager, outside) == before
+    skewed, _, _ = oracle_skew_product(d, rho, window)
+    assert lazy.diagram is lazy.diagram
+    for n in range(d.depth + 1):
+        assert lazy.diagram.vertices(n) == built.vertices(n) == skewed.vertices(n)
+        assert [lazy.vertex_id(n, v, g) for v, g in lazy.vertex_pairs(n)] == list(skewed.vertices(n))
+        assert outcome(lazy.vertex_id, n, d.vertices(n)[0], outside)[0] is WindowError
+    for n in range(1, d.depth + 1):
+        assert lazy.diagram.edges(n) == built.edges(n) == skewed.edges(n)
+    assert skew_accessors(lazy, outside) == before
+    assert lazy.source_range_law_holds()
+
+
+def test_skew_command_builds_only_the_base_diagram(tmp_path, monkeypatch):
+    d, _ = pascal_diagram(6, F(1, 3))
+    rho = pascal_edge_potential(d)
+    values = {(n, e): list(g) for n in range(1, d.depth + 1) for e, g in rho.level(n).items()}
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(dump_diagram(d, rho=values)))
+    built = []
+    init = BratteliDiagram.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BratteliDiagram, "__init__", counting_init)
+    for fmt in ("tsv", "json"):
+        built.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["skew", str(path), "--window=-1,0,2", "--format", fmt]) == 0
+        assert len(built) == 1 and built[0].depth == d.depth
+        assert "6:2@1" in out.getvalue()
