@@ -36,14 +36,12 @@ from .errors import (
 )
 from .fdalg import (
     AlgebraElement,
-    AlgebraStructure,
     DiagonalizedState,
     ExpectationReport,
     FiniteEquivRelation,
     InclusionGraph,
     ModelExpectation,
     TorusCocycle,
-    algebra_of,
     brute_force_commutant,
     canonical_units,
     commutant_embed_k,
@@ -85,7 +83,6 @@ from .harmonic import (
 from .skew import (
     SkewDiagram,
     ZLattice,
-    cotransition_potential,
     lift_walk,
     pascal_diagram,
     pascal_edge_potential,

@@ -84,12 +84,7 @@ class BratteliDiagram:
         vs = tuple(tuple(level) for level in vertices)
         if len(vs) < 2:
             raise InvalidDiagram("a diagram needs depth >= 1 (at least two vertex levels)")
-        es = []
-        for level in edges:
-            row = []
-            for e in level:
-                row.append(e if isinstance(e, Edge) else Edge(*e))
-            es.append(tuple(row))
+        es = [tuple(e if isinstance(e, Edge) else Edge(*e) for e in level) for level in edges]
         if len(es) != len(vs) - 1:
             raise InvalidDiagram(
                 f"got {len(vs)} vertex levels but {len(es)} edge levels; need one edge level per floor"
@@ -98,9 +93,7 @@ class BratteliDiagram:
         self._edges = tuple(es)
         self._vidx = tuple({v: i for i, v in enumerate(level)} for level in vs)
         self._eidx = tuple({e.id: i for i, e in enumerate(level)} for level in self._edges)
-        self._violations = tuple(self._scan())
-        if not self._violations:
-            self._build_adjacency()
+        self._violations = tuple(self._index())
 
     # -- structure accessors ------------------------------------------------
 
@@ -191,65 +184,48 @@ class BratteliDiagram:
 
     # -- validation ----------------------------------------------------------
 
-    def _scan(self):
-        found = []
+    def _index(self):
+        """Dense integer indices for the package's hot loops, per floor m = n - 1,
+        and the violations read off them: ``_src[m][k]`` / ``_rng[m][k]`` index
+        the endpoints of edge k of E(n) in V(n-1) / V(n), None where an id does
+        not resolve; ``_out[m][i]`` / ``_in[m][j]`` list the edge indices leaving
+        vertex i of V(n-1) / entering vertex j of V(n), in edge order.  A vertex
+        whose row, read through its id, is empty emits or receives no edge."""
+        vidx, found = self._vidx, []
         for n, level in enumerate(self._vertices):
             if not level:
                 found.append(Violation(n, f"V({n})", "level has no vertices"))
-            if len(self._vidx[n]) != len(level):
-                seen = set()
-                for v in level:
-                    if v in seen:
-                        found.append(Violation(n, f"vertex '{v}'", "duplicate identifier"))
-                    seen.add(v)
-        for m, row in enumerate(self._edges):
-            n = m + 1
-            if len(self._eidx[m]) != len(row):
-                seen = set()
-                for e in row:
-                    if e.id in seen:
-                        found.append(Violation(n, f"edge '{e.id}'", "duplicate identifier"))
-                    seen.add(e.id)
-            for e in row:
-                if e.src not in self._vidx[n - 1]:
-                    found.append(Violation(n, f"edge '{e.id}'", f"source '{e.src}' not in V({n - 1})"))
-                if e.rng not in self._vidx[n]:
-                    found.append(Violation(n, f"edge '{e.id}'", f"range '{e.rng}' not in V({n})"))
-        # emission / reception, only meaningful where endpoints resolve
-        for m, row in enumerate(self._edges):
-            n = m + 1
-            emitting = {e.src for e in row}
-            receiving = {e.rng for e in row}
-            for v in self._vertices[n - 1]:
-                if v not in emitting:
-                    found.append(Violation(n - 1, f"vertex '{v}'", "emits no edge"))
-            for v in self._vertices[n]:
-                if v not in receiving:
-                    found.append(Violation(n, f"vertex '{v}'", "receives no edge"))
-        return found
-
-    def _build_adjacency(self):
-        """Dense integer indices for the package's hot loops, per floor m = n - 1:
-        ``_src[m][k]`` / ``_rng[m][k]`` index the endpoints of edge k of E(n) in
-        V(n-1) / V(n); ``_out[m][i]`` / ``_in[m][j]`` list the edge indices
-        leaving vertex i of V(n-1) / entering vertex j of V(n), in edge order."""
+            found += _duplicates(n, "vertex", level, vidx[n])
         src, rng, out, inc = [], [], [], []
         for m, row in enumerate(self._edges):
-            s = tuple(self._vidx[m][e.src] for e in row)
-            r = tuple(self._vidx[m + 1][e.rng] for e in row)
+            n, here, there = m + 1, vidx[m], vidx[m + 1]
+            found += _duplicates(n, "edge", [e.id for e in row], self._eidx[m])
+            s = [here.get(e.src) for e in row]
+            r = [there.get(e.rng) for e in row]
             o = [[] for _ in self._vertices[m]]
-            i = [[] for _ in self._vertices[m + 1]]
-            for k, (a, b) in enumerate(zip(s, r)):
-                o[a].append(k)
-                i[b].append(k)
-            src.append(s)
-            rng.append(r)
-            out.append(tuple(tuple(x) for x in o))
-            inc.append(tuple(tuple(x) for x in i))
+            i = [[] for _ in self._vertices[n]]
+            for k, (e, a, b) in enumerate(zip(row, s, r)):
+                if a is None:
+                    found.append(Violation(n, f"edge '{e.id}'", f"source '{e.src}' not in V({m})"))
+                else:
+                    o[a].append(k)
+                if b is None:
+                    found.append(Violation(n, f"edge '{e.id}'", f"range '{e.rng}' not in V({n})"))
+                else:
+                    i[b].append(k)
+            src.append(tuple(s))
+            rng.append(tuple(r))
+            out.append(tuple(map(tuple, o)))
+            inc.append(tuple(map(tuple, i)))
+        for m, floor in enumerate(zip(out, inc)):
+            for n, rows, rule in zip((m, m + 1), floor, ("emits no edge", "receives no edge")):
+                ids, index = self._vertices[n], vidx[n]
+                found += [Violation(n, f"vertex '{v}'", rule) for v in ids if not rows[index[v]]]
         self._src = tuple(src)
         self._rng = tuple(rng)
         self._out = tuple(out)
         self._in = tuple(inc)
+        return found
 
     def validate(self) -> list[Violation]:
         """All invariant violations; empty iff the diagram is valid."""
@@ -326,6 +302,19 @@ class BratteliDiagram:
 
     def path_edges(self, p: FinitePath) -> list[Edge]:
         return [self.edge(p.start_level + i + 1, eid) for i, eid in enumerate(p.edges)]
+
+
+def _duplicates(n: int, kind: str, ids, index) -> list[Violation]:
+    """A violation per repeat of an id in ``ids``; none when ``index``, the
+    level's id map, has one key per id."""
+    if len(index) == len(ids):
+        return []
+    seen, found = set(), []
+    for x in ids:
+        if x in seen:
+            found.append(Violation(n, f"{kind} '{x}'", "duplicate identifier"))
+        seen.add(x)
+    return found
 
 
 def _tree_levels(d: BratteliDiagram, from_level: int, to_level: int):

@@ -114,24 +114,6 @@ class FiniteEquivRelation:
         return hash((self.X, self.V, tuple(sorted(self._r.items(), key=repr))))
 
 
-@dataclass(frozen=True)
-class AlgebraStructure:
-    """Shape of the relation algebra: block sizes and total dimension."""
-
-    dimension: int
-    block_sizes: tuple[int, ...]
-    classes: tuple[tuple, ...]
-
-
-def algebra_of(rel: FiniteEquivRelation) -> AlgebraStructure:
-    classes = rel.classes()
-    return AlgebraStructure(
-        dimension=sum(len(c) ** 2 for c in classes),
-        block_sizes=tuple(len(c) for c in classes),
-        classes=classes,
-    )
-
-
 class AlgebraElement:
     """A matrix supported on a finite equivalence relation, stored sparsely.
 
@@ -454,7 +436,8 @@ def verify_expectation(
     left/right module property over sub_basis (which gives the two-sided
     version by composing the one-sided identities), positivity of Q(f*f) on
     random f, and faithfulness via positive definiteness of the class Gram
-    matrices t(u,v) = trace Q(e(u,v)).
+    matrices t(u,v) = trace Q(e(u,v)), decided exactly (no tolerance) when
+    their entries are ints and Fractions.
 
     Q is applied once to each matrix unit, and the module and faithfulness
     checks read those images instead of applying Q again wherever the element
@@ -612,23 +595,38 @@ def verify_expectation(
             break
 
     for cls_ in classes:
-        n = len(cls_)
-        gram = np.zeros((n, n), dtype=complex)
-        for i, x in enumerate(cls_):
-            for j, y in enumerate(cls_):
-                gram[i, j] = complex(images[index[(x, y)]].trace())
+        rows = [[images[index[(x, y)]].trace() for y in cls_] for x in cls_]
+        gram = np.array(rows, dtype=complex)
         asym = float(np.max(np.abs(gram - gram.conj().T)))
-        if asym > tol * max(1.0, float(np.max(np.abs(gram)))):
+        low = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)))
+        if all(isinstance(v, _EXACT) for row in rows for v in row):  # decided exactly
+            hermitian = rows == [list(col) for col in zip(*rows)]
+            definite = hermitian and _positive_definite(rows)
+        else:
+            hermitian, definite = asym <= tol * max(1.0, float(np.max(np.abs(gram)))), low > tol
+        if not hermitian:
             report._fail("faithful", f"trace form not hermitian (off by {asym:.3g})")
             break
-        low = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)))
-        if low <= tol:
+        if not definite:
             report._fail(
                 "faithful",
                 f"trace form on class of {cls_[0]!r} is not positive definite (min eig {low:.3g})",
             )
             break
     return report
+
+
+def _positive_definite(rows) -> bool:
+    """Whether the symmetric exact matrix ``rows`` is positive definite: every
+    pivot of its elimination in Fractions, without pivoting, is > 0."""
+    a = [list(map(Fraction, row)) for row in rows]
+    for k, top in enumerate(a):
+        if top[k] <= 0:
+            return False
+        for row in a[k + 1:]:
+            factor = row[k] / top[k]
+            row[k:] = [x - factor * y for x, y in zip(row[k:], top[k:])]
+    return True
 
 
 def _pairs_to_check(touched: list, count: int, q_zero: Callable) -> Iterator[int]:

@@ -34,14 +34,19 @@ from .rational import as_fraction, long_str
 from .walk import EdgePotential, RandomWalk, build_walk
 
 
+@dataclass(frozen=True)
 class ZLattice:
     """Integer vectors of a fixed rank under addition."""
 
-    def __init__(self, rank: int = 1):
-        if rank < 1:
-            raise IncompatibleData(f"lattice rank must be >= 1, got {rank}")
-        self.rank = rank
-        self.identity = (0,) * rank
+    rank: int = 1
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise IncompatibleData(f"lattice rank must be >= 1, got {self.rank}")
+
+    @property
+    def identity(self):
+        return (0,) * self.rank
 
     def op(self, a, b):
         return tuple(map(operator.add, a, b))
@@ -71,18 +76,6 @@ class ZLattice:
 
     def format(self, g) -> str:
         return "_".join(str(x) for x in g)
-
-    def __eq__(self, other):
-        return isinstance(other, ZLattice) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("ZLattice", self.rank))
-
-
-def cotransition_potential(w: RandomWalk) -> EdgePotential:
-    """The walk's cotransition, a multiplicative-rational edge potential whose
-    group cocycle is the walk's density cocycle."""
-    return w.cotransition
 
 
 def _skew_edges(d: BratteliDiagram, rho: EdgePotential, keys, m: int):
@@ -127,11 +120,6 @@ class SkewDiagram:
         skewed = BratteliDiagram(vertex_levels, edge_levels)
         skewed.require_valid()
         return skewed
-
-    @cached_property
-    def _element_names(self) -> tuple:
-        """Per level, the name of each skew vertex's group element."""
-        return tuple(tuple(self._names[g] for _, g in level) for level in self._keys)
 
     def window(self, n: int) -> tuple:
         """Group elements present at level n, sorted."""

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -69,13 +70,6 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Integer numerators of ``values`` over the lcm of their denominators."""
     den = math.lcm(*(x.denominator for x in values))
     return tuple(x.numerator * (den // x.denominator) for x in values), den
-
-
-def _over_group_lcm(row: Sequence[Fraction], groups, owner) -> tuple[tuple[int, ...], list[int]]:
-    """Integer numerators of the edge values ``row``, each over the lcm of
-    the denominators in its owner vertex's group of edges; and those lcms."""
-    dens = [math.lcm(*(row[k].denominator for k in ks)) for ks in groups]
-    return tuple(x.numerator * (dens[i] // x.denominator) for x, i in zip(row, owner)), dens
 
 
 def _cancel(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
@@ -127,6 +121,26 @@ def _require_stochastic(d: BratteliDiagram, n: int, nums, units, incoming: bool,
             )
 
 
+def _stochastic(pot, d: BratteliDiagram, values, incoming: bool, what: str, sym: str):
+    """Set ``pot`` up as the edge values ``values`` on ``d``, aligned and
+    checked by ``_require_stochastic``: unit sums over out-edges, or in-edges
+    when ``incoming``.  Returns per level the integer numerators of the values,
+    each over the lcm of the denominators on its owner vertex's edges, and
+    those lcms by owner."""
+    d.require_valid()
+    pot.diagram = d
+    pot._rho = d.align("edge", values, as_fraction, what, IncompatibleData)
+    groups, owners = (d._in, d._rng) if incoming else (d._out, d._src)
+    levels = []
+    for n, row in enumerate(pot._rho, start=1):
+        dens = tuple(math.lcm(*(row[k].denominator for k in ks)) for ks in groups[n - 1])
+        nums = tuple(x.numerator * (dens[i] // x.denominator) for x, i in zip(row, owners[n - 1]))
+        _require_stochastic(d, n, nums, dens, incoming, what, sym)
+        levels.append((nums, dens))
+    return levels
+
+
+@dataclass(frozen=True)
 class MultiplicativeRationals:
     """Positive rationals under multiplication."""
 
@@ -146,12 +160,6 @@ class MultiplicativeRationals:
 
     def format(self, g) -> str:
         return format_fraction(g)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiplicativeRationals)
-
-    def __hash__(self):
-        return hash("MultiplicativeRationals")
 
 
 class EdgePotential:
@@ -200,18 +208,10 @@ class TransitionProbability(EdgePotential):
     group = MultiplicativeRationals()
 
     def __init__(self, d: BratteliDiagram, values: Sequence[Mapping[str, object]]):
-        d.require_valid()
-        self.diagram = d
-        self._rho = d.align("edge", values, as_fraction, "transition probability", IncompatibleData)
-        nums, dens = [], []
-        for n, row in enumerate(self._rho, start=1):
-            num, den = _over_group_lcm(row, d._out[n - 1], d._src[n - 1])
-            _require_stochastic(d, n, num, den, False, "transition probability", "p")
-            nums.append(num)
-            dens.append(tuple(den))
+        levels = _stochastic(self, d, values, False, "transition probability", "p")
         # p_n(e_k) = _num[n - 1][k] / _den[n - 1][index of s(e_k)]
-        self._num = tuple(nums)
-        self._den = tuple(dens)
+        self._num = tuple(num for num, _ in levels)
+        self._den = tuple(den for _, den in levels)
 
     @classmethod
     def uniform(cls, d: BratteliDiagram) -> "TransitionProbability":
@@ -265,12 +265,7 @@ class CotransitionProbability(EdgePotential):
     group = MultiplicativeRationals()
 
     def __init__(self, d: BratteliDiagram, values: Sequence[Mapping[str, object]]):
-        d.require_valid()
-        self.diagram = d
-        self._rho = d.align("edge", values, as_fraction, "cotransition probability", IncompatibleData)
-        for n, row in enumerate(self._rho, start=1):
-            num, den = _over_group_lcm(row, d._in[n - 1], d._rng[n - 1])
-            _require_stochastic(d, n, num, den, True, "cotransition probability", "q")
+        _stochastic(self, d, values, True, "cotransition probability", "q")
 
     @classmethod
     def _from_rows(cls, d: BratteliDiagram, rows) -> "CotransitionProbability":

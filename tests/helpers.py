@@ -24,6 +24,7 @@ from bratteli import (
     PathError,
     SupportViolation,
     IncompatibleData,
+    Violation,
     WindowError,
     build_walk,
     count_paths,
@@ -113,6 +114,69 @@ def chain_walk(depth):
     return build_walk(
         d, [{f"l{n}": 1} for n in range(1, depth + 1)], {"c0": 1}
     )
+
+
+# -- the diagram's violations ----------------------------------------------------
+
+
+def oracle_violations(d):
+    """Every broken invariant of ``d``, found with string-id sets: empty
+    levels and duplicate vertex ids level by level, then per edge level its
+    duplicate edge ids and each edge's unresolved source and range, then per
+    floor the vertices that emit no edge and those that receive none."""
+    found = []
+    for n, level in enumerate(d._vertices):
+        if not level:
+            found.append(Violation(n, f"V({n})", "level has no vertices"))
+        if len(d._vidx[n]) != len(level):
+            seen = set()
+            for v in level:
+                if v in seen:
+                    found.append(Violation(n, f"vertex '{v}'", "duplicate identifier"))
+                seen.add(v)
+    for m, row in enumerate(d._edges):
+        n = m + 1
+        if len(d._eidx[m]) != len(row):
+            seen = set()
+            for e in row:
+                if e.id in seen:
+                    found.append(Violation(n, f"edge '{e.id}'", "duplicate identifier"))
+                seen.add(e.id)
+        for e in row:
+            if e.src not in d._vidx[n - 1]:
+                found.append(Violation(n, f"edge '{e.id}'", f"source '{e.src}' not in V({n - 1})"))
+            if e.rng not in d._vidx[n]:
+                found.append(Violation(n, f"edge '{e.id}'", f"range '{e.rng}' not in V({n})"))
+    for m, row in enumerate(d._edges):
+        n = m + 1
+        emitting = {e.src for e in row}
+        receiving = {e.rng for e in row}
+        for v in d._vertices[n - 1]:
+            if v not in emitting:
+                found.append(Violation(n - 1, f"vertex '{v}'", "emits no edge"))
+        for v in d._vertices[n]:
+            if v not in receiving:
+                found.append(Violation(n, f"vertex '{v}'", "receives no edge"))
+    return found
+
+
+def oracle_adjacency(d):
+    """``(_src, _rng, _out, _in)`` of a valid diagram, built with dicts keyed
+    by vertex id."""
+    src, rng, out, inc = [], [], [], []
+    for m, row in enumerate(d._edges):
+        here = {v: i for i, v in enumerate(d.vertices(m))}
+        there = {v: j for j, v in enumerate(d.vertices(m + 1))}
+        leaving = {v: [] for v in d.vertices(m)}
+        entering = {v: [] for v in d.vertices(m + 1)}
+        for k, e in enumerate(row):
+            leaving[e.src].append(k)
+            entering[e.rng].append(k)
+        src.append(tuple(here[e.src] for e in row))
+        rng.append(tuple(there[e.rng] for e in row))
+        out.append(tuple(tuple(ks) for ks in leaving.values()))
+        inc.append(tuple(tuple(ks) for ks in entering.values()))
+    return tuple(src), tuple(rng), tuple(out), tuple(inc)
 
 
 # -- reference oracles for the walk kernel ---------------------------------------

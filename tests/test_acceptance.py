@@ -22,7 +22,6 @@ from bratteli import (
     canonical_units,
     check_q_measure,
     commutant_embed_k,
-    cotransition_potential,
     cylinder_measure,
     enumerate_paths,
     ergodic_components,
@@ -312,7 +311,7 @@ def test_criterion_13_skew_product_laws():
         for _ in range(10):
             w = random_walk_with_multipath(rng, max_depth=5)
             d = w.diagram
-            rho_q = cotransition_potential(w)
+            rho_q = w.cotransition
             by_end: dict = {}
             for a in enumerate_paths(d, 0, d.depth):
                 by_end.setdefault(a.terminus, []).append(a)

@@ -353,6 +353,30 @@ def test_extractp(tmp_path, capsys):
     assert out.splitlines() == ["level\tid\tvalue", "1\ta\t1/3", "1\tb\t2/3"]
 
 
+# p(c3) = 10^-12: the class Gram matrix of ('x0', 'c3') is positive definite,
+# with a smallest eigenvalue far below the default tolerance of 1e-9
+SMALL_P = {
+    "vertices": [["v0", "v1"], ["w0", "w1"]],
+    "edges": [[{"id": "c0", "src": "v1", "rng": "w1", "p": "8/25"},
+               {"id": "c1", "src": "v0", "rng": "w0", "p": "1999999999991/9000000000000"},
+               {"id": "c2", "src": "v0", "rng": "w0", "p": "7/9"},
+               {"id": "c3", "src": "v0", "rng": "w1", "p": "1/1000000000000"},
+               {"id": "c4", "src": "v1", "rng": "w0", "p": "9/25"},
+               {"id": "c5", "src": "v1", "rng": "w0", "p": "8/25"}]],
+    "X": {"x0": "v0", "x1": "v1", "x2": "v1", "x3": "v0"},
+}
+
+
+def test_expect_decides_faithfulness_exactly(tmp_path, capsys):
+    g = write_json(tmp_path, "graph.json", SMALL_P)
+    code, out, err = run_main(capsys, ["expect", "--graph", g])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "faithful\tpass"
+    code, out, _ = run_main(capsys, ["extractp", "--graph", g])
+    assert code == 0
+    assert "1\tc3\t1/1000000000000" in out.splitlines()
+
+
 def _graph_file(vertices=(("v",), ("w",)), edges=(("a", "v", "w", "1/3"), ("b", "v", "w", "2/3")),
                 X=None):
     return {
@@ -500,6 +524,42 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     code, _, err = run_main(capsys, ["measure", f])
     assert code == 2
     assert err.startswith("parse error:")
+
+
+def _set_first_edge(key, value):
+    return lambda payload: payload["edges"][0][0].update({key: value})
+
+
+# argv with FILE for the file, the change to VEE's payload, the exit code
+# and the stderr line
+MALFORMED = {
+    "p-not-a-rational": (
+        ["measure", "FILE"], _set_first_edge("p", "abc"), 2,
+        "parse error: edge 'ea' field 'p': not a rational: 'abc' "
+        "(Invalid literal for Fraction: 'abc')"),
+    "p-zero-denominator": (
+        ["measure", "FILE"], _set_first_edge("p", "1/0"), 2,
+        "parse error: edge 'ea' field 'p': not a rational: '1/0' (Fraction(1, 0))"),
+    "rho-on-some-edges": (
+        ["skew", "FILE", "--window", "0"], _set_first_edge("rho", 1), 2,
+        "parse error: some edges carry 'rho' and some do not; supply all or none"),
+    "nu0-not-an-object": (
+        ["measure", "FILE"], lambda payload: payload.update(nu0=["a", "b"]), 2,
+        "parse error: 'nu0' must be an object mapping vertices to rationals"),
+    "path-of-empty-ids": (
+        ["rn", "FILE", "--a", ",", "--b", "ea"], lambda payload: None, 1,
+        "error: cannot parse path ','"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_codes(tmp_path, capsys, case):
+    argv, change, expected_code, expected_err = MALFORMED[case]
+    payload = json.loads(json.dumps(VEE))
+    change(payload)
+    f = write_json(tmp_path, "file.json", payload)
+    code, out, err = run_main(capsys, [f if x == "FILE" else x for x in argv])
+    assert (code, out, err) == (expected_code, "", expected_err + "\n")
 
 
 def repeated_key(payload, key):

@@ -5,6 +5,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bratteli
 from bratteli import (
@@ -28,7 +30,13 @@ from bratteli import (
     tail_related,
 )
 
-from helpers import chain_diagram, oracle_enumerate_paths, random_diagram
+from helpers import (
+    chain_diagram,
+    oracle_adjacency,
+    oracle_enumerate_paths,
+    oracle_violations,
+    random_diagram,
+)
 
 
 def two_level(edges):
@@ -102,6 +110,41 @@ def test_violation_duplicates_and_empty_level():
     rules = [v.rule for v in d.validate()]
     assert "duplicate identifier" in rules
     assert "level has no vertices" in rules
+
+
+@st.composite
+def malformed_diagrams(draw):
+    """Small diagrams over a few shared ids: levels may be empty or repeat a
+    vertex id, edge ids repeat, an endpoint may name no vertex of its level
+    ('z' names none at all), and vertices may emit or receive nothing."""
+    depth = draw(st.integers(1, 3))
+    vertices = [draw(st.lists(st.sampled_from("abc"), max_size=4)) for _ in range(depth + 1)]
+    edge = st.tuples(st.sampled_from(["e", "f", "g"]), st.sampled_from("abcz"), st.sampled_from("abcz"))
+    edges = [draw(st.lists(edge, max_size=5)) for _ in range(depth)]
+    return BratteliDiagram(vertices, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_diagrams())
+# a duplicated vertex that emits, one that receives (only the copy its id
+# resolves to holds its edges), and a valid diagram
+@example(BratteliDiagram([["a", "a"], ["b"]], [[("e", "a", "b")]]))
+@example(BratteliDiagram([["a"], ["b", "b"]], [[("e", "a", "b")]]))
+@example(BratteliDiagram([["a"], ["b"]], [[("e", "a", "b")]]))
+def test_validate_matches_oracle(d):
+    want = oracle_violations(d)
+    assert d.validate() == want
+    assert d.is_valid == (not want)
+    if d.is_valid:
+        assert (d._src, d._rng, d._out, d._in) == oracle_adjacency(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_index_matches_dict_built_adjacency(rng):
+    d = random_diagram(rng)
+    assert d.validate() == []
+    assert (d._src, d._rng, d._out, d._in) == oracle_adjacency(d)
 
 
 def test_violation_str_names_level_and_subject():

@@ -20,7 +20,6 @@ from bratteli import (
     ShapeMismatch,
     SupportViolation,
     TorusCocycle,
-    algebra_of,
     brute_force_commutant,
     canonical_units,
     commutant_embed_k,
@@ -71,7 +70,7 @@ def two_edge_graph(p=None):
 def test_relation_dimension_counts_pairs():
     rel = FiniteEquivRelation.from_partition([["a", "b"], ["c"]])
     assert rel.dimension == 5
-    assert algebra_of(rel).block_sizes == (2, 1)
+    assert tuple(map(len, rel.classes())) == (2, 1)
     assert len(list(rel.pairs())) == 5
     single = FiniteEquivRelation.from_partition([["x"]])
     assert single.dimension == 1
@@ -407,6 +406,37 @@ def test_verify_expectation_detects_unfaithful():
     ])
     assert not report.faithful
     assert not report.all_pass
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0])
+def test_verify_expectation_decides_exact_faithfulness_exactly(tol):
+    # the class Gram matrix of the two-edge model is diag(p(a), p(b))
+    g = two_edge_graph()
+    basis = [include_j(g, u) for u in canonical_units(g.base_relation()).values()]
+    xa, xb = ("x", "a"), ("x", "b")
+
+    def report(pa, pb, skew=0):
+        # ``skew`` adds skew * f(xa, xb) to Q(f)(x, x), whose j-image has trace 2:
+        # Gram[a][b] = 2 skew and Gram[b][a] = 0
+        unit = AlgebraElement(g.base_relation(), {("x", "x"): 1})
+
+        def q(fbar):
+            shift = unit.scale(skew * fbar.entries.get((xa, xb), 0))
+            return include_j(g, expectation_map(g, {"a": pa, "b": pb}, fbar) + shift)
+
+        return verify_expectation(q, g.big_relation(), basis, tol=tol)
+
+    tiny = F(1, 10**12)
+    assert report(1 - tiny, tiny).faithful
+    assert first_failure(report(F(1), F(0)), "faithful") == (
+        "faithful: trace form on class of ('x', 'a') is not positive definite (min eig 0)"
+    )
+    assert first_failure(report(F(1, 2), F(1, 2), tiny), "faithful") == (
+        "faithful: trace form not hermitian (off by 2e-12)"
+    )
+    # float input keeps the comparisons in doubles, with the tolerance
+    assert report(1 - 1e-12, 1e-12).faithful == (tol == 0)
+    assert report(0.5, 0.5, 1e-12).faithful == (tol != 0)
 
 
 def test_verify_expectation_detects_non_idempotent():

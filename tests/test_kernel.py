@@ -51,7 +51,6 @@ from bratteli import (
     TransitionProbability,
     WindowError,
     ZLattice,
-    cotransition_potential,
     cylinder_measure,
     enumerate_paths,
     ergodic_components,
@@ -128,7 +127,7 @@ def test_nu_and_q_match_oracle(rng):
 def test_transition_and_cotransition_are_edge_potentials(rng):
     w = random_walk(rng, max_depth=4)
     d = w.diagram
-    assert cotransition_potential(w) is w.cotransition
+    assert w.cotransition is w.cotransition
     start = rng.randint(0, d.depth)
     paths = [a for end in range(start, d.depth + 1) for a in enumerate_paths(d, start, end)]
     for rho in (w.transition, w.cotransition):
@@ -564,7 +563,8 @@ def test_skew_product_matches_oracle(rng, kind):
     for n in range(d.depth + 1):
         assert sd.diagram.vertices(n) == skewed.vertices(n)
         assert sd.vertex_pairs(n) == vertex_pairs[n]
-        assert sd._element_names[n] == tuple(rho.group.format(g) for _, g in vertex_pairs[n])
+        names = tuple(sd._names[g] for _, g in sd._keys[n])
+        assert names == tuple(rho.group.format(g) for _, g in vertex_pairs[n])
     for n in range(1, d.depth + 1):
         assert sd.diagram.edges(n) == skewed.edges(n)
         assert sd.edge_pairs(n) == edge_pairs[n - 1]
@@ -619,7 +619,7 @@ def skew_accessors(sd, outside):
     name), on the element ``outside`` of every window, on an unknown base
     vertex and past the last level."""
     base, depth, fmt = sd.base, sd.base.depth, sd.group.format
-    values = [sd.initial_window, sd._element_names]
+    values = [sd.initial_window, sd._names]
     for n in range(depth + 1):
         pairs = sd.vertex_pairs(n)
         values += [sd.window(n), pairs]

@@ -14,7 +14,6 @@ from bratteli import (
     SupportViolation,
     WindowError,
     ZLattice,
-    cotransition_potential,
     cylinder_measure,
     enumerate_paths,
     group_cocycle,
@@ -148,7 +147,7 @@ def test_cotransition_potential_matches_density():
     for _ in range(10):
         w = random_walk_with_multipath(rng, max_depth=4)
         d = w.diagram
-        rho = cotransition_potential(w)
+        rho = w.cotransition
         paths = enumerate_paths(d, 0, d.depth)
         by_end = {}
         for a in paths:

@@ -20,7 +20,6 @@ from bratteli import (
     TransitionProbability,
     build_walk,
     check_q_measure,
-    cotransition_potential,
     cotransition_of_path,
     cylinder_measure,
     enumerate_paths,
@@ -384,7 +383,7 @@ def test_quasi_product_cocycle_matches_density():
     rng = random.Random(29)
     w = random_walk_with_multipath(rng)
     d = w.diagram
-    potential = cotransition_potential(w)
+    potential = w.cotransition
     paths = enumerate_paths(d, 0, d.depth)
     by_end = {}
     for a in paths:
