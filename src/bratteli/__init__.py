@@ -41,12 +41,10 @@ from .fdalg import (
     FiniteEquivRelation,
     InclusionGraph,
     ModelExpectation,
-    TorusCocycle,
     brute_force_commutant,
     canonical_units,
     commutant_embed_k,
     diagonalize_state,
-    expectation_map,
     extend_matrix_unit,
     extract_transition,
     identity_element,
@@ -99,8 +97,6 @@ from .walk import (
     RandomWalk,
     TransitionProbability,
     build_walk,
-    check_q_measure,
-    cotransition_of_path,
     cylinder_measure,
     from_cotransition,
     group_cocycle,

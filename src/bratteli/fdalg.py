@@ -13,16 +13,15 @@ Q(f)(x,y) = sum over edges c out of the vertex of x of p(c) f(xc, yc), which
 factors as a pinching onto the equal-edge subrelation followed by averaging.
 
 Probabilities stay exact rationals; phases and states use complex doubles
-with an explicit comparison tolerance.
+compared with the tolerance ``TOL``.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .errors import (
 )
 from .rational import long_str
 from .walk import TransitionProbability
+
+TOL = 1e-9  # comparison tolerance of the phase, cocycle and state code
 
 
 class FiniteEquivRelation:
@@ -194,10 +195,9 @@ class AlgebraElement:
     def distance(self, other: "AlgebraElement") -> float:
         return (self - other).max_abs()
 
-    def to_dense(self, index: Mapping | None = None) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Dense |X| x |X| complex matrix (for oracles and eigensolvers)."""
-        if index is None:
-            index = {x: i for i, x in enumerate(self.relation.X)}
+        index = {x: i for i, x in enumerate(self.relation.X)}
         out = np.zeros((len(index), len(index)), dtype=complex)
         for (x, y), v in self.entries.items():
             out[index[x], index[y]] = complex(v)
@@ -355,18 +355,6 @@ def commutant_embed_k(g: InclusionGraph, h: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._valid(g.big_relation(), out)
 
 
-def expectation_map(g: InclusionGraph, p: Mapping, fbar: AlgebraElement) -> AlgebraElement:
-    """Raw Q(f)(x,y) = sum of p(c) f(xc, yc); no validation of p."""
-    if fbar.relation != g.big_relation():
-        raise ShapeMismatch("expectation wants an element over the graph's big relation")
-    out: dict = {}
-    for ((x, a), (y, b)), v in fbar.entries.items():
-        if a == b:
-            key = (x, y)
-            out[key] = out.get(key, 0) + p[a] * v
-    return AlgebraElement._valid(g.base_relation(), out)
-
-
 class ModelExpectation:
     """The expectation defined by a transition probability on the edges."""
 
@@ -375,7 +363,16 @@ class ModelExpectation:
         self.p = TransitionProbability(g.diagram, [p]).level(1)
 
     def __call__(self, fbar: AlgebraElement) -> AlgebraElement:
-        return expectation_map(self.graph, self.p, fbar)
+        """Q(f)(x,y) = sum of p(c) f(xc, yc)."""
+        g, p = self.graph, self.p
+        if fbar.relation != g.big_relation():
+            raise ShapeMismatch("expectation wants an element over the graph's big relation")
+        out: dict = {}
+        for ((x, a), (y, b)), v in fbar.entries.items():
+            if a == b:
+                key = (x, y)
+                out[key] = out.get(key, 0) + p[a] * v
+        return AlgebraElement._valid(g.base_relation(), out)
 
     def as_endomorphism(self) -> Callable[[AlgebraElement], AlgebraElement]:
         """Q followed by j: the expectation as a map of the big algebra."""
@@ -425,7 +422,6 @@ def verify_expectation(
     ambient: FiniteEquivRelation,
     sub_basis: Sequence[AlgebraElement],
     tol: float = 1e-9,
-    rng: random.Random | None = None,
 ) -> ExpectationReport:
     """Check the conditional-expectation axioms for an endomorphism Q.
 
@@ -444,17 +440,17 @@ def verify_expectation(
     to map is a matrix unit or zero, as every product of a unit with the
     j-image of a matrix unit is.  Linearity of Q is not assumed.
 
-    The module check pairs each basis element m with the units u whose
-    products m u, u m, m Q(u) or Q(u) m can be non-empty, in unit order.  Every
-    other pair compares Q(0) with two empty products and holds when Q(0) is
-    0; if Q(0) is not 0, every pair is checked from the first such pair on.
+    Q(0) is computed once, before the module check.  If it is 0, the module
+    check pairs each basis element m with the units u whose products m u,
+    u m, m Q(u) or Q(u) m can be non-empty, in unit order: every other pair
+    compares Q(0) with two empty products and holds.  If Q(0) is not 0, every
+    pair is checked.
 
     Each of the three positivity samples f*f has, on every class, the block
     B*B of a block B whose entries are ``complex(rng.gauss(0, 1),
-    rng.gauss(0, 1))``, drawn row by row from ``rng`` (``random.Random(7)``
-    when none is given).
+    rng.gauss(0, 1))``, drawn row by row from ``rng = random.Random(7)``.
     """
-    rng = rng or random.Random(7)
+    rng = random.Random(7)
     report = ExpectationReport()
     one = identity_element(ambient)
     d = Q(one).distance(one)
@@ -510,7 +506,7 @@ def verify_expectation(
     # A unit is touched by a column c of m when c is its row or a row of its
     # image, and by a row r of m when r is its column or a column of its
     # image; an untouched pair compares Q(0) with two empty products.
-    q_zero = functools.cache(lambda: Q(AlgebraElement.zero(ambient)))
+    q_zero = Q(AlgebraElement.zero(ambient))
     image_rows = [_rows(img.entries) for img in images]
     by_col: dict = {}
     by_row: dict = {}
@@ -531,11 +527,11 @@ def verify_expectation(
         for r in m_rows:
             touched.update(by_row.get(r, ()))
         bad = None
-        for k in _pairs_to_check(sorted(touched), len(pairs), q_zero):
+        for k in range(len(pairs)) if q_zero.entries else sorted(touched):
             (s, t), u, img, img_rows = pairs[k], units[k], images[k], image_rows[k]
             col = m_cols.get(s)
             if col is None:
-                q_left = q_zero()
+                q_left = q_zero
             elif len(col) == 1 and type(col[0][1]) is int and col[0][1] == 1:
                 q_left = images[index[(col[0][0], t)]]
             else:
@@ -548,7 +544,7 @@ def verify_expectation(
                     break
             row = m_rows.get(t)
             if row is None:
-                q_right = q_zero()
+                q_right = q_zero
             elif len(row) == 1 and type(row[0][1]) is int and row[0][1] == 1:
                 q_right = images[index[(s, row[0][0])]]
             else:
@@ -596,13 +592,16 @@ def verify_expectation(
 
     for cls_ in classes:
         rows = [[images[index[(x, y)]].trace() for y in cls_] for x in cls_]
+        exact = all(isinstance(v, _EXACT) for row in rows for v in row)
+        if exact:  # decided exactly; the floats below only fill a failure message
+            hermitian = rows == [list(col) for col in zip(*rows)]
+            definite = hermitian and _positive_definite(rows)
+            if definite:
+                continue
         gram = np.array(rows, dtype=complex)
         asym = float(np.max(np.abs(gram - gram.conj().T)))
         low = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)))
-        if all(isinstance(v, _EXACT) for row in rows for v in row):  # decided exactly
-            hermitian = rows == [list(col) for col in zip(*rows)]
-            definite = hermitian and _positive_definite(rows)
-        else:
+        if not exact:
             hermitian, definite = asym <= tol * max(1.0, float(np.max(np.abs(gram)))), low > tol
         if not hermitian:
             report._fail("faithful", f"trace form not hermitian (off by {asym:.3g})")
@@ -627,24 +626,6 @@ def _positive_definite(rows) -> bool:
             factor = row[k] / top[k]
             row[k:] = [x - factor * y for x, y in zip(row[k:], top[k:])]
     return True
-
-
-def _pairs_to_check(touched: list, count: int, q_zero: Callable) -> Iterator[int]:
-    """Unit indices for one basis element: the ``touched`` ones in order while
-    Q(0) is 0, and every index from the first untouched one on otherwise.
-
-    Q(0) is first asked for where the first untouched pair would ask for it.
-    """
-    nxt = 0
-    for k in touched:
-        if k > nxt and q_zero().entries:
-            break
-        yield k
-        nxt = k + 1
-    else:
-        if nxt == count or not q_zero().entries:
-            return
-    yield from range(nxt, count)
 
 
 def extract_transition(
@@ -703,8 +684,7 @@ def pinch_average_decompose(me: ModelExpectation):
     both points carry the same edge); the averaging applies p and drops the
     edge coordinate.  Their composite equals Q entry by entry.
     """
-    g, p = me.graph, me.p
-    big = g.big_relation()
+    big = me.graph.big_relation()
 
     def pinch(fbar: AlgebraElement) -> AlgebraElement:
         if fbar.relation != big:
@@ -720,50 +700,39 @@ def pinch_average_decompose(me: ModelExpectation):
             raise ShapeMismatch(
                 "averaging applies to pinched elements (equal edge coordinates)"
             )
-        return expectation_map(g, p, fbar)
+        return me(fbar)
 
     return pinch, average
 
 
-@dataclass(frozen=True)
-class TorusCocycle:
-    """Unit-modulus values on the pairs of a relation, multiplicative along
-    triples within a class."""
-
-    relation: FiniteEquivRelation
-    values: Mapping
-
-    def __call__(self, x, y):
-        return self.values[(x, y)]
-
-
-def trivialize_cocycle(tc: TorusCocycle, tol: float = 1e-9) -> dict:
+def trivialize_cocycle(rel: FiniteEquivRelation, values: Mapping) -> dict:
     """Write c(x,y) = b(x) conj(b(y)) with b = 1 at each class representative.
 
-    The representative is the smallest element of the class, so the output is
-    deterministic.  Identity violations raise with a witness pair or triple.
+    ``values`` holds c on the pairs of ``rel``: unit-modulus values,
+    multiplicative along triples within a class.  The representative is the
+    smallest element of the class, so the output is deterministic.  Identity
+    violations raise with a witness pair or triple.
     """
-    rel = tc.relation
     for cls_ in rel.classes():
         for x in cls_:
             for y in cls_:
-                if (x, y) not in tc.values:
+                if (x, y) not in values:
                     raise NotACocycle(f"no value for pair ({x!r}, {y!r})")
-                v = complex(tc.values[(x, y)])
-                if abs(abs(v) - 1) > tol:
+                v = complex(values[(x, y)])
+                if abs(abs(v) - 1) > TOL:
                     raise NotACocycle(f"value at ({x!r}, {y!r}) has modulus {abs(v):.6g}, not 1")
         for x in cls_:
-            if abs(complex(tc.values[(x, x)]) - 1) > tol:
+            if abs(complex(values[(x, x)]) - 1) > TOL:
                 raise NotACocycle(f"value at ({x!r}, {x!r}) is not 1")
         for x in cls_:
             for y in cls_:
-                if abs(complex(tc.values[(x, y)]) - complex(tc.values[(y, x)]).conjugate()) > tol:
+                if abs(complex(values[(x, y)]) - complex(values[(y, x)]).conjugate()) > TOL:
                     raise NotACocycle(f"values at ({x!r}, {y!r}) and ({y!r}, {x!r}) are not conjugate")
         for x in cls_:
             for y in cls_:
                 for z in cls_:
-                    lhs = complex(tc.values[(x, y)]) * complex(tc.values[(y, z)])
-                    if abs(lhs - complex(tc.values[(x, z)])) > tol:
+                    lhs = complex(values[(x, y)]) * complex(values[(y, z)])
+                    if abs(lhs - complex(values[(x, z)])) > TOL:
                         raise NotACocycle(
                             f"multiplicativity fails on ({x!r}, {y!r}, {z!r})"
                         )
@@ -771,38 +740,19 @@ def trivialize_cocycle(tc: TorusCocycle, tol: float = 1e-9) -> dict:
     for cls_ in rel.classes():
         rep = min(cls_)
         for x in cls_:
-            b[x] = complex(tc.values[(x, rep)])
+            b[x] = complex(values[(x, rep)])
     return b
 
 
-def _require_units(units: Mapping, cls_: tuple, which: str, tol: float):
-    """Composition and adjoint identities of the units on the pairs of one class."""
-    for x in cls_:
-        for y in cls_:
-            for z in cls_:
-                if (units[(x, y)] * units[(y, z)]).distance(units[(x, z)]) > tol:
-                    raise NotAMatrixUnit(
-                        f"{which} units break composition at ({x!r}, {y!r}, {z!r})"
-                    )
-            if units[(x, y)].adjoint().distance(units[(y, x)]) > tol:
-                raise NotAMatrixUnit(f"{which} units break adjoints at ({x!r}, {y!r})")
-
-
-def extend_matrix_unit(
-    rel: FiniteEquivRelation,
-    sub: FiniteEquivRelation,
-    partial: Mapping,
-    reference: Mapping | None = None,
-    tol: float = 1e-9,
-) -> dict:
+def extend_matrix_unit(rel: FiniteEquivRelation, sub: FiniteEquivRelation, partial: Mapping) -> dict:
     """Extend a partial matrix unit on a subrelation to all of ``rel``.
 
     ``sub`` must refine ``rel`` on the same points; ``partial`` maps each pair
-    of ``sub`` to an AlgebraElement that is a unit-modulus multiple of the
-    reference unit at that pair (the reference defaults to the canonical
-    units).  The comparison phases form a cocycle on ``sub``; trivializing it
-    gives b, and the extension is b(x) conj(b(y)) times the reference, with
-    the original elements kept verbatim on ``sub``.
+    (x, y) of ``sub`` to an AlgebraElement that is a unit-modulus multiple of
+    the canonical unit e(x, y), the reference.  The phases u(x, y) form a
+    cocycle on ``sub``; trivializing it gives b, and the extension is
+    b(x) conj(b(y)) e(x, y), with the original elements kept verbatim on
+    ``sub``.
     """
     if tuple(sub.X) != tuple(rel.X):
         raise IncompatibleData("subrelation must live on the same ordered point set")
@@ -812,13 +762,6 @@ def extend_matrix_unit(
                 raise IncompatibleData(
                     f"subrelation relates ({x!r}, {y!r}) which the full relation does not"
                 )
-    reference = dict(reference) if reference is not None else canonical_units(rel)
-    for pair in rel.pairs():
-        if pair not in reference:
-            raise NotAMatrixUnit(f"reference units missing pair {pair!r}")
-    for cls_ in rel.classes():
-        _require_units(reference, cls_, "reference", tol)
-
     phases = {}
     for cls_ in sub.classes():
         for x in cls_:
@@ -826,30 +769,33 @@ def extend_matrix_unit(
                 if (x, y) not in partial:
                     raise NotAMatrixUnit(f"partial units missing pair ({x!r}, {y!r})")
                 u = partial[(x, y)]
-                ref = reference[(x, y)]
-                denom = sum(abs(v) ** 2 for v in ref.entries.values())
-                num = sum(
-                    u.entries.get(k, 0) * complex(v).conjugate() for k, v in ref.entries.items()
-                )
-                scalar = complex(num) / denom
-                if u.distance(ref.scale(scalar)) > tol:
+                scalar = complex(u.entries.get((x, y), 0))
+                if u.distance(matrix_unit(rel, x, y).scale(scalar)) > TOL:
                     raise NotAMatrixUnit(
                         f"partial unit at ({x!r}, {y!r}) is not a scalar multiple of the reference"
                     )
-                if abs(abs(scalar) - 1) > tol:
+                if abs(abs(scalar) - 1) > TOL:
                     raise NotAMatrixUnit(
                         f"partial unit at ({x!r}, {y!r}) scales the reference by {abs(scalar):.6g}, not 1"
                     )
                 phases[(x, y)] = scalar
-        _require_units(partial, cls_, "partial", tol)
+        for x in cls_:
+            for y in cls_:
+                for z in cls_:
+                    if (partial[(x, y)] * partial[(y, z)]).distance(partial[(x, z)]) > TOL:
+                        raise NotAMatrixUnit(
+                            f"partial units break composition at ({x!r}, {y!r}, {z!r})"
+                        )
+                if partial[(x, y)].adjoint().distance(partial[(y, x)]) > TOL:
+                    raise NotAMatrixUnit(f"partial units break adjoints at ({x!r}, {y!r})")
 
-    b = trivialize_cocycle(TorusCocycle(sub, phases), tol=tol)
+    b = trivialize_cocycle(sub, phases)
     out = {}
     for (x, y) in rel.pairs():
         if sub.related(x, y):
             out[(x, y)] = partial[(x, y)]
         else:
-            out[(x, y)] = reference[(x, y)].scale(b[x] * b[y].conjugate())
+            out[(x, y)] = matrix_unit(rel, x, y).scale(b[x] * b[y].conjugate())
     return out
 
 
@@ -866,7 +812,7 @@ class DiagonalizedState:
         return self.basis @ np.diag(self.eigenvalues) @ self.basis.conj().T
 
 
-def diagonalize_state(density, tol: float = 1e-9) -> DiagonalizedState:
+def diagonalize_state(density) -> DiagonalizedState:
     """Eigenbasis of a faithful state on one matrix block.
 
     In the returned basis the state is diagonal, so it factors through the
@@ -881,14 +827,14 @@ def diagonalize_state(density, tol: float = 1e-9) -> DiagonalizedState:
     n = rho.shape[0]
     if n > 12:
         raise ShapeMismatch(f"density matrices above size 12 are not supported (got {n})")
-    if float(np.max(np.abs(rho - rho.conj().T))) > tol:
+    if float(np.max(np.abs(rho - rho.conj().T))) > TOL:
         raise IncompatibleData("density matrix is not hermitian")
-    if abs(complex(np.trace(rho)) - 1) > tol:
+    if abs(complex(np.trace(rho)) - 1) > TOL:
         raise IncompatibleData(f"density matrix has trace {complex(np.trace(rho)):.6g}, not 1")
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    if float(vals[-1]) <= tol:
+    if float(vals[-1]) <= TOL:
         raise SupportViolation(
             f"density matrix is not positive definite (min eigenvalue {float(vals[-1]):.3g}); "
             "the state is not faithful"
@@ -916,7 +862,7 @@ def diagonalize_state(density, tol: float = 1e-9) -> DiagonalizedState:
 
 
 def brute_force_commutant(
-    generators: Sequence[AlgebraElement], ambient: FiniteEquivRelation | None = None
+    generators: Sequence[AlgebraElement], ambient: FiniteEquivRelation
 ) -> list[AlgebraElement]:
     """Basis of everything in the ambient algebra commuting with the inputs.
 
@@ -924,10 +870,6 @@ def brute_force_commutant(
     relation via an SVD null space; intended as an oracle, not for large
     relations.
     """
-    if ambient is None:
-        if not generators:
-            raise IncompatibleData("need generators or an explicit ambient relation")
-        ambient = generators[0].relation
     pairs = list(ambient.pairs())
     index = {pair: i for i, pair in enumerate(pairs)}
     dim = len(pairs)

@@ -121,7 +121,7 @@ def is_harmonic(w: RandomWalk, h) -> HarmonicCheck:
     return HarmonicCheck(False, *bad) if bad else HarmonicCheck(True)
 
 
-def _backward_sweep(w: RandomWalk, bottom: Sequence[int], den: int = 1):
+def _backward_sweep(w: RandomWalk, bottom: Sequence[int], den: int):
     """Integer numerators of the harmonic extension of the values
     bottom[j] / den on V(N), and their per-level denominators: level m of
     the result is over dens[m], with dens[N] = den."""

@@ -60,7 +60,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         # plain decimal 'num/den' goes through int; every other form, and a
-        # zero or over-long part, through Fraction's own parser and messages
+        # zero or over-long part, through Fraction's own parser
         num, slash, den = text.partition("/")
         if slash and _digits(den) and _digits(num[1:] if num[:1] in "+-" else num):
             try:
@@ -72,8 +72,13 @@ def as_fraction(value) -> Fraction:
                     return Fraction(top, bottom)
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise IncompatibleData(f"not a rational: {value!r} ({exc})") from None
+        except ZeroDivisionError:
+            reason = "zero denominator"
+        except ValueError as exc:  # a bad literal, or a part over the digit limit
+            reason = str(exc)
+            if reason.startswith("Invalid literal"):
+                reason = "not an integer or 'num/den'"
+        raise IncompatibleData(f"not a rational: {value!r} ({reason})") from None
     raise IncompatibleData(
         f"not an exact rational: {value!r} (floats are not accepted; use 'num/den')"
     )

@@ -210,7 +210,7 @@ def lift_walk(sd: SkewDiagram, w: RandomWalk, lam0: Mapping) -> RandomWalk:
     for n in range(1, sd.diagram.depth + 1):
         p_levels.append(
             {
-                edge.id: w.p(n, base_id)
+                edge.id: w.transition(n, base_id)
                 for edge, (base_id, _) in zip(sd.diagram.edges(n), sd.edge_pairs(n))
             }
         )

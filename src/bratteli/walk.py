@@ -333,12 +333,6 @@ class RandomWalk:
     def depth(self) -> int:
         return self.diagram.depth
 
-    def p(self, n: int, edge_id: str) -> Fraction:
-        return self.transition(n, edge_id)
-
-    def q(self, n: int, edge_id: str) -> Fraction:
-        return self.cotransition(n, edge_id)
-
     def nu(self, n: int) -> dict[str, Fraction]:
         """The level-n distribution as a fresh {vertex: mass} dict."""
         row = self._nu_row(n)
@@ -371,18 +365,13 @@ def cylinder_measure(w: RandomWalk, a: FinitePath) -> Fraction:
     return w.initial(a.anchor) * w.transition.of_path(a)
 
 
-def cotransition_of_path(w: RandomWalk, a: FinitePath) -> Fraction:
-    """q(a) = product of per-edge cotransitions: the probability the walk
-    traversed ``a`` given that it sits at r(a) at time len(a)."""
-    _check_in_diagram(w, a)
-    return w.cotransition.of_path(a)
-
-
 def radon_nikodym(w: RandomWalk, a: FinitePath, b: FinitePath) -> Fraction:
     """The walk's density cocycle D(a, b) = q(a)/q(b) on the cylinder pair (a, b)."""
     if not tail_related(a, b):
         raise NotTailRelated("paths not tail equivalent")
-    return cotransition_of_path(w, a) / cotransition_of_path(w, b)
+    _check_in_diagram(w, a)
+    _check_in_diagram(w, b)
+    return w.cotransition.of_path(a) / w.cotransition.of_path(b)
 
 
 def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]) -> RandomWalk:
@@ -473,7 +462,12 @@ def _prefix_sums(paths, prefix, masses) -> list:
 
 
 def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
-    """None if the table passes; else (path, expected mass, actual mass)."""
+    """Whether the cylinder table is the Markov measure of some walk with
+    cotransition ``q``: m(Z(a)) = q(a) times m's own level-n marginal at r(a)
+    for every path a of length n <= depth.
+
+    None if the table passes; else (path, expected mass, actual mass).
+    """
     if not isinstance(q, CotransitionProbability):
         q = CotransitionProbability(d, q)
     if not 0 <= depth <= d.depth:
@@ -528,16 +522,6 @@ def _q_ratios(d: BratteliDiagram, q, depth: int, tree=None):
         else:
             tops = bottoms = [1] * len(ends)
         yield ends, tops, bottoms
-
-
-def check_q_measure(d: BratteliDiagram, q, table, depth: int) -> bool:
-    """Whether the cylinder table is the Markov measure of some walk with
-    cotransition ``q``, i.e. factors through the backward expectation chain.
-
-    At finite depth the criterion is m(Z(a)) = q(a) times m's own level-n
-    marginal at r(a), for every path a of length n <= depth.
-    """
-    return q_measure_witness(d, q, table, depth) is None
 
 
 def sample_path(w: RandomWalk, seed: int, depth: int) -> FinitePath:

@@ -363,7 +363,9 @@ def fraction_pascal_rows(d, q, depth):
 
 
 def fraction_as_fraction(value):
-    """``as_fraction`` with every string through ``Fraction(text)``."""
+    """``as_fraction`` with every string through ``Fraction(text)``; a
+    rejected string's reason in the format's words, except over the digit
+    limit, where it is Python's."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -373,8 +375,13 @@ def fraction_as_fraction(value):
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise IncompatibleData(f"not a rational: {value!r} ({exc})") from None
+        except ZeroDivisionError:
+            reason = "zero denominator"
+        except ValueError as exc:
+            reason = str(exc)
+            if reason.startswith("Invalid literal"):
+                reason = "not an integer or 'num/den'"
+        raise IncompatibleData(f"not a rational: {value!r} ({reason})") from None
     raise IncompatibleData(
         f"not an exact rational: {value!r} (floats are not accepted; use 'num/den')"
     )
@@ -421,9 +428,9 @@ def oracle_distributions(w):
         prev = nus[-1]
         nxt = {v: Fraction(0) for v in d.vertices(n)}
         for e in d.edges(n):
-            nxt[e.rng] += w.p(n, e.id) * prev[e.src]
+            nxt[e.rng] += w.transition(n, e.id) * prev[e.src]
         nus.append(nxt)
-        qs.append({e.id: prev[e.src] * w.p(n, e.id) / nxt[e.rng] for e in d.edges(n)})
+        qs.append({e.id: prev[e.src] * w.transition(n, e.id) / nxt[e.rng] for e in d.edges(n)})
     message = oracle_stochastic_violation(d, qs, True, "cotransition probability", "q")
     if message:
         raise SupportViolation(message)
@@ -438,7 +445,7 @@ def oracle_harmonic_from_terminal(w, terminal):
     levels[d.depth] = {v: Fraction(terminal[v]) for v in d.vertices(d.depth)}
     for n in range(d.depth, 0, -1):
         levels[n - 1] = {
-            v: sum(w.p(n, e.id) * levels[n][e.rng] for e in d.out_edges(n - 1, v))
+            v: sum(w.transition(n, e.id) * levels[n][e.rng] for e in d.out_edges(n - 1, v))
             for v in d.vertices(n - 1)
         }
     return levels
@@ -450,7 +457,7 @@ def oracle_is_harmonic(w, h):
     d = w.diagram
     for n in range(1, d.depth + 1):
         for v in d.vertices(n - 1):
-            rhs = sum(w.p(n, e.id) * h(n, e.rng) for e in d.out_edges(n - 1, v))
+            rhs = sum(w.transition(n, e.id) * h(n, e.rng) for e in d.out_edges(n - 1, v))
             lhs = h(n - 1, v)
             if lhs != rhs:
                 return HarmonicCheck(False, n, v, lhs, rhs)
@@ -492,7 +499,7 @@ def oracle_ergodic_components(w):
         ]
         sub = subdiagram(d, keep_vertices, keep_edges)
         p_values = [
-            {e.id: w.p(n, e.id) * g[n][e.rng] / g[n - 1][e.src] for e in sub.edges(n)}
+            {e.id: w.transition(n, e.id) * g[n][e.rng] / g[n - 1][e.src] for e in sub.edges(n)}
             for n in range(1, d.depth + 1)
         ]
         nu0 = {v: w.initial(v) * g[0][v] / weight for v in sub.vertices(0)}

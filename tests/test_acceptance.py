@@ -16,11 +16,9 @@ from bratteli import (
     FiniteEquivRelation,
     InvariantFunction,
     ModelExpectation,
-    TorusCocycle,
     ZLattice,
     brute_force_commutant,
     canonical_units,
-    check_q_measure,
     commutant_embed_k,
     cylinder_measure,
     enumerate_paths,
@@ -79,8 +77,8 @@ def test_criterion_01_pascal_cotransition_closed_form():
         w0 = walks[0]
         for n in range(1, 13):
             for k in range(n):
-                assert w0.q(n, f"{n - 1}:{k}:0") == 1 - F(k, n)
-                assert w0.q(n, f"{n - 1}:{k}:1") == F(k + 1, n)
+                assert w0.cotransition(n, f"{n - 1}:{k}:0") == 1 - F(k, n)
+                assert w0.cotransition(n, f"{n - 1}:{k}:1") == F(k + 1, n)
         for other in walks[1:]:
             for n in range(1, 13):
                 assert other.cotransition.level(n) == w0.cotransition.level(n)
@@ -139,7 +137,7 @@ def test_criterion_05_q_measure_pass_and_perturbed_fail():
             d = w.diagram
             depth = d.depth
             table = markov_cylinder_table(w, depth)
-            assert check_q_measure(d, w.cotransition, table, depth)
+            assert q_measure_witness(d, w.cotransition, table, depth) is None
             leaves = {a: m for a, m in table.items() if len(a) == depth}
             by_end: dict = {}
             for a in leaves:
@@ -156,7 +154,6 @@ def test_criterion_05_q_measure_pass_and_perturbed_fail():
             assert witness is not None
             path, expected, actual = witness
             assert expected != actual
-            assert not check_q_measure(d, w.cotransition, perturbed, depth)
 
 
 def test_criterion_06_harmonic_duality():
@@ -275,11 +272,10 @@ def test_criterion_12_trivialization_and_extension():
             points = [f"x{i}" for i in range(rng.randint(2, 7))]
             rel = FiniteEquivRelation.from_partition(_random_partition(rng, points))
             b = {x: cmath.exp(2j * math.pi * rng.random()) for x in points}
-            tc = TorusCocycle(rel, {(x, y): b[x] * b[y].conjugate()
-                                    for x, y in rel.pairs()})
-            bb = trivialize_cocycle(tc)
+            values = {(x, y): b[x] * b[y].conjugate() for x, y in rel.pairs()}
+            bb = trivialize_cocycle(rel, values)
             for x, y in rel.pairs():
-                assert abs(bb[x] * bb[y].conjugate() - tc(x, y)) <= 1e-12
+                assert abs(bb[x] * bb[y].conjugate() - values[(x, y)]) <= 1e-12
 
             sub_classes = []
             for cls_ in rel.classes():

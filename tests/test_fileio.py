@@ -37,7 +37,7 @@ F = Fraction
 
 def walk_payload(w):
     d = w.diagram
-    p = {(n, e.id): w.p(n, e.id) for n in range(1, d.depth + 1) for e in d.edges(n)}
+    p = {(n, e.id): w.transition(n, e.id) for n in range(1, d.depth + 1) for e in d.edges(n)}
     return dump_diagram(d, p=p, nu0=w.initial.as_dict())
 
 

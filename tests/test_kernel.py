@@ -206,7 +206,7 @@ def test_components_keep_q_and_decompose_to_themselves(rng):
     for c in comps:
         sub = c.walk.diagram
         for n in range(1, d.depth + 1):
-            assert c.walk.cotransition.level(n) == {e.id: w.q(n, e.id) for e in sub.edges(n)}
+            assert c.walk.cotransition.level(n) == {e.id: w.cotransition(n, e.id) for e in sub.edges(n)}
         (again,) = ergodic_components(c.walk)
         assert (again.terminal, again.weight) == (c.terminal, 1)
         assert_same_walk(again.walk, c.walk)

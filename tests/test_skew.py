@@ -242,7 +242,7 @@ def test_lift_walk_preserves_transitions():
     lifted = lift_walk(sd, w, {(0,): F(1, 3), (1,): F(2, 3)})
     for n in range(1, d.depth + 1):
         for edge, (base_id, _) in zip(sd.diagram.edges(n), sd.edge_pairs(n)):
-            assert lifted.p(n, edge.id) == w.p(n, base_id)
+            assert lifted.transition(n, edge.id) == w.transition(n, base_id)
     for (v, g), vid in zip(sd.vertex_pairs(0), sd.diagram.vertices(0)):
         lam = F(1, 3) if g == (0,) else F(2, 3)
         assert lifted.initial(vid) == w.initial(v) * lam

@@ -19,8 +19,6 @@ from bratteli import (
     SupportViolation,
     TransitionProbability,
     build_walk,
-    check_q_measure,
-    cotransition_of_path,
     cylinder_measure,
     enumerate_paths,
     from_cotransition,
@@ -125,7 +123,7 @@ def test_chain_distributions_trivial():
     for n in range(5):
         assert w.nu(n) == {f"c{n}": 1}
     for n in range(1, 5):
-        assert w.q(n, f"l{n}") == 1
+        assert w.cotransition(n, f"l{n}") == 1
 
 
 def test_pascal_level_three_distribution():
@@ -156,7 +154,7 @@ def test_cotransition_sums_to_one_on_in_edges():
         d = w.diagram
         for n in range(1, d.depth + 1):
             for v in d.vertices(n):
-                assert sum(w.q(n, e.id) for e in d.in_edges(n, v)) == 1
+                assert sum(w.cotransition(n, e.id) for e in d.in_edges(n, v)) == 1
 
 
 def test_edge_measure_identity():
@@ -167,7 +165,7 @@ def test_edge_measure_identity():
         d = w.diagram
         for n in range(1, d.depth + 1):
             for e in d.edges(n):
-                assert w.nu_at(n - 1, e.src) * w.p(n, e.id) == w.nu_at(n, e.rng) * w.q(n, e.id)
+                assert w.nu_at(n - 1, e.src) * w.transition(n, e.id) == w.nu_at(n, e.rng) * w.cotransition(n, e.id)
 
 
 def test_pascal_word_mass():
@@ -196,7 +194,7 @@ def test_cotransition_of_path_identity():
         w = random_walk(rng)
         d = w.diagram
         for a in enumerate_paths(d, 0, d.depth):
-            assert cotransition_of_path(w, a) == cylinder_measure(w, a) / w.nu_at(
+            assert w.cotransition.of_path(a) == cylinder_measure(w, a) / w.nu_at(
                 d.depth, a.terminus
             )
 
@@ -276,7 +274,6 @@ def test_markov_table_passes_q_check():
     for _ in range(15):
         w = random_walk(rng)
         table = markov_cylinder_table(w, w.depth)
-        assert check_q_measure(w.diagram, w.cotransition, table, w.depth)
         assert q_measure_witness(w.diagram, w.cotransition, table, w.depth) is None
 
 
@@ -288,7 +285,7 @@ def test_convex_combination_is_q_measure():
     t1 = markov_cylinder_table(w1, 3)
     t2 = markov_cylinder_table(w2, 3)
     mix = {a: (t1[a] + t2[a]) / 2 for a in t1}
-    assert check_q_measure(d, w1.cotransition, mix, 3)
+    assert q_measure_witness(d, w1.cotransition, mix, 3) is None
 
 
 def test_q_check_catches_shifted_mass():
@@ -311,18 +308,18 @@ def test_q_check_table_errors():
     broken = dict(table)
     broken[pascal_path(d, "11")] += F(1, 7)  # additivity breaks at the parent
     with pytest.raises(NotAMeasure, match="not additive"):
-        check_q_measure(d, w.cotransition, broken, 2)
+        q_measure_witness(d, w.cotransition, broken, 2)
     short = dict(table)
     del short[pascal_path(d, "11")]
     with pytest.raises(NotAMeasure, match="no mass"):
-        check_q_measure(d, w.cotransition, short, 2)
+        q_measure_witness(d, w.cotransition, short, 2)
     scaled = {a: 2 * m for a, m in table.items()}
     with pytest.raises(NotAMeasure, match="sum to 2"):
-        check_q_measure(d, w.cotransition, scaled, 2)
+        q_measure_witness(d, w.cotransition, scaled, 2)
     negative = dict(table)
     negative[pascal_path(d, "11")] = F(-1, 4)
     with pytest.raises(NotAMeasure, match="negative"):
-        check_q_measure(d, w.cotransition, negative, 2)
+        q_measure_witness(d, w.cotransition, negative, 2)
 
 
 def test_table_from_leaves_requires_all_leaves():
