@@ -29,7 +29,7 @@ from .fileio import (
 )
 from .harmonic import ergodic_components, harmonic_from_terminal
 from .rational import as_fraction, format_fraction, long_ints
-from .skew import _skew_edges, pascal_diagram, skew_product
+from .skew import pascal_diagram, skew_product
 from .walk import _q_ratios, markov_cylinder_table, q_measure_witness, radon_nikodym
 
 
@@ -250,20 +250,7 @@ def cmd_skew(args) -> int:
     df = load_diagram(args.file)
     rho = potential_from_file(df)
     window = [rho.group.parse(part) for part in args.window.split(",") if part]
-    sd = skew_product(df.diagram, rho, window)
-    d, keys, names = df.diagram, sd._keys, sd._names
-    vertex_rows = (
-        (n, f"{ids[i]}@{names[g]}", names[g])
-        for n, (ids, level) in enumerate(zip(d._vertices, keys))
-        for i, g in level
-    )
-    # an edge (e, g) carries g rho(e), the element of its range vertex
-    edge_rows = (
-        (m + 1, f"{edges[k].id}@{names[g]}", names[g2])
-        for m, edges in enumerate(d._edges)
-        for g, k, g2 in _skew_edges(d, rho, keys[m], m)
-    )
-    emit(args, ("level", "id", "value"), itertools.chain(vertex_rows, edge_rows))
+    emit(args, ("level", "id", "value"), skew_product(df.diagram, rho, window).rows())
     return 0
 
 

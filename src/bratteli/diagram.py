@@ -117,12 +117,14 @@ class BratteliDiagram:
         return self._edges[n - 1][self.edge_index(n, edge_id)]
 
     def edge_index(self, n: int, edge_id: str) -> int:
+        self.edges(n)  # a level out of range is a PathError, not a wrap-around
         idx = self._eidx[n - 1].get(edge_id)
         if idx is None:
             raise PathError(f"no edge '{edge_id}' at level {n}")
         return idx
 
     def vertex_index(self, n: int, vertex_id: str) -> int:
+        self.vertices(n)
         idx = self._vidx[n].get(vertex_id)
         if idx is None:
             raise PathError(f"no vertex '{vertex_id}' at level {n}")
@@ -135,14 +137,14 @@ class BratteliDiagram:
         """Edges of E(n+1) with source ``vertex_id`` in V(n), in edge order."""
         self.require_valid()
         vi = self.vertex_index(n, vertex_id)
-        row = self._edges[n]
+        row = self.edges(n + 1)
         return tuple(row[k] for k in self._out[n][vi])
 
     def in_edges(self, n: int, vertex_id: str) -> tuple[Edge, ...]:
         """Edges of E(n) with range ``vertex_id`` in V(n), in edge order."""
         self.require_valid()
         vi = self.vertex_index(n, vertex_id)
-        row = self._edges[n - 1]
+        row = self.edges(n)
         return tuple(row[k] for k in self._in[n - 1][vi])
 
     def align(self, kind: str, values, convert: Callable, what: str, exc: type, level: int | None = None):

@@ -50,18 +50,16 @@ class FiniteEquivRelation:
         if len(set(self.V)) != len(self.V):
             raise IncompatibleData("relation: duplicate labels in V")
         self._r = {}
-        vset = set(self.V)
+        fibers = {v: [] for v in self.V}
         for x in self.X:
             if x not in r:
                 raise IncompatibleData(f"relation: no label for element {x!r}")
-            if r[x] not in vset:
-                raise IncompatibleData(f"relation: label {r[x]!r} of {x!r} not in V")
-            self._r[x] = r[x]
-        fibers = {v: [] for v in self.V}
-        for x in self.X:
-            fibers[self._r[x]].append(x)
-        for v in self.V:
-            if not fibers[v]:
+            v = self._r[x] = r[x]
+            if v not in fibers:
+                raise IncompatibleData(f"relation: label {v!r} of {x!r} not in V")
+            fibers[v].append(x)
+        for v, xs in fibers.items():
+            if not xs:
                 raise IncompatibleData(f"relation: label {v!r} has an empty class")
         self._fibers = {v: tuple(xs) for v, xs in fibers.items()}
 
@@ -104,7 +102,7 @@ class FiniteEquivRelation:
         return len(self.X)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteEquivRelation)
             and self.X == other.X
             and self.V == other.V
@@ -149,7 +147,7 @@ class AlgebraElement:
         return cls(relation, {})
 
     def _same_relation(self, other: "AlgebraElement"):
-        if self.relation is not other.relation and self.relation != other.relation:
+        if self.relation != other.relation:
             raise ShapeMismatch("elements live on different relations")
 
     def __add__(self, other):
@@ -160,11 +158,7 @@ class AlgebraElement:
         return AlgebraElement._valid(self.relation, out)
 
     def __sub__(self, other):
-        self._same_relation(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) - v
-        return AlgebraElement._valid(self.relation, out)
+        return self + -other
 
     def __neg__(self):
         return AlgebraElement._valid(self.relation, {k: -v for k, v in self.entries.items()})
@@ -296,9 +290,12 @@ class InclusionGraph:
         self._base = FiniteEquivRelation(self.X, self.V, self.vertex_of)
         self._out_edges = {v: tuple(self.E[k] for k in ks) for v, ks in zip(self.V, diagram._out[0])}
         self.Xbar = tuple((x, e) for x in self.X for e in self._out_edges[self.vertex_of[x]])
-        self._big = None
-        self._commutant = None
-        self._pinched = None
+        self._big = FiniteEquivRelation(
+            self.Xbar, self.Vbar, {(x, e): self.range_of[e] for (x, e) in self.Xbar}
+        )
+        self._pinched = FiniteEquivRelation(self.Xbar, self.E, {(x, e): e for (x, e) in self.Xbar})
+        label = {e.id: (e.src, e.rng) for e in edges}
+        self._commutant = FiniteEquivRelation(self.E, dict.fromkeys(label.values()), label)
 
     def fiber(self, v) -> tuple:
         return self._base._fibers.get(v, ())
@@ -311,26 +308,22 @@ class InclusionGraph:
 
     def big_relation(self) -> FiniteEquivRelation:
         """Relation on Xbar: (x,a) ~ (y,b) iff the edges share their range."""
-        if self._big is None:
-            self._big = FiniteEquivRelation(
-                self.Xbar, self.Vbar, {(x, e): self.range_of[e] for (x, e) in self.Xbar}
-            )
         return self._big
 
     def commutant_relation(self) -> FiniteEquivRelation:
         """Relation on E: parallel edges (same source and same range)."""
-        if self._commutant is None:
-            label = {e.id: (e.src, e.rng) for e in self.diagram.edges(1)}
-            self._commutant = FiniteEquivRelation(self.E, dict.fromkeys(label.values()), label)
         return self._commutant
 
     def pinched_relation(self) -> FiniteEquivRelation:
         """Subrelation of the big one with equal edge coordinates."""
-        if self._pinched is None:
-            self._pinched = FiniteEquivRelation(
-                self.Xbar, self.E, {(x, e): e for (x, e) in self.Xbar}
-            )
         return self._pinched
+
+
+def _epsilon(g: InclusionGraph, c) -> AlgebraElement:
+    """eps(c) for an edge c of ``g``."""
+    return AlgebraElement._valid(
+        g.big_relation(), {((x, c), (x, c)): 1 for x in g.fiber(g.source_of[c])}
+    )
 
 
 def include_j(g: InclusionGraph, f: AlgebraElement) -> AlgebraElement:
@@ -380,12 +373,9 @@ class ModelExpectation:
 
     def epsilon(self, c) -> AlgebraElement:
         """The projection eps(c) = sum over x with vertex s(c) of e(xc, xc)."""
-        g = self.graph
-        if c not in g.source_of:
+        if c not in self.graph.source_of:
             raise IncompatibleData(f"no edge {c!r}")
-        return AlgebraElement(
-            g.big_relation(), {((x, c), (x, c)): 1 for x in g.fiber(g.source_of[c])}
-        )
+        return _epsilon(self.graph, c)
 
     def subalgebra_basis(self) -> list[AlgebraElement]:
         """The j-images of the canonical units of the base relation."""
@@ -642,21 +632,18 @@ def extract_transition(
     p: dict = {}
     for c in g.E:
         v = g.source_of[c]
-        eps = AlgebraElement(big, {((x, c), (x, c)): 1 for x in g.fiber(v)})
-        img = Q(eps)
-        if img.relation == base:
-            target = AlgebraElement(base, {(x, x): 1 for x in g.fiber(v)})
-        elif img.relation == big:
-            target = include_j(g, AlgebraElement(base, {(x, x): 1 for x in g.fiber(v)}))
-        else:
+        img = Q(_epsilon(g, c))
+        target = AlgebraElement._valid(base, {(x, x): 1 for x in g.fiber(v)})
+        if img.relation == big:
+            target = include_j(g, target)
+        elif img.relation != base:
             raise ShapeMismatch("Q must produce elements over the base or the big relation")
         if not img.entries:
             raise SupportViolation(f"extracted p({c!r}) = 0: the expectation is not faithful")
-        for val in img.entries.values():
-            if not isinstance(val, (int, Fraction)):
-                raise IncompatibleData(
-                    f"Q(eps({c!r})) has non-exact entries; extraction needs exact arithmetic"
-                )
+        if not all(isinstance(val, _EXACT) for val in img.entries.values()):
+            raise IncompatibleData(
+                f"Q(eps({c!r})) has non-exact entries; extraction needs exact arithmetic"
+            )
         first = next(iter(target.entries))
         scalar = Fraction(img.entries.get(first, 0))
         if img != target.scale(scalar):

@@ -21,21 +21,26 @@ from typing import Mapping
 from .diagram import BratteliDiagram, FinitePath
 from .errors import FileFormatError, IncompatibleData, InvalidDiagram
 from .fdalg import AlgebraElement, FiniteEquivRelation, InclusionGraph
-from .rational import as_fraction
+from .rational import as_fraction, format_fraction
 from .skew import ZLattice
 from .walk import EdgePotential, MultiplicativeRationals, RandomWalk, build_walk
 
 
-def _load_json(source):
-    if isinstance(source, (dict, list)):
-        return source
-    try:
-        return json.loads(Path(source).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError:
-        raise
-    except (ValueError, RecursionError, FileFormatError) as exc:
-        # ValueError covers non-UTF-8 text and integer literals too long to convert
-        raise FileFormatError(f"{source}: {exc}") from None
+def _load_json(source, what: str) -> dict:
+    """The JSON object of ``source``, a path or already-decoded JSON; a
+    FileFormatError names the ``what`` file when it holds no object."""
+    data = source
+    if not isinstance(source, (dict, list)):
+        try:
+            data = json.loads(Path(source).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError:
+            raise
+        except (ValueError, RecursionError, FileFormatError) as exc:
+            # ValueError covers non-UTF-8 text and integer literals too long to convert
+            raise FileFormatError(f"{source}: {exc}") from None
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{what} file must be a JSON object")
+    return data
 
 
 def _unique_keys(pairs) -> dict:
@@ -76,9 +81,7 @@ class DiagramFile:
 
 def load_diagram(source) -> DiagramFile:
     """Parse a diagram file (path, or an already-decoded JSON object)."""
-    data = _load_json(source)
-    if not isinstance(data, dict):
-        raise FileFormatError("diagram file must be a JSON object")
+    data = _load_json(source, "diagram")
     if "vertices" not in data or "edges" not in data:
         raise FileFormatError("diagram file needs 'vertices' and 'edges'")
     raw_vertices = data["vertices"]
@@ -206,9 +209,7 @@ def load_measure_table(d: BratteliDiagram, source) -> tuple[dict, int]:
 
     Returns the table keyed by FinitePath and the depth (longest path seen).
     """
-    data = _load_json(source)
-    if not isinstance(data, dict):
-        raise FileFormatError("measure file must be a JSON object")
+    data = _load_json(source, "measure")
     table: dict[FinitePath, Fraction] = {}
     depth = 0
     empty = data.get("empty", {})
@@ -229,17 +230,13 @@ def load_measure_table(d: BratteliDiagram, source) -> tuple[dict, int]:
 
 def load_terminal(source) -> dict:
     """Read terminal data {vertex: rational}."""
-    data = _load_json(source)
-    if not isinstance(data, dict):
-        raise FileFormatError("terminal file must be a JSON object")
+    data = _load_json(source, "terminal")
     return {_string(v, "terminal"): _rational(x, f"terminal['{v}']") for v, x in data.items()}
 
 
 def load_inclusion_graph(source) -> tuple[InclusionGraph, dict | None]:
     """Read an inclusion graph: a single-floor diagram file plus an 'X' map."""
-    data = _load_json(source)
-    if not isinstance(data, dict):
-        raise FileFormatError("inclusion graph file must be a JSON object")
+    data = _load_json(source, "inclusion graph")
     if "X" not in data or not isinstance(data["X"], dict):
         raise FileFormatError("inclusion graph file needs an 'X' object mapping points to vertices")
     df = load_diagram({k: v for k, v in data.items() if k in ("vertices", "edges")})
@@ -274,9 +271,7 @@ def load_element(rel: FiniteEquivRelation, data) -> AlgebraElement:
         if not isinstance(rec, list) or len(rec) != 4:
             raise FileFormatError(f"algebra element row must be [x, y, re, im], got {rec!r}")
         x, y, re, im = rec
-        if isinstance(re, bool) or isinstance(im, bool):
-            raise FileFormatError(f"algebra element row has non-numeric parts: {rec!r}")
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
             raise FileFormatError(f"algebra element row has non-numeric parts: {rec!r}")
         entries[(_point_in(x), _point_in(y))] = complex(re, im)
     return AlgebraElement(rel, entries)
@@ -296,8 +291,6 @@ def dump_diagram(d: BratteliDiagram, p: Mapping | None = None, nu0: Mapping | No
 
     ``p`` and ``rho`` map (level, edge id) to values; nu0 maps vertex ids.
     """
-    from .rational import format_fraction
-
     out: dict = {
         "vertices": [list(d.vertices(n)) for n in range(d.depth + 1)],
         "edges": [],

@@ -92,7 +92,7 @@ class InvariantFunction:
     values: Mapping[str, Fraction]
 
     def of_path(self, a: FinitePath) -> Fraction:
-        if a.end_level - 0 != self.depth or a.start_level != 0:
+        if a.end_level != self.depth or a.start_level != 0:
             raise ShapeMismatch("invariant function applies to full-depth paths from level 0")
         return self.values[a.terminus]
 

@@ -10,8 +10,8 @@ It runs over the base diagram's integer indices and keeps only what defines
 the product: each level's sorted (base vertex index, element) keys and the
 name of each distinct element, formatted once.  The skew product as a
 ``BratteliDiagram`` is built and validated when ``SkewDiagram.diagram`` is
-first read (lifted walks read it); the ``skew`` command streams its rows
-from the keys and builds none.
+first read (lifted walks read it); ``SkewDiagram.rows``, which the ``skew``
+command prints, streams from the keys and builds none.
 
 Two generator families live here as well: the binomial triangle with its
 t-walk (whose cotransition is t-independent), and single-vertex diagrams
@@ -121,6 +121,18 @@ class SkewDiagram:
         skewed.require_valid()
         return skewed
 
+    def rows(self):
+        """(level, id, element) per skew vertex, level by level in vertex
+        order, then per skew edge in edge order, where an edge (e, g) carries
+        g rho(e), the element of its range vertex; streamed from the keys."""
+        d, names = self.base, self._names
+        for n, (ids, level) in enumerate(zip(d._vertices, self._keys)):
+            for i, g in level:
+                yield n, f"{ids[i]}@{names[g]}", names[g]
+        for m, edges in enumerate(d._edges):
+            for g, k, g2 in _skew_edges(d, self.potential, self._keys[m], m):
+                yield m + 1, f"{edges[k].id}@{names[g]}", names[g2]
+
     def window(self, n: int) -> tuple:
         """Group elements present at level n, sorted."""
         return tuple(sorted({g for _, g in self._keys[n]}))
@@ -202,19 +214,15 @@ def lift_walk(sd: SkewDiagram, w: RandomWalk, lam0: Mapping) -> RandomWalk:
                 f"initial weight of {sd.group.format(g)} is {long_str(weights[g])}, not positive"
             )
     total = sum(weights.values())
-    fmt = sd.group.format
-    nu0 = {
-        f"{v}@{fmt(g)}": w.initial(v) * weights[g] / total for (v, g) in sd.vertex_pairs(0)
-    }
+    # the skew diagram lists its vertices in key order and its edges in
+    # _skew_edges order, so nu0 and p are read by index
+    skewed, nu0, p = sd.diagram, w.initial._nu0, w.transition._rho
+    nu = {v: nu0[i] * weights[g] / total for v, (i, g) in zip(skewed.vertices(0), sd._keys[0])}
     p_levels = []
-    for n in range(1, sd.diagram.depth + 1):
-        p_levels.append(
-            {
-                edge.id: w.transition(n, base_id)
-                for edge, (base_id, _) in zip(sd.diagram.edges(n), sd.edge_pairs(n))
-            }
-        )
-    return build_walk(sd.diagram, p_levels, nu0)
+    for m, keys in enumerate(sd._keys[:-1]):
+        edges = _skew_edges(sd.base, sd.potential, keys, m)
+        p_levels.append({e.id: p[m][k] for e, (_, k, _) in zip(skewed.edges(m + 1), edges)})
+    return build_walk(skewed, p_levels, nu)
 
 
 def skew_harmonic(

@@ -470,6 +470,8 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
     """
     if not isinstance(q, CotransitionProbability):
         q = CotransitionProbability(d, q)
+    if q.diagram is not d:  # q is read by edge index
+        raise IncompatibleData("cotransition must be built on the same diagram")
     if not 0 <= depth <= d.depth:
         raise PathError(f"depth {depth} out of range 0..{d.depth}")
     levels = list(_path_levels(d, 0, depth))
@@ -516,7 +518,7 @@ def _q_ratios(d: BratteliDiagram, q, depth: int, tree=None):
         tree = _tree_levels(d, 0, depth)
     for n, (prefix, last, ends) in enumerate(tree):
         if n:  # q(a e) = q(a) q(e)
-            qn = [q(n, e.id) for e in d.edges(n)]
+            qn = q._rho[n - 1]
             tops = [tops[i] * qn[k].numerator for i, k in zip(prefix, last)]
             bottoms = [bottoms[i] * qn[k].denominator for i, k in zip(prefix, last)]
         else:

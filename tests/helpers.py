@@ -736,13 +736,19 @@ def enumerate_inclusion_graphs(max_weight=6):
     canonical form below collapses nothing else.
     """
     seen = {}
+    canonical = {}  # sorted (fiber, row) pairs -> canonical form
     for nV in range(1, max_weight + 1):
         for nVb in range(1, max_weight + 1):
             for fibers in _compositions_up_to(max_weight, nV, 1):
                 if any(fibers[i] < fibers[i + 1] for i in range(nV - 1)):
                     continue  # fiber order is a row relabeling
                 for M in _matrices(nV, nVb, fibers, max_weight):
-                    key = _canonical_structure(fibers, M)
+                    # rows of equal fiber size permute freely, so structures
+                    # with the same sorted rows are isomorphic
+                    rows = tuple(sorted(zip(fibers, M)))
+                    if rows not in canonical:
+                        canonical[rows] = _canonical_structure(fibers, M)
+                    key = canonical[rows]
                     if key not in seen:
                         seen[key] = _build_graph(fibers, M)
     return list(seen.values())

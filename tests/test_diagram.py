@@ -68,6 +68,27 @@ def test_accessor_range_errors():
         d.vertex_index(0, "nope")
 
 
+def test_edge_at_level_zero_raises():
+    # '1:0:0' is an edge of E(2), the level that index 0 - 1 would reach
+    d, _ = pascal_diagram(2, Fraction(1, 3))
+    with pytest.raises(PathError, match="edge level 0 out of range 1..2"):
+        d.edge(0, "1:0:0")
+
+
+def test_in_edges_at_level_zero_raise():
+    # '0:0' has index 0, and row 0 of the in-edges at index 0 - 1 lists E(2)'s edges into '2:0'
+    d, _ = pascal_diagram(2, Fraction(1, 3))
+    with pytest.raises(PathError, match="edge level 0 out of range 1..2"):
+        d.in_edges(0, "0:0")
+
+
+def test_out_edges_at_the_last_level_raise():
+    # V(2) is the last level: no edge level leaves it
+    d, _ = pascal_diagram(2, Fraction(1, 3))
+    with pytest.raises(PathError, match="edge level 3 out of range 1..2"):
+        d.out_edges(2, "2:0")
+
+
 def test_construction_shape_errors():
     with pytest.raises(InvalidDiagram):
         BratteliDiagram([["a"]], [])

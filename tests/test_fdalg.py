@@ -640,6 +640,38 @@ def test_extraction_rejects_inexact_and_disproportionate():
         extract_transition(lambda fbar: lopsided, g2)
 
 
+def test_extraction_rejects_images_off_both_relations():
+    g, _ = two_edge_graph({"a": F(1, 2), "b": F(1, 2)})
+    with pytest.raises(ShapeMismatch, match="over the base or the big relation"):
+        extract_transition(lambda fbar: identity_element(g.commutant_relation()), g)
+
+
+def test_extraction_rejects_zero_and_negative_p():
+    g, me = two_edge_graph({"a": F(1, 2), "b": F(1, 2)})
+    with pytest.raises(SupportViolation, match=r"extracted p\('a'\) = 0: the expectation is not faithful"):
+        extract_transition(lambda fbar: AlgebraElement.zero(g.base_relation()), g)
+    with pytest.raises(SupportViolation, match=r"extracted p\('a'\) = -1/2: the expectation is not faithful"):
+        extract_transition(lambda fbar: -me(fbar), g)
+
+
+def test_extraction_rejects_p_that_does_not_sum_to_one():
+    g, me = two_edge_graph({"a": F(1, 2), "b": F(1, 2)})
+    with pytest.raises(IncompatibleData, match="extracted transitions out of 'v' sum to 2, not 1"):
+        extract_transition(lambda fbar: me(fbar).scale(2), g)
+
+
+def test_model_maps_reject_elements_off_the_big_relation():
+    g, me = two_edge_graph({"a": F(1, 2), "b": F(1, 2)})
+    pinch, average = pinch_average_decompose(me)
+    one = identity_element(g.base_relation())
+    with pytest.raises(ShapeMismatch, match="expectation wants an element over the graph's big relation"):
+        me(one)
+    with pytest.raises(ShapeMismatch, match="pinching wants an element over the big relation"):
+        pinch(one)
+    with pytest.raises(ShapeMismatch, match="averaging wants an element over the big relation"):
+        average(one)
+
+
 def test_pinch_kills_off_diagonal():
     g, me = two_edge_graph({"a": F(1, 2), "b": F(1, 2)})
     pinch, average = pinch_average_decompose(me)

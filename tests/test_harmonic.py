@@ -10,6 +10,7 @@ from bratteli import (
     InvariantFunction,
     NotAMeasure,
     NotHarmonic,
+    PathError,
     ShapeMismatch,
     cylinder_measure,
     enumerate_paths,
@@ -74,6 +75,14 @@ def test_harmonic_sequence_shape_errors():
             w.diagram,
             [{"0:0": 1, "zz": 1}, {"1:0": 1, "1:1": 1}, {"2:0": 1, "2:1": 1, "2:2": 1}],
         )
+
+
+def test_harmonic_value_at_a_negative_level_raises():
+    # '2:0' is a vertex of V(2), the level that index -1 would reach
+    _, w = pascal_diagram(2, F(1, 3))
+    h = harmonic_from_terminal(w, {"2:0": 1, "2:1": 2, "2:2": 3})
+    with pytest.raises(PathError, match="vertex level -1 out of range 0..2"):
+        h(-1, "2:0")
 
 
 def test_terminal_indicator_gives_path_probability():

@@ -147,6 +147,13 @@ def test_distributions_match_enumeration():
         w.nu(d.depth + 1)
 
 
+def test_transition_at_level_zero_raises():
+    # '1:0:0' is an edge of E(2), the level that index 0 - 1 would reach
+    _, w = pascal_diagram(2, F(1, 3))
+    with pytest.raises(PathError, match="edge level 0 out of range 1..2"):
+        w.transition(0, "1:0:0")
+
+
 def test_cotransition_sums_to_one_on_in_edges():
     rng = random.Random(22)
     for _ in range(25):
@@ -300,6 +307,17 @@ def test_q_check_catches_shifted_mass():
     assert witness is not None
     path, expected, actual = witness
     assert expected != actual
+
+
+def test_q_check_wants_q_on_the_same_diagram():
+    # same ids in another edge order: q read by index would be misaligned
+    V = [["r"], ["a", "b"]]
+    d = BratteliDiagram(V, [[("e", "r", "a"), ("f", "r", "b"), ("g", "r", "b")]])
+    other = BratteliDiagram(V, [[("f", "r", "b"), ("e", "r", "a"), ("g", "r", "b")]])
+    p = [{"e": F(1, 2), "f": F(1, 4), "g": F(1, 4)}]
+    table = markov_cylinder_table(build_walk(d, p, {"r": 1}), 1)
+    with pytest.raises(IncompatibleData, match="same diagram"):
+        q_measure_witness(d, build_walk(other, p, {"r": 1}).cotransition, table, 1)
 
 
 def test_q_check_table_errors():
