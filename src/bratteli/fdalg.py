@@ -12,8 +12,9 @@ floor, defines the model conditional expectation
 Q(f)(x,y) = sum over edges c out of the vertex of x of p(c) f(xc, yc), which
 factors as a pinching onto the equal-edge subrelation followed by averaging.
 
-Probabilities stay exact rationals; phases and states use complex doubles
-compared with the tolerance ``TOL``.
+Probabilities stay exact rationals, and so do the expectation checks and the
+commutant on exact input; phases, states and float input use complex doubles
+compared with a tolerance.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -436,9 +438,14 @@ def verify_expectation(
     compares Q(0) with two empty products and holds.  If Q(0) is not 0, every
     pair is checked.
 
-    Each of the three positivity samples f*f has, on every class, the block
-    B*B of a block B whose entries are ``complex(rng.gauss(0, 1),
-    rng.gauss(0, 1))``, drawn row by row from ``rng = random.Random(7)``.
+    On exact input (ints and Fractions in sub_basis and the unit images),
+    range and positivity are decided exactly, without ``tol``; numbers in
+    failure messages are complex doubles.  The three positivity samples f*f
+    have, on each class, the block B*B of a block B drawn row by row from
+    ``rng = random.Random(7)``: ``rng.randint(-3, 3)`` entries on exact input,
+    else ``complex(rng.gauss(0, 1), rng.gauss(0, 1))``.  Real samples pass
+    (tr f / 2 + (f(1,2) - f(2,1)) / 3) 1 on M_2 over C 1, which is positive on
+    real f only; its trace form is not hermitian, so all_pass is False anyway.
     """
     rng = random.Random(7)
     report = ExpectationReport()
@@ -456,35 +463,45 @@ def verify_expectation(
             report._fail("idempotent", f"Q^2 != Q at unit {pair}: off by {float(d):.3g}")
             break
 
-    # range: project each image on the orthonormalized span of sub_basis
+    # range: exact input eliminates each image against the sub-basis, and only
+    # the first image left over is projected on its span, for the message
     index = {pair: i for i, pair in enumerate(pairs)}
-    dim = len(index)
-    basis_mat = np.zeros((dim, len(sub_basis)), dtype=complex)
-    for jcol, m in enumerate(sub_basis):
-        for k, v in m.entries.items():
-            basis_mat[index[k], jcol] = complex(v)
-    if len(sub_basis):
-        u_mat, svals, _ = np.linalg.svd(basis_mat, full_matrices=False)
-        keep = svals > 1e-12 * max(1.0, float(svals[0]))
-        u_mat = u_mat[:, keep]
-    else:
-        u_mat = np.zeros((dim, 0), dtype=complex)
-    u_adj = u_mat.conj().T
-    for u, img in zip(units, images):
+    exact = all(isinstance(v, _EXACT) for m in (*sub_basis, *images) for v in m.entries.values())
+    checked = range(len(images))
+    if exact:
+        echelon: dict = {}
+        for m in sub_basis:
+            if row := _reduce(echelon, m.entries):
+                echelon[next(iter(row))] = row
+        checked = [k for k, img in enumerate(images) if _reduce(echelon, img.entries)][:1]
+    if checked:
+        dim = len(index)
+        basis_mat = np.zeros((dim, len(sub_basis)), dtype=complex)
+        for jcol, m in enumerate(sub_basis):
+            for k, v in m.entries.items():
+                basis_mat[index[k], jcol] = complex(v)
+        if len(sub_basis):
+            u_mat, svals, _ = np.linalg.svd(basis_mat, full_matrices=False)
+            keep = svals > 1e-12 * max(1.0, float(svals[0]))
+            u_mat = u_mat[:, keep]
+        else:
+            u_mat = np.zeros((dim, 0), dtype=complex)
+        u_adj = u_mat.conj().T
+    for k in checked:
+        img = images[k]
         if not img.entries:
             continue
         vec = np.zeros(dim, dtype=complex)
-        for k, v in img.entries.items():
-            vec[index[k]] = complex(v)
+        for key, v in img.entries.items():
+            vec[index[key]] = complex(v)
         # explicit residual vector; the norm-difference form cancels badly
         resid = vec - u_mat @ (u_adj @ vec)
         resid2 = float(np.vdot(resid, resid).real)
         norm2 = float(np.vdot(vec, vec).real)
-        if resid2 > tol * tol * max(1.0, norm2):
+        if exact or resid2 > tol * tol * max(1.0, norm2):
             report._fail(
                 "range_in_subalgebra",
-                f"Q(unit {next(iter(u.entries))}) leaves the subalgebra span "
-                f"(residual {resid2 ** 0.5:.3g})",
+                f"Q(unit {pairs[k]}) leaves the subalgebra span (residual {resid2 ** 0.5:.3g})",
             )
             break
 
@@ -553,28 +570,33 @@ def verify_expectation(
     for _ in range(3):
         entries: dict = {}
         for cls_ in classes:
-            block = np.array(
-                [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in cls_] for _ in cls_]
-            )
-            gram = block.conj().T @ block
+            if exact:
+                cols = list(zip(*[[rng.randint(-3, 3) for _ in cls_] for _ in cls_]))
+                gram = [[sum(u * v for u, v in zip(a, b)) for b in cols] for a in cols]
+            else:
+                block = np.array(
+                    [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in cls_] for _ in cls_]
+                )
+                gram = block.conj().T @ block
             for i, x in enumerate(cls_):
                 for j, y in enumerate(cls_):
-                    entries[(x, y)] = gram[i, j]
+                    entries[(x, y)] = gram[i][j]
         image = Q(AlgebraElement._valid(ambient, entries))
         scale = max(1.0, image.max_abs())
         for cls_ in classes:
-            n = len(cls_)
-            block = np.zeros((n, n), dtype=complex)
-            pos = {x: i for i, x in enumerate(cls_)}
-            for (x, y), v in image.entries.items():
-                if x in pos and y in pos:
-                    block[pos[x], pos[y]] = complex(v)
-            sym_err = float(np.max(np.abs(block - block.conj().T))) if n else 0.0
-            if sym_err > tol * scale:
+            rows = [[image.entries.get((x, y), 0) for y in cls_] for x in cls_]
+            decided = exact and all(isinstance(v, _EXACT) for row in rows for v in row)
+            if decided:  # the floats below only fill a failure message
+                symmetric = rows == [list(col) for col in zip(*rows)]
+                if symmetric and _semidefinite(rows, definite=False):
+                    continue
+            block = np.array(rows, dtype=complex)
+            sym_err = float(np.max(np.abs(block - block.conj().T)))
+            if not symmetric if decided else sym_err > tol * scale:
                 report._fail("positive", f"Q(f*f) not self-adjoint (off by {sym_err:.3g})")
                 break
-            low = float(np.min(np.linalg.eigvalsh((block + block.conj().T) / 2))) if n else 0.0
-            if low < -tol * scale:
+            low = float(np.min(np.linalg.eigvalsh((block + block.conj().T) / 2)))
+            if decided or low < -tol * scale:
                 report._fail("positive", f"Q(f*f) has a negative eigenvalue {low:.3g}")
                 break
         if not report.positive:
@@ -582,21 +604,18 @@ def verify_expectation(
 
     for cls_ in classes:
         rows = [[images[index[(x, y)]].trace() for y in cls_] for x in cls_]
-        exact = all(isinstance(v, _EXACT) for row in rows for v in row)
-        if exact:  # decided exactly; the floats below only fill a failure message
+        decided = all(isinstance(v, _EXACT) for row in rows for v in row)
+        if decided:  # the floats below only fill a failure message
             hermitian = rows == [list(col) for col in zip(*rows)]
-            definite = hermitian and _positive_definite(rows)
-            if definite:
+            if hermitian and _semidefinite(rows, definite=True):
                 continue
         gram = np.array(rows, dtype=complex)
         asym = float(np.max(np.abs(gram - gram.conj().T)))
-        low = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)))
-        if not exact:
-            hermitian, definite = asym <= tol * max(1.0, float(np.max(np.abs(gram)))), low > tol
-        if not hermitian:
+        if not hermitian if decided else not asym <= tol * max(1.0, float(np.max(np.abs(gram)))):
             report._fail("faithful", f"trace form not hermitian (off by {asym:.3g})")
             break
-        if not definite:
+        low = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)))
+        if decided or not low > tol:
             report._fail(
                 "faithful",
                 f"trace form on class of {cls_[0]!r} is not positive definite (min eig {low:.3g})",
@@ -605,17 +624,35 @@ def verify_expectation(
     return report
 
 
-def _positive_definite(rows) -> bool:
-    """Whether the symmetric exact matrix ``rows`` is positive definite: every
-    pivot of its elimination in Fractions, without pivoting, is > 0."""
-    a = [list(map(Fraction, row)) for row in rows]
-    for k, top in enumerate(a):
-        if top[k] <= 0:
+def _semidefinite(rows, definite: bool) -> bool:
+    """Whether the symmetric matrix ``rows`` of ints and Fractions is positive
+    semidefinite: each LDL^T pivot is > 0, or 0 with a zero row; or definite."""
+    echelon: dict = {}
+    for i, row in enumerate(rows):
+        rest = _reduce(echelon, dict(enumerate(row)))
+        pivot = rest.get(i, 0)
+        if pivot < 0 or not pivot and (definite or rest):
             return False
-        for row in a[k + 1:]:
-            factor = row[k] / top[k]
-            row[k:] = [x - factor * y for x, y in zip(row[k:], top[k:])]
+        if pivot:
+            echelon[i] = rest
     return True
+
+
+def _reduce(echelon: dict, row: Mapping) -> dict:
+    """The exact elimination kernel: a sparse row of ints and Fractions, scaled
+    to integers, minus the combination of the rows of ``echelon`` (pivot column
+    -> integer row that is 0 at every earlier pivot) that clears every pivot
+    column.  Fraction-free: each step cross-multiplies by the pivot, as Bareiss
+    does (Math. Comp. 22, 1968), then divides out the row's gcd.  The result is
+    a multiple of that difference, positive when every pivot is."""
+    den = lcm(*(v.denominator for v in row.values()))
+    row = {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+    for c, top in echelon.items():
+        if a := row.get(c):
+            row = {k: top[c] * row.get(k, 0) - a * top.get(k, 0) for k in {**row, **top}}
+            g = gcd(*row.values())
+            row = {k: v // g for k, v in row.items() if v}
+    return row
 
 
 def extract_transition(
@@ -854,13 +891,15 @@ def brute_force_commutant(
     """Basis of everything in the ambient algebra commuting with the inputs.
 
     Solves the stacked linear system [m, g] = 0 over the pairs of the ambient
-    relation via an SVD null space; intended as an oracle, not for large
-    relations.
+    relation, by ``_reduce`` and back-substitution into a Fraction basis when
+    the generators are exact, else via an SVD null space; intended as an
+    oracle, not for large relations.
     """
+    exact = all(isinstance(v, _EXACT) for gen in generators for v in gen.entries.values())
     pairs = list(ambient.pairs())
     index = {pair: i for i, pair in enumerate(pairs)}
     dim = len(pairs)
-    rows = []
+    rows, echelon, basis = [], {}, []
     for gen in generators:
         if gen.relation != ambient:
             raise ShapeMismatch("generators must live on the ambient relation")
@@ -869,17 +908,29 @@ def brute_force_commutant(
         for (y, z), v in gen.entries.items():
             for x in ambient.class_of(y):
                 d = eqs.setdefault((x, z), {})
-                d[(x, y)] = d.get((x, y), 0) + complex(v)
+                d[(x, y)] = d.get((x, y), 0) + (v if exact else complex(v))
         for (x, y), v in gen.entries.items():
             for z in ambient.class_of(y):
                 d = eqs.setdefault((x, z), {})
-                d[(y, z)] = d.get((y, z), 0) - complex(v)
+                d[(y, z)] = d.get((y, z), 0) - (v if exact else complex(v))
         for coeffs in eqs.values():
+            if exact:
+                if row := _reduce(echelon, coeffs):
+                    echelon[next(iter(row))] = row
+                continue
             row = np.zeros(dim, dtype=complex)
             for pair, c in coeffs.items():
                 row[index[pair]] = c
             if np.any(row):
                 rows.append(row)
+    if exact:  # back-substitution, with one free pair 1 and the others 0
+        for free in pairs:
+            if free not in echelon:
+                x = {free: Fraction(1)}
+                for c, top in reversed(echelon.items()):
+                    x[c] = Fraction(-sum(v * x.get(k, 0) for k, v in top.items() if k != c), top[c])
+                basis.append(AlgebraElement._valid(ambient, x))
+        return basis
     if not rows:
         mat = np.zeros((1, dim), dtype=complex)
     else:
@@ -887,7 +938,6 @@ def brute_force_commutant(
     _, svals, vh = np.linalg.svd(mat)
     cutoff = 1e-9 * max(1.0, float(svals[0]) if len(svals) else 1.0)
     null_rows = [vh[i] for i in range(vh.shape[0]) if i >= len(svals) or svals[i] <= cutoff]
-    basis = []
     for vec in null_rows:
         entries = {pair: vec[i] for pair, i in index.items() if abs(vec[i]) > 1e-13}
         basis.append(AlgebraElement(ambient, entries))

@@ -555,7 +555,10 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
     """``verify_expectation`` applying Q afresh to every product it checks:
     Q(m u) and Q(u m) for every (basis element, unit) pair and Q(e(x,y)) for
     every Gram entry, with the products built by ``AlgebraElement``.  Failure
-    messages format distances as floats, so exact inputs report too."""
+    messages format distances as floats, so exact inputs report too.  On exact
+    input (ints and Fractions in sub_basis and the unit images) range and
+    positivity are decided by dense Fraction elimination, and the positivity
+    samples are the same integer blocks."""
     rng = rng or random.Random(7)
     report = ExpectationReport()
     one = identity_element(ambient)
@@ -570,8 +573,16 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
             report._fail("idempotent", f"Q^2 != Q at unit {next(iter(u.entries))}: off by {float(d):.3g}")
             break
 
-    # range: project each image on the orthonormalized span of sub_basis
+    # range: on exact input, an image is outside when its residue against the
+    # echelon form of sub_basis is not zero; else, and for the message, it is
+    # projected on the orthonormalized span of sub_basis
     index = {pair: i for i, pair in enumerate(ambient.pairs())}
+    exact = all(
+        isinstance(v, (int, Fraction)) for m in (*sub_basis, *images) for v in m.entries.values()
+    )
+    if exact:
+        echelon = fraction_echelon([dense_fractions(m, index) for m in sub_basis])
+        outside = [any(fraction_residue(echelon, dense_fractions(img, index))) for img in images]
     dim = len(index)
     basis_mat = np.zeros((dim, len(sub_basis)), dtype=complex)
     for jcol, m in enumerate(sub_basis):
@@ -583,17 +594,17 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
         u_mat = u_mat[:, keep]
     else:
         u_mat = np.zeros((dim, 0), dtype=complex)
-    for u, img in zip(units, images):
+    for k, (u, img) in enumerate(zip(units, images)):
         if not img.entries:
             continue
         vec = np.zeros(dim, dtype=complex)
-        for k, v in img.entries.items():
-            vec[index[k]] = complex(v)
+        for key, v in img.entries.items():
+            vec[index[key]] = complex(v)
         # explicit residual vector; the norm-difference form cancels badly
         resid = vec - u_mat @ (u_mat.conj().T @ vec)
         resid2 = float(np.vdot(resid, resid).real)
         norm2 = float(np.vdot(vec, vec).real)
-        if resid2 > tol * tol * max(1.0, norm2):
+        if outside[k] if exact else resid2 > tol * tol * max(1.0, norm2):
             report._fail(
                 "range_in_subalgebra",
                 f"Q(unit {next(iter(u.entries))}) leaves the subalgebra span "
@@ -620,13 +631,19 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
     for _ in range(3):
         entries: dict = {}
         for cls_ in classes:
-            block = np.array(
-                [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in cls_] for _ in cls_]
-            )
-            gram = block.conj().T @ block
+            n = len(cls_)
+            if exact:
+                block = [[rng.randint(-3, 3) for _ in cls_] for _ in cls_]
+                gram = [[sum(block[k][i] * block[k][j] for k in range(n)) for j in range(n)]
+                        for i in range(n)]
+            else:
+                block = np.array(
+                    [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in cls_] for _ in cls_]
+                )
+                gram = block.conj().T @ block
             for i, x in enumerate(cls_):
                 for j, y in enumerate(cls_):
-                    entries[(x, y)] = gram[i, j]
+                    entries[(x, y)] = gram[i][j]
         image = Q(AlgebraElement(ambient, entries))
         scale = max(1.0, image.max_abs())
         for cls_ in classes:
@@ -636,12 +653,14 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
             for (x, y), v in image.entries.items():
                 if x in pos and y in pos:
                     block[pos[x], pos[y]] = complex(v)
+            rows = [[image.entries.get((x, y), 0) for y in cls_] for x in cls_]
+            decided = exact and all(isinstance(v, (int, Fraction)) for row in rows for v in row)
             sym_err = float(np.max(np.abs(block - block.conj().T))) if n else 0.0
-            if sym_err > tol * scale:
+            if rows != [list(col) for col in zip(*rows)] if decided else sym_err > tol * scale:
                 report._fail("positive", f"Q(f*f) not self-adjoint (off by {sym_err:.3g})")
                 break
             low = float(np.min(np.linalg.eigvalsh((block + block.conj().T) / 2))) if n else 0.0
-            if low < -tol * scale:
+            if not fraction_semidefinite(rows) if decided else low < -tol * scale:
                 report._fail("positive", f"Q(f*f) has a negative eigenvalue {low:.3g}")
                 break
         if not report.positive:
@@ -665,6 +684,55 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
             )
             break
     return report
+
+
+def dense_fractions(element, index):
+    """The entries of ``element`` as a dense Fraction vector over ``index``."""
+    vec = [Fraction(0)] * len(index)
+    for k, v in element.entries.items():
+        vec[index[k]] = Fraction(v)
+    return vec
+
+
+def fraction_residue(echelon, vec):
+    """``vec`` minus its part in the span of a reduced echelon form
+    (pivot column -> dense Fraction row that is 1 there and 0 at every other
+    pivot column)."""
+    for c, row in echelon.items():
+        if vec[c]:
+            vec = [a - vec[c] * b for a, b in zip(vec, row)]
+    return vec
+
+
+def fraction_echelon(vectors):
+    """Reduced echelon form of dense Fraction vectors, built one vector at a
+    time by Gauss-Jordan elimination in Fractions."""
+    echelon = {}
+    for vec in vectors:
+        vec = fraction_residue(echelon, vec)
+        col = next((i for i, a in enumerate(vec) if a), None)
+        if col is not None:
+            vec = [a / vec[col] for a in vec]
+            for c, row in echelon.items():
+                if row[col]:
+                    echelon[c] = [a - row[col] * b for a, b in zip(row, vec)]
+            echelon[col] = vec
+    return echelon
+
+
+def fraction_semidefinite(rows):
+    """Whether a symmetric matrix of ints and Fractions is positive
+    semidefinite: dense LDL^T in Fractions without pivoting, where every pivot
+    is >= 0 and a zero pivot has a zero row."""
+    a = [list(map(Fraction, row)) for row in rows]
+    for k, top in enumerate(a):
+        if top[k] < 0 or top[k] == 0 and any(top[k:]):
+            return False
+        if top[k]:
+            for row in a[k + 1:]:
+                factor = row[k] / top[k]
+                row[k:] = [x - factor * y for x, y in zip(row[k:], top[k:])]
+    return True
 
 
 # -- inclusion graphs ----------------------------------------------------------

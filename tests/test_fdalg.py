@@ -1,5 +1,6 @@
 """Relation algebras, the model expectation, and matrix-unit machinery."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -33,10 +34,13 @@ from bratteli import (
     verify_expectation,
 )
 from bratteli import fdalg
+from bratteli.cli import main
 
 from helpers import (
     chain_diagram,
     elements_to_matrix,
+    fraction_echelon,
+    fraction_semidefinite,
     make_graph,
     oracle_verify_expectation,
     random_element,
@@ -309,8 +313,14 @@ def test_commutant_basis_actually_commutes():
         g = random_inclusion_graph(rng, max_points=4, max_edges=5)
         big = g.big_relation()
         jimg = [include_j(g, u) for u in canonical_units(g.base_relation()).values()]
+        # exact generators give a Fraction basis that commutes exactly
         for m in brute_force_commutant(jimg, big):
+            assert all(type(v) is F for v in m.entries.values())
             for gen in jimg:
+                assert m * gen == gen * m
+        scaled = [m.scale(1.0) for m in jimg]
+        for m in brute_force_commutant(scaled, big):
+            for gen in scaled:
                 assert (m * gen).distance(gen * m) < 1e-8
 
 
@@ -437,6 +447,27 @@ def test_verify_expectation_decides_exact_faithfulness_exactly(tol):
     assert report(0.5, 0.5, 1e-12).faithful == (tol != 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.booleans(),
+)
+def test_semidefinite_matches_fraction_ldl(block, gram):
+    # B^T B is semidefinite, often singular; B + B^T is any symmetric matrix.
+    # Entry (i, j) is divided by 1 + (i + j) % 3, which keeps it symmetric.
+    n = len(block)
+    rows = [
+        [F(sum(b[i] * b[j] for b in block) if gram else block[i][j] + block[j][i], 1 + (i + j) % 3)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    semidefinite = fraction_semidefinite(rows)
+    assert fdalg._semidefinite(rows, definite=False) == semidefinite
+    assert fdalg._semidefinite(rows, definite=True) == (semidefinite and len(fraction_echelon(rows)) == n)
+
+
 def test_verify_expectation_detects_non_idempotent():
     rel = FiniteEquivRelation.from_partition([["a", "b"]])
     report = verify_expectation(lambda f: f.scale(0.5), rel, list(canonical_units(rel).values()))
@@ -528,6 +559,73 @@ def test_verify_expectation_matches_oracle(rng, kind, scalar, tol, basis_kind):
     got = verify_expectation(Q, big, basis, tol=tol)
     want = oracle_verify_expectation(Q, big, basis, tol=tol)
     assert got == want
+
+
+def report_fields(report):
+    return [getattr(report, check) for check in report.CHECKS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(Q_KINDS),
+    st.sampled_from([1, 2, F(1, 2)]),
+)
+def test_exact_input_reports_the_same_at_tol_0(rng, kind, scalar):
+    # exact input decides range and positivity without the tolerance; a
+    # broken Q may still pass on some graphs (the adjoint, on a commutative base)
+    g = random_inclusion_graph(rng)
+    me = ModelExpectation(g, random_transition(rng, g))
+    Q = broken_q(kind, g, me, rng)
+    basis = [m.scale(scalar) for m in me.subalgebra_basis()]
+    strict, loose = (verify_expectation(Q, g.big_relation(), basis, tol=tol) for tol in (0, 1e-9))
+    assert report_fields(strict) == report_fields(loose)
+    if kind == "model":
+        assert strict.all_pass
+
+
+def test_verify_expectation_samples_real_f_on_exact_input():
+    # on M_2 over C 1, Q(f) = (tr f / 2 + (f(1,2) - f(2,1)) / 3) 1 is positive
+    # on real f, not on complex f; its trace form is not hermitian
+    rel = FiniteEquivRelation.from_partition([["1", "2"]])
+    one = identity_element(rel)
+
+    def q(f):
+        e = f.entries
+        return one.scale(f.trace() * F(1, 2) + (e.get(("1", "2"), 0) - e.get(("2", "1"), 0)) * F(1, 3))
+
+    exact = verify_expectation(q, rel, [one])
+    assert report_fields(exact) == [True, True, True, True, True, False]
+    assert first_failure(exact, "faithful").startswith("faithful: trace form not hermitian")
+    floating = verify_expectation(q, rel, [one.scale(1.0)])
+    assert report_fields(floating) == [True, True, True, True, False, False]
+    assert first_failure(floating, "positive").startswith("positive: Q(f*f) not self-adjoint")
+
+
+class NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def test_exact_input_runs_no_float_linear_algebra(tmp_path, capsys, monkeypatch):
+    g = random_inclusion_graph(random.Random(76))
+    me = ModelExpectation(g, random_transition(random.Random(77), g))
+    big, basis = g.big_relation(), me.subalgebra_basis()
+    graph = {
+        "vertices": [list(g.V), list(g.Vbar)],
+        "edges": [[{"id": e, "src": g.source_of[e], "rng": g.range_of[e], "p": str(me.p[e])}
+                   for e in g.E]],
+        "X": g.vertex_of,
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    monkeypatch.setattr(fdalg, "np", NoNumpy())
+    assert verify_expectation(me.as_endomorphism(), big, basis).all_pass
+    assert main(["expect", "--graph", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.undo()
+    scaled = [m.scale(1.0) for m in basis]
+    assert verify_expectation(me.as_endomorphism(), big, scaled).all_pass
 
 
 def first_failure(report, field):
