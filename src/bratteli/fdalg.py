@@ -12,9 +12,9 @@ floor, defines the model conditional expectation
 Q(f)(x,y) = sum over edges c out of the vertex of x of p(c) f(xc, yc), which
 factors as a pinching onto the equal-edge subrelation followed by averaging.
 
-Probabilities stay exact rationals, and so do the expectation checks and the
-commutant on exact input; phases, states and float input use complex doubles
-compared with a tolerance.
+Probabilities, the expectation checks and the commutant are exact: the checks
+and the commutant take ints and Fractions and refuse any other entry.  Phases,
+unit extension and states use complex doubles compared with one tolerance.
 """
 
 from __future__ import annotations
@@ -413,7 +413,6 @@ def verify_expectation(
     Q: Callable[[AlgebraElement], AlgebraElement],
     ambient: FiniteEquivRelation,
     sub_basis: Sequence[AlgebraElement],
-    tol: float = 1e-9,
 ) -> ExpectationReport:
     """Check the conditional-expectation axioms for an endomorphism Q.
 
@@ -424,8 +423,13 @@ def verify_expectation(
     left/right module property over sub_basis (which gives the two-sided
     version by composing the one-sided identities), positivity of Q(f*f) on
     random f, and faithfulness via positive definiteness of the class Gram
-    matrices t(u,v) = trace Q(e(u,v)), decided exactly (no tolerance) when
-    their entries are ints and Fractions.
+    matrices t(u,v) = trace Q(e(u,v)).
+
+    Every check is exact.  Entries of sub_basis, of the unit images and of
+    Q(f*f) must be ints and Fractions, or IncompatibleData is raised;
+    sub_basis (and its relation) is checked before Q is first applied.
+    Range, positivity and faithfulness are decided by the integer
+    elimination of ``_reduce`` and ``_semidefinite``.
 
     Q is applied once to each matrix unit, and the module and faithfulness
     checks read those images instead of applying Q again wherever the element
@@ -438,71 +442,39 @@ def verify_expectation(
     compares Q(0) with two empty products and holds.  If Q(0) is not 0, every
     pair is checked.
 
-    On exact input (ints and Fractions in sub_basis and the unit images),
-    range and positivity are decided exactly, without ``tol``; numbers in
-    failure messages are complex doubles.  The three positivity samples f*f
-    have, on each class, the block B*B of a block B drawn row by row from
-    ``rng = random.Random(7)``: ``rng.randint(-3, 3)`` entries on exact input,
-    else ``complex(rng.gauss(0, 1), rng.gauss(0, 1))``.  Real samples pass
-    (tr f / 2 + (f(1,2) - f(2,1)) / 3) 1 on M_2 over C 1, which is positive on
-    real f only; its trace form is not hermitian, so all_pass is False anyway.
+    The three positivity samples f*f have, on each class, the block B^T B of
+    a block B of entries ``rng.randint(-3, 3)`` drawn row by row from
+    ``rng = random.Random(7)``.  The samples are real, so a map that is
+    positive on real f only passes: (tr f / 2 + (f(1,2) - f(2,1)) / 3) 1 on
+    M_2 over C 1 is one; its trace form is not hermitian, so all_pass is
+    False anyway.
     """
+    one = identity_element(ambient)
+    for m in sub_basis:
+        m._same_relation(one)
+    _require_exact(sub_basis, "sub_basis has non-exact entries; the checks need exact arithmetic")
     rng = random.Random(7)
     report = ExpectationReport()
-    one = identity_element(ambient)
-    d = Q(one).distance(one)
-    if d > tol:
+    if d := Q(one).distance(one):
         report._fail("unital", f"Q(1) differs from 1 by {float(d):.3g}")
 
     pairs = list(ambient.pairs())
     units = [matrix_unit(ambient, x, y) for (x, y) in pairs]
     images = [Q(u) for u in units]
+    _require_exact(images, "a unit image has non-exact entries; the checks need exact arithmetic")
     for pair, img in zip(pairs, images):
-        d = Q(img).distance(img)
-        if d > tol:
+        if d := Q(img).distance(img):
             report._fail("idempotent", f"Q^2 != Q at unit {pair}: off by {float(d):.3g}")
             break
 
-    # range: exact input eliminates each image against the sub-basis, and only
-    # the first image left over is projected on its span, for the message
-    index = {pair: i for i, pair in enumerate(pairs)}
-    exact = all(isinstance(v, _EXACT) for m in (*sub_basis, *images) for v in m.entries.values())
-    checked = range(len(images))
-    if exact:
-        echelon: dict = {}
-        for m in sub_basis:
-            if row := _reduce(echelon, m.entries):
-                echelon[next(iter(row))] = row
-        checked = [k for k, img in enumerate(images) if _reduce(echelon, img.entries)][:1]
-    if checked:
-        dim = len(index)
-        basis_mat = np.zeros((dim, len(sub_basis)), dtype=complex)
-        for jcol, m in enumerate(sub_basis):
-            for k, v in m.entries.items():
-                basis_mat[index[k], jcol] = complex(v)
-        if len(sub_basis):
-            u_mat, svals, _ = np.linalg.svd(basis_mat, full_matrices=False)
-            keep = svals > 1e-12 * max(1.0, float(svals[0]))
-            u_mat = u_mat[:, keep]
-        else:
-            u_mat = np.zeros((dim, 0), dtype=complex)
-        u_adj = u_mat.conj().T
-    for k in checked:
-        img = images[k]
-        if not img.entries:
-            continue
-        vec = np.zeros(dim, dtype=complex)
-        for key, v in img.entries.items():
-            vec[index[key]] = complex(v)
-        # explicit residual vector; the norm-difference form cancels badly
-        resid = vec - u_mat @ (u_adj @ vec)
-        resid2 = float(np.vdot(resid, resid).real)
-        norm2 = float(np.vdot(vec, vec).real)
-        if exact or resid2 > tol * tol * max(1.0, norm2):
-            report._fail(
-                "range_in_subalgebra",
-                f"Q(unit {pairs[k]}) leaves the subalgebra span (residual {resid2 ** 0.5:.3g})",
-            )
+    # range: the sub-basis in echelon form, each image reduced against it
+    echelon: dict = {}
+    for m in sub_basis:
+        if row := _reduce(echelon, m.entries):
+            echelon[next(iter(row))] = row
+    for pair, img in zip(pairs, images):
+        if _reduce(echelon, img.entries):
+            report._fail("range_in_subalgebra", f"Q(unit {pair}) leaves the subalgebra span")
             break
 
     # For u = e(s,t), m u = sum of m(x,s) e(x,t) over column s of m and
@@ -513,6 +485,7 @@ def verify_expectation(
     # A unit is touched by a column c of m when c is its row or a row of its
     # image, and by a row r of m when r is its column or a column of its
     # image; an untouched pair compares Q(0) with two empty products.
+    index = {pair: i for i, pair in enumerate(pairs)}
     q_zero = Q(AlgebraElement.zero(ambient))
     image_rows = [_rows(img.entries) for img in images]
     by_col: dict = {}
@@ -523,7 +496,6 @@ def verify_expectation(
         for r in {t, *(z for line in img_rows.values() for z, _ in line)}:
             by_row.setdefault(r, []).append(k)
     for m in sub_basis:
-        m._same_relation(one)
         m_rows = _rows(m.entries)
         m_cols: dict = {}
         for (x, y), c in m.entries.items():
@@ -545,8 +517,7 @@ def verify_expectation(
                 q_left = Q(m * u)
             prod = _product(m.entries, img_rows)
             if prod != q_left.entries and _nonzero(prod) != q_left.entries:
-                left = q_left.distance(m * img)
-                if left > tol:
+                if left := q_left.distance(m * img):
                     bad = f"Q(m f) != m Q(f), off by {float(left):.3g}"
                     break
             row = m_rows.get(t)
@@ -558,8 +529,7 @@ def verify_expectation(
                 q_right = Q(u * m)
             prod = _product(img.entries, m_rows)
             if prod != q_right.entries and _nonzero(prod) != q_right.entries:
-                right = q_right.distance(img * m)
-                if right > tol:
+                if right := q_right.distance(img * m):
                     bad = f"Q(f m) != Q(f) m, off by {float(right):.3g}"
                     break
         if bad:
@@ -570,58 +540,46 @@ def verify_expectation(
     for _ in range(3):
         entries: dict = {}
         for cls_ in classes:
-            if exact:
-                cols = list(zip(*[[rng.randint(-3, 3) for _ in cls_] for _ in cls_]))
-                gram = [[sum(u * v for u, v in zip(a, b)) for b in cols] for a in cols]
-            else:
-                block = np.array(
-                    [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in cls_] for _ in cls_]
-                )
-                gram = block.conj().T @ block
+            cols = list(zip(*[[rng.randint(-3, 3) for _ in cls_] for _ in cls_]))
+            gram = [[sum(u * v for u, v in zip(a, b)) for b in cols] for a in cols]
             for i, x in enumerate(cls_):
                 for j, y in enumerate(cls_):
                     entries[(x, y)] = gram[i][j]
         image = Q(AlgebraElement._valid(ambient, entries))
-        scale = max(1.0, image.max_abs())
+        _require_exact([image], "Q(f*f) has non-exact entries; the checks need exact arithmetic")
         for cls_ in classes:
             rows = [[image.entries.get((x, y), 0) for y in cls_] for x in cls_]
-            decided = exact and all(isinstance(v, _EXACT) for row in rows for v in row)
-            if decided:  # the floats below only fill a failure message
-                symmetric = rows == [list(col) for col in zip(*rows)]
-                if symmetric and _semidefinite(rows, definite=False):
-                    continue
-            block = np.array(rows, dtype=complex)
-            sym_err = float(np.max(np.abs(block - block.conj().T)))
-            if not symmetric if decided else sym_err > tol * scale:
-                report._fail("positive", f"Q(f*f) not self-adjoint (off by {sym_err:.3g})")
+            if off := _asymmetry(rows):
+                report._fail("positive", f"Q(f*f) not self-adjoint (off by {float(off):.3g})")
                 break
-            low = float(np.min(np.linalg.eigvalsh((block + block.conj().T) / 2)))
-            if decided or low < -tol * scale:
-                report._fail("positive", f"Q(f*f) has a negative eigenvalue {low:.3g}")
+            if not _semidefinite(rows, definite=False):
+                report._fail("positive", f"Q(f*f) is not positive on the class of {cls_[0]!r}")
                 break
         if not report.positive:
             break
 
     for cls_ in classes:
         rows = [[images[index[(x, y)]].trace() for y in cls_] for x in cls_]
-        decided = all(isinstance(v, _EXACT) for row in rows for v in row)
-        if decided:  # the floats below only fill a failure message
-            hermitian = rows == [list(col) for col in zip(*rows)]
-            if hermitian and _semidefinite(rows, definite=True):
-                continue
-        gram = np.array(rows, dtype=complex)
-        asym = float(np.max(np.abs(gram - gram.conj().T)))
-        if not hermitian if decided else not asym <= tol * max(1.0, float(np.max(np.abs(gram)))):
-            report._fail("faithful", f"trace form not hermitian (off by {asym:.3g})")
+        if off := _asymmetry(rows):
+            report._fail("faithful", f"trace form not hermitian (off by {float(off):.3g})")
             break
-        low = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)))
-        if decided or not low > tol:
-            report._fail(
-                "faithful",
-                f"trace form on class of {cls_[0]!r} is not positive definite (min eig {low:.3g})",
-            )
+        if not _semidefinite(rows, definite=True):
+            report._fail("faithful", f"trace form on class of {cls_[0]!r} is not positive definite")
             break
     return report
+
+
+def _require_exact(elements: Sequence[AlgebraElement], message: str):
+    """Raise IncompatibleData(message) unless every entry of ``elements`` is
+    an int or a Fraction."""
+    if not all(isinstance(v, _EXACT) for m in elements for v in m.entries.values()):
+        raise IncompatibleData(message)
+
+
+def _asymmetry(rows):
+    """The largest |a(i,j) - a(j,i)| of a non-empty square matrix of ints and
+    Fractions."""
+    return max(abs(a - b) for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col))
 
 
 def _semidefinite(rows, definite: bool) -> bool:
@@ -677,10 +635,9 @@ def extract_transition(
             raise ShapeMismatch("Q must produce elements over the base or the big relation")
         if not img.entries:
             raise SupportViolation(f"extracted p({c!r}) = 0: the expectation is not faithful")
-        if not all(isinstance(val, _EXACT) for val in img.entries.values()):
-            raise IncompatibleData(
-                f"Q(eps({c!r})) has non-exact entries; extraction needs exact arithmetic"
-            )
+        _require_exact(
+            [img], f"Q(eps({c!r})) has non-exact entries; extraction needs exact arithmetic"
+        )
         first = next(iter(target.entries))
         scalar = Fraction(img.entries.get(first, 0))
         if img != target.scale(scalar):
@@ -891,15 +848,15 @@ def brute_force_commutant(
     """Basis of everything in the ambient algebra commuting with the inputs.
 
     Solves the stacked linear system [m, g] = 0 over the pairs of the ambient
-    relation, by ``_reduce`` and back-substitution into a Fraction basis when
-    the generators are exact, else via an SVD null space; intended as an
-    oracle, not for large relations.
+    relation by ``_reduce`` and back-substitution, with one free pair 1 and
+    the others 0 per basis element, whose entries are Fractions.  The
+    generators' entries must be ints and Fractions, or IncompatibleData is
+    raised; intended as an oracle, not for large relations.
     """
-    exact = all(isinstance(v, _EXACT) for gen in generators for v in gen.entries.values())
-    pairs = list(ambient.pairs())
-    index = {pair: i for i, pair in enumerate(pairs)}
-    dim = len(pairs)
-    rows, echelon, basis = [], {}, []
+    _require_exact(
+        generators, "generators have non-exact entries; the commutant needs exact arithmetic"
+    )
+    echelon: dict = {}
     for gen in generators:
         if gen.relation != ambient:
             raise ShapeMismatch("generators must live on the ambient relation")
@@ -908,37 +865,19 @@ def brute_force_commutant(
         for (y, z), v in gen.entries.items():
             for x in ambient.class_of(y):
                 d = eqs.setdefault((x, z), {})
-                d[(x, y)] = d.get((x, y), 0) + (v if exact else complex(v))
+                d[(x, y)] = d.get((x, y), 0) + v
         for (x, y), v in gen.entries.items():
             for z in ambient.class_of(y):
                 d = eqs.setdefault((x, z), {})
-                d[(y, z)] = d.get((y, z), 0) - (v if exact else complex(v))
+                d[(y, z)] = d.get((y, z), 0) - v
         for coeffs in eqs.values():
-            if exact:
-                if row := _reduce(echelon, coeffs):
-                    echelon[next(iter(row))] = row
-                continue
-            row = np.zeros(dim, dtype=complex)
-            for pair, c in coeffs.items():
-                row[index[pair]] = c
-            if np.any(row):
-                rows.append(row)
-    if exact:  # back-substitution, with one free pair 1 and the others 0
-        for free in pairs:
-            if free not in echelon:
-                x = {free: Fraction(1)}
-                for c, top in reversed(echelon.items()):
-                    x[c] = Fraction(-sum(v * x.get(k, 0) for k, v in top.items() if k != c), top[c])
-                basis.append(AlgebraElement._valid(ambient, x))
-        return basis
-    if not rows:
-        mat = np.zeros((1, dim), dtype=complex)
-    else:
-        mat = np.array(rows)
-    _, svals, vh = np.linalg.svd(mat)
-    cutoff = 1e-9 * max(1.0, float(svals[0]) if len(svals) else 1.0)
-    null_rows = [vh[i] for i in range(vh.shape[0]) if i >= len(svals) or svals[i] <= cutoff]
-    for vec in null_rows:
-        entries = {pair: vec[i] for pair, i in index.items() if abs(vec[i]) > 1e-13}
-        basis.append(AlgebraElement(ambient, entries))
+            if row := _reduce(echelon, coeffs):
+                echelon[next(iter(row))] = row
+    basis = []
+    for free in ambient.pairs():
+        if free not in echelon:
+            x = {free: Fraction(1)}
+            for c, top in reversed(echelon.items()):
+                x[c] = Fraction(-sum(v * x.get(k, 0) for k, v in top.items() if k != c), top[c])
+            basis.append(AlgebraElement._valid(ambient, x))
     return basis

@@ -551,76 +551,44 @@ def oracle_skew_product(d, rho, initial_window):
 # -- reference oracle for the expectation checks -----------------------------
 
 
-def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
+def oracle_verify_expectation(Q, ambient, sub_basis):
     """``verify_expectation`` applying Q afresh to every product it checks:
     Q(m u) and Q(u m) for every (basis element, unit) pair and Q(e(x,y)) for
-    every Gram entry, with the products built by ``AlgebraElement``.  Failure
-    messages format distances as floats, so exact inputs report too.  On exact
-    input (ints and Fractions in sub_basis and the unit images) range and
-    positivity are decided by dense Fraction elimination, and the positivity
-    samples are the same integer blocks."""
-    rng = rng or random.Random(7)
+    every Gram entry, with the products built by ``AlgebraElement``.  Input is
+    exact (ints and Fractions).  Range is decided by dense Fraction
+    elimination, and positivity and faithfulness by a dense Fraction LDL^T
+    (definite: also of full rank), on the same integer samples."""
+    rng = random.Random(7)
     report = ExpectationReport()
     one = identity_element(ambient)
-    if Q(one).distance(one) > tol:
-        report._fail("unital", f"Q(1) differs from 1 by {float(Q(one).distance(one)):.3g}")
+    if d := Q(one).distance(one):
+        report._fail("unital", f"Q(1) differs from 1 by {float(d):.3g}")
 
     units = [matrix_unit(ambient, x, y) for (x, y) in ambient.pairs()]
     images = [Q(u) for u in units]
     for u, img in zip(units, images):
-        d = Q(img).distance(img)
-        if d > tol:
+        if d := Q(img).distance(img):
             report._fail("idempotent", f"Q^2 != Q at unit {next(iter(u.entries))}: off by {float(d):.3g}")
             break
 
-    # range: on exact input, an image is outside when its residue against the
-    # echelon form of sub_basis is not zero; else, and for the message, it is
-    # projected on the orthonormalized span of sub_basis
+    # range: an image is outside when its residue against the echelon form of
+    # sub_basis is not zero
     index = {pair: i for i, pair in enumerate(ambient.pairs())}
-    exact = all(
-        isinstance(v, (int, Fraction)) for m in (*sub_basis, *images) for v in m.entries.values()
-    )
-    if exact:
-        echelon = fraction_echelon([dense_fractions(m, index) for m in sub_basis])
-        outside = [any(fraction_residue(echelon, dense_fractions(img, index))) for img in images]
-    dim = len(index)
-    basis_mat = np.zeros((dim, len(sub_basis)), dtype=complex)
-    for jcol, m in enumerate(sub_basis):
-        for k, v in m.entries.items():
-            basis_mat[index[k], jcol] = complex(v)
-    if len(sub_basis):
-        u_mat, svals, _ = np.linalg.svd(basis_mat, full_matrices=False)
-        keep = svals > 1e-12 * max(1.0, float(svals[0]))
-        u_mat = u_mat[:, keep]
-    else:
-        u_mat = np.zeros((dim, 0), dtype=complex)
-    for k, (u, img) in enumerate(zip(units, images)):
-        if not img.entries:
-            continue
-        vec = np.zeros(dim, dtype=complex)
-        for key, v in img.entries.items():
-            vec[index[key]] = complex(v)
-        # explicit residual vector; the norm-difference form cancels badly
-        resid = vec - u_mat @ (u_mat.conj().T @ vec)
-        resid2 = float(np.vdot(resid, resid).real)
-        norm2 = float(np.vdot(vec, vec).real)
-        if outside[k] if exact else resid2 > tol * tol * max(1.0, norm2):
+    echelon = fraction_echelon([dense_fractions(m, index) for m in sub_basis])
+    for u, img in zip(units, images):
+        if any(fraction_residue(echelon, dense_fractions(img, index))):
             report._fail(
-                "range_in_subalgebra",
-                f"Q(unit {next(iter(u.entries))}) leaves the subalgebra span "
-                f"(residual {resid2 ** 0.5:.3g})",
+                "range_in_subalgebra", f"Q(unit {next(iter(u.entries))}) leaves the subalgebra span"
             )
             break
 
     for m in sub_basis:
         bad = None
         for u, img in zip(units, images):
-            left = Q(m * u).distance(m * img)
-            if left > tol:
+            if left := Q(m * u).distance(m * img):
                 bad = f"Q(m f) != m Q(f), off by {float(left):.3g}"
                 break
-            right = Q(u * m).distance(img * m)
-            if right > tol:
+            if right := Q(u * m).distance(img * m):
                 bad = f"Q(f m) != Q(f) m, off by {float(right):.3g}"
                 break
         if bad:
@@ -632,58 +600,39 @@ def oracle_verify_expectation(Q, ambient, sub_basis, tol=1e-9, rng=None):
         entries: dict = {}
         for cls_ in classes:
             n = len(cls_)
-            if exact:
-                block = [[rng.randint(-3, 3) for _ in cls_] for _ in cls_]
-                gram = [[sum(block[k][i] * block[k][j] for k in range(n)) for j in range(n)]
-                        for i in range(n)]
-            else:
-                block = np.array(
-                    [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in cls_] for _ in cls_]
-                )
-                gram = block.conj().T @ block
+            block = [[rng.randint(-3, 3) for _ in cls_] for _ in cls_]
             for i, x in enumerate(cls_):
                 for j, y in enumerate(cls_):
-                    entries[(x, y)] = gram[i][j]
+                    entries[(x, y)] = sum(block[k][i] * block[k][j] for k in range(n))
         image = Q(AlgebraElement(ambient, entries))
-        scale = max(1.0, image.max_abs())
         for cls_ in classes:
-            n = len(cls_)
-            block = np.zeros((n, n), dtype=complex)
-            pos = {x: i for i, x in enumerate(cls_)}
-            for (x, y), v in image.entries.items():
-                if x in pos and y in pos:
-                    block[pos[x], pos[y]] = complex(v)
             rows = [[image.entries.get((x, y), 0) for y in cls_] for x in cls_]
-            decided = exact and all(isinstance(v, (int, Fraction)) for row in rows for v in row)
-            sym_err = float(np.max(np.abs(block - block.conj().T))) if n else 0.0
-            if rows != [list(col) for col in zip(*rows)] if decided else sym_err > tol * scale:
-                report._fail("positive", f"Q(f*f) not self-adjoint (off by {sym_err:.3g})")
+            if off := fraction_asymmetry(rows):
+                report._fail("positive", f"Q(f*f) not self-adjoint (off by {float(off):.3g})")
                 break
-            low = float(np.min(np.linalg.eigvalsh((block + block.conj().T) / 2))) if n else 0.0
-            if not fraction_semidefinite(rows) if decided else low < -tol * scale:
-                report._fail("positive", f"Q(f*f) has a negative eigenvalue {low:.3g}")
+            if not fraction_semidefinite(rows):
+                report._fail("positive", f"Q(f*f) is not positive on the class of {cls_[0]!r}")
                 break
         if not report.positive:
             break
 
     for cls_ in classes:
-        n = len(cls_)
-        gram = np.zeros((n, n), dtype=complex)
-        for i, x in enumerate(cls_):
-            for j, y in enumerate(cls_):
-                gram[i, j] = complex(Q(matrix_unit(ambient, x, y)).trace())
-        asym = float(np.max(np.abs(gram - gram.conj().T)))
-        if asym > tol * max(1.0, float(np.max(np.abs(gram)))):
-            report._fail("faithful", f"trace form not hermitian (off by {asym:.3g})")
+        gram = [[Fraction(Q(matrix_unit(ambient, x, y)).trace()) for y in cls_] for x in cls_]
+        if off := fraction_asymmetry(gram):
+            report._fail("faithful", f"trace form not hermitian (off by {float(off):.3g})")
             break
-        low = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)))
-        if low <= tol:
+        if not fraction_semidefinite(gram) or len(fraction_echelon(gram)) < len(cls_):
             report._fail(
-                "faithful",
-                f"trace form on class of {cls_[0]!r} is not positive definite (min eig {low:.3g})",
+                "faithful", f"trace form on class of {cls_[0]!r} is not positive definite"
             )
             break
     return report
+
+
+def fraction_asymmetry(rows):
+    """max |a(i,j) - a(j,i)| over a square matrix, 0 when it is symmetric."""
+    n = len(rows)
+    return max((abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n)), default=0)
 
 
 def dense_fractions(element, index):
@@ -718,6 +667,14 @@ def fraction_echelon(vectors):
                     echelon[c] = [a - row[col] * b for a, b in zip(row, vec)]
             echelon[col] = vec
     return echelon
+
+
+def fraction_span(elements, relation):
+    """The reduced echelon form of ``elements`` over the pairs of ``relation``:
+    its length is the dimension of their span, and two families span the
+    same subspace exactly when their forms are equal."""
+    index = {pair: i for i, pair in enumerate(relation.pairs())}
+    return fraction_echelon([dense_fractions(m, index) for m in elements])
 
 
 def fraction_semidefinite(rows):
@@ -930,51 +887,6 @@ def elements_to_matrix(elements, relation):
         for k, v in m.entries.items():
             mat[index[k], j] = complex(v)
     return mat
-
-
-def span_dimension(elements, relation, tol=1e-9):
-    mat = elements_to_matrix(elements, relation)
-    if mat.size == 0:
-        return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > tol * max(1.0, float(svals[0]) if len(svals) else 1.0)))
-
-
-def span_contains(elements, target, relation, tol=1e-9):
-    """Whether ``target`` lies in the span of ``elements`` (least squares)."""
-    mat = elements_to_matrix(elements, relation)
-    vec = elements_to_matrix([target], relation)[:, 0]
-    if mat.shape[1] == 0:
-        return float(np.linalg.norm(vec)) <= tol
-    coef, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    resid = vec - mat @ coef
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vec)))
-
-
-def _orthonormal_columns(mat, tol):
-    if mat.shape[1] == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    u, svals, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, svals > tol * max(1.0, float(svals[0]))]
-
-
-def span_equal(first, second, relation, tol=1e-9):
-    """Whether two element families span the same subspace (one SVD each)."""
-    a = elements_to_matrix(first, relation)
-    b = elements_to_matrix(second, relation)
-    ua = _orthonormal_columns(a, tol)
-    ub = _orthonormal_columns(b, tol)
-    if ua.shape[1] != ub.shape[1]:
-        return False
-    resid_a = a - ub @ (ub.conj().T @ a)
-    resid_b = b - ua @ (ua.conj().T @ b)
-    scale_a = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    scale_b = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
-    return (
-        float(np.max(np.abs(resid_a))) <= tol * scale_a if resid_a.size else True
-    ) and (
-        float(np.max(np.abs(resid_b))) <= tol * scale_b if resid_b.size else True
-    )
 
 
 def random_element(rng, relation, scale=1.0):

@@ -354,7 +354,7 @@ def test_extractp(tmp_path, capsys):
 
 
 # p(c3) = 10^-12: the class Gram matrix of ('x0', 'c3') is positive definite,
-# with a smallest eigenvalue far below the default tolerance of 1e-9
+# with a smallest eigenvalue far below the 1e-9 a float check would tolerate
 SMALL_P = {
     "vertices": [["v0", "v1"], ["w0", "w1"]],
     "edges": [[{"id": "c0", "src": "v1", "rng": "w1", "p": "8/25"},

@@ -41,13 +41,12 @@ from helpers import (
     elements_to_matrix,
     fraction_echelon,
     fraction_semidefinite,
+    fraction_span,
     make_graph,
     oracle_verify_expectation,
     random_element,
     random_inclusion_graph,
     random_transition,
-    span_dimension,
-    span_equal,
 )
 
 F = Fraction
@@ -298,12 +297,12 @@ def test_k_image_dimension_counts_parallel_pairs():
     comm = g.commutant_relation()
     assert comm.dimension == 4
     kimg = [commutant_embed_k(g, u) for u in canonical_units(comm).values()]
-    assert span_dimension(kimg, g.big_relation()) == 4
+    assert len(fraction_span(kimg, g.big_relation())) == 4
 
 
 def test_commutant_of_scalars_is_everything():
     rel = FiniteEquivRelation.from_partition([["a", "b"], ["c"]])
-    basis = brute_force_commutant([identity_element(rel).scale(2.5)], rel)
+    basis = brute_force_commutant([identity_element(rel).scale(F(5, 2))], rel)
     assert len(basis) == rel.dimension
 
 
@@ -318,10 +317,8 @@ def test_commutant_basis_actually_commutes():
             assert all(type(v) is F for v in m.entries.values())
             for gen in jimg:
                 assert m * gen == gen * m
-        scaled = [m.scale(1.0) for m in jimg]
-        for m in brute_force_commutant(scaled, big):
-            for gen in scaled:
-                assert (m * gen).distance(gen * m) < 1e-8
+        with pytest.raises(IncompatibleData, match="^generators have non-exact entries"):
+            brute_force_commutant([m.scale(1.0) for m in jimg], big)
 
 
 def test_commutant_equals_k_image():
@@ -333,7 +330,7 @@ def test_commutant_equals_k_image():
         kimg = [commutant_embed_k(g, u) for u in canonical_units(g.commutant_relation()).values()]
         comm = brute_force_commutant(jimg, big)
         assert len(comm) == g.commutant_relation().dimension
-        assert span_equal(kimg, comm, big)
+        assert fraction_span(comm, big) == fraction_span(kimg, big)
 
 
 def test_commutant_generator_relation_mismatch():
@@ -387,13 +384,14 @@ def test_expectation_is_projection_onto_j_image():
 
 
 def test_verify_expectation_passes_on_model():
+    # a scaled basis spans the same subalgebra
     rng = random.Random(59)
-    for _ in range(25):
+    for i in range(25):
         g = random_inclusion_graph(rng)
         me = ModelExpectation(g, random_transition(rng, g))
-        report = verify_expectation(
-            me.as_endomorphism(), g.big_relation(), me.subalgebra_basis()
-        )
+        scalar = [1, 2, F(1, 2)][i % 3]
+        basis = [m.scale(scalar) for m in me.subalgebra_basis()]
+        report = verify_expectation(me.as_endomorphism(), g.big_relation(), basis)
         assert report.all_pass, report.failures
 
 
@@ -415,8 +413,7 @@ def test_verify_expectation_detects_unfaithful():
     assert not report.all_pass
 
 
-@pytest.mark.parametrize("tol", [1e-9, 0])
-def test_verify_expectation_decides_exact_faithfulness_exactly(tol):
+def test_verify_expectation_decides_exact_faithfulness_exactly():
     # the class Gram matrix of the two-edge model is diag(p(a), p(b))
     g = two_edge_graph()
     basis = [include_j(g, u) for u in canonical_units(g.base_relation()).values()]
@@ -432,19 +429,18 @@ def test_verify_expectation_decides_exact_faithfulness_exactly(tol):
             shift = unit.scale(skew * fbar.entries.get((xa, xb), 0))
             return model(fbar) + include_j(g, shift)
 
-        return verify_expectation(q, g.big_relation(), basis, tol=tol)
+        return verify_expectation(q, g.big_relation(), basis)
 
     tiny = F(1, 10**12)
     assert report(1 - tiny, tiny).faithful
     assert first_failure(report(F(1), F(0)), "faithful") == (
-        "faithful: trace form on class of ('x', 'a') is not positive definite (min eig 0)"
+        "faithful: trace form on class of ('x', 'a') is not positive definite"
     )
     assert first_failure(report(F(1, 2), F(1, 2), tiny), "faithful") == (
         "faithful: trace form not hermitian (off by 2e-12)"
     )
-    # float input keeps the comparisons in doubles, with the tolerance
-    assert report(1 - 1e-12, 1e-12).faithful == (tol == 0)
-    assert report(0.5, 0.5, 1e-12).faithful == (tol != 0)
+    with pytest.raises(IncompatibleData, match="^a unit image has non-exact entries"):
+        report(1 - 1e-12, 1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -469,10 +465,11 @@ def test_semidefinite_matches_fraction_ldl(block, gram):
 
 
 def test_verify_expectation_detects_non_idempotent():
+    # f / 2 in doubles is refused; test_verify_expectation_reports_exact_non_idempotent
+    # checks the exact f / 2
     rel = FiniteEquivRelation.from_partition([["a", "b"]])
-    report = verify_expectation(lambda f: f.scale(0.5), rel, list(canonical_units(rel).values()))
-    assert not report.unital
-    assert not report.idempotent
+    with pytest.raises(IncompatibleData, match="^a unit image has non-exact entries"):
+        verify_expectation(lambda f: f.scale(0.5), rel, list(canonical_units(rel).values()))
 
 
 # -- verify_expectation against the oracle, and on broken Qs ---------------------
@@ -508,6 +505,8 @@ def broken_q(kind, g, me, rng):
     if kind == "moves-zero":  # the model, except that Q(0) is not 0
         shift = identity_element(g.big_relation()).scale(F(1, 5))
         return lambda f: model(f) if f.entries else shift
+    if kind == "p-zero":  # weight 0 on the first edge c: eps(c) is in Q's kernel
+        return point_dependent_q(g, {(x, e): 0 if e == g.E[0] else me.p[e] for (x, e) in g.Xbar})
     if kind == "spreads":  # adds f(last pair) z, so Q(u) leaves u's lines
         # z = j(e(x0, y)) or j(e(y, x0)), y the last point over x0's vertex
         x, y = g.X[0], g.fiber(g.vertex_of[g.X[0]])[-1]
@@ -517,7 +516,9 @@ def broken_q(kind, g, me, rng):
     raise ValueError(kind)
 
 
-Q_KINDS = ["model", "adjoint", "leaves-range", "wrong-p", "square", "moves-zero", "spreads"]
+Q_KINDS = [
+    "model", "adjoint", "leaves-range", "wrong-p", "square", "moves-zero", "spreads", "p-zero"
+]
 
 
 def sub_basis(kind, me, scalar, rng):
@@ -541,47 +542,25 @@ def sub_basis(kind, me, scalar, rng):
 @given(
     st.randoms(use_true_random=False),
     st.sampled_from(Q_KINDS),
-    st.sampled_from([1, 2, F(1, 2), F(1), 0.5, 1.0]),
-    st.sampled_from([1e-9, 0]),
+    st.sampled_from([1, 2, F(1, 2), F(1)]),
     st.sampled_from(["units", "sums", "with-zero", "x0"]),
 )
 # the one failing pair touches x0's unit through Q(u)'s rows (24) or columns (7);
 # the zero element touches no unit, and Q(0) is not 0 (2)
-@example(random.Random(24), "spreads", 1, 1e-9, "x0")
-@example(random.Random(7), "spreads", 1, 1e-9, "x0")
-@example(random.Random(2), "moves-zero", 1, 1e-9, "with-zero")
-def test_verify_expectation_matches_oracle(rng, kind, scalar, tol, basis_kind):
+@example(random.Random(24), "spreads", 1, "x0")
+@example(random.Random(7), "spreads", 1, "x0")
+@example(random.Random(2), "moves-zero", 1, "with-zero")
+def test_verify_expectation_matches_oracle(rng, kind, scalar, basis_kind):
     g = random_inclusion_graph(rng)
     me = ModelExpectation(g, random_transition(rng, g))
     Q = broken_q(kind, g, me, rng)
     basis = sub_basis(basis_kind, me, scalar, rng)
     big = g.big_relation()
-    got = verify_expectation(Q, big, basis, tol=tol)
-    want = oracle_verify_expectation(Q, big, basis, tol=tol)
-    assert got == want
+    assert verify_expectation(Q, big, basis) == oracle_verify_expectation(Q, big, basis)
 
 
 def report_fields(report):
     return [getattr(report, check) for check in report.CHECKS]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.randoms(use_true_random=False),
-    st.sampled_from(Q_KINDS),
-    st.sampled_from([1, 2, F(1, 2)]),
-)
-def test_exact_input_reports_the_same_at_tol_0(rng, kind, scalar):
-    # exact input decides range and positivity without the tolerance; a
-    # broken Q may still pass on some graphs (the adjoint, on a commutative base)
-    g = random_inclusion_graph(rng)
-    me = ModelExpectation(g, random_transition(rng, g))
-    Q = broken_q(kind, g, me, rng)
-    basis = [m.scale(scalar) for m in me.subalgebra_basis()]
-    strict, loose = (verify_expectation(Q, g.big_relation(), basis, tol=tol) for tol in (0, 1e-9))
-    assert report_fields(strict) == report_fields(loose)
-    if kind == "model":
-        assert strict.all_pass
 
 
 def test_verify_expectation_samples_real_f_on_exact_input():
@@ -597,9 +576,8 @@ def test_verify_expectation_samples_real_f_on_exact_input():
     exact = verify_expectation(q, rel, [one])
     assert report_fields(exact) == [True, True, True, True, True, False]
     assert first_failure(exact, "faithful").startswith("faithful: trace form not hermitian")
-    floating = verify_expectation(q, rel, [one.scale(1.0)])
-    assert report_fields(floating) == [True, True, True, True, False, False]
-    assert first_failure(floating, "positive").startswith("positive: Q(f*f) not self-adjoint")
+    with pytest.raises(IncompatibleData, match="^sub_basis has non-exact entries"):
+        verify_expectation(q, rel, [one.scale(1.0)])
 
 
 class NoNumpy:
@@ -623,9 +601,62 @@ def test_exact_input_runs_no_float_linear_algebra(tmp_path, capsys, monkeypatch)
     assert verify_expectation(me.as_endomorphism(), big, basis).all_pass
     assert main(["expect", "--graph", str(path)]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.undo()
-    scaled = [m.scale(1.0) for m in basis]
-    assert verify_expectation(me.as_endomorphism(), big, scaled).all_pass
+    with pytest.raises(IncompatibleData, match="^sub_basis has non-exact entries"):
+        verify_expectation(me.as_endomorphism(), big, [m.scale(1.0) for m in basis])
+
+
+def test_reports_need_no_numpy(monkeypatch):
+    # every broken Q reports as the oracle does, messages included, and
+    # between them they fail each of the six checks
+    monkeypatch.setattr(fdalg, "np", NoNumpy())
+    rng = random.Random(78)
+    failed = set()
+    for _ in range(8):
+        g = random_inclusion_graph(rng)
+        me = ModelExpectation(g, random_transition(rng, g))
+        big, basis = g.big_relation(), me.subalgebra_basis()
+        for kind in Q_KINDS:
+            Q = broken_q(kind, g, me, rng)
+            report = verify_expectation(Q, big, basis)
+            assert report == oracle_verify_expectation(Q, big, basis)
+            failed.update(check for check in report.CHECKS if not getattr(report, check))
+    assert failed == set(fdalg.ExpectationReport.CHECKS)
+
+
+def test_non_exact_input_is_refused():
+    g = random_inclusion_graph(random.Random(79))
+    me = ModelExpectation(g, random_transition(random.Random(80), g))
+    model, big, basis = me.as_endomorphism(), g.big_relation(), me.subalgebra_basis()
+    with pytest.raises(IncompatibleData, match="^sub_basis has non-exact entries"):
+        verify_expectation(model, big, [*basis[:-1], basis[-1].scale(1.0)])
+    with pytest.raises(IncompatibleData, match="^a unit image has non-exact entries"):
+        verify_expectation(lambda f: model(f).scale(1.0), big, basis)
+    # 1, the units and the products m u carry only 1s, so Q returns doubles
+    # only for Q(Q(u)), which the idempotence check may compare, and Q(f*f)
+    with pytest.raises(IncompatibleData, match=r"^Q\(f\*f\) has non-exact entries"):
+        verify_expectation(
+            lambda f: model(f).scale(1.0 if any(v != 1 for v in f.entries.values()) else 1),
+            big, basis,
+        )
+    with pytest.raises(IncompatibleData, match="^generators have non-exact entries"):
+        brute_force_commutant([identity_element(big).scale(2.5)], big)
+
+
+def test_sub_basis_is_checked_before_q():
+    g = random_inclusion_graph(random.Random(81))
+    me = ModelExpectation(g, random_transition(random.Random(82), g))
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return me.as_endomorphism()(f)
+
+    big, basis = g.big_relation(), me.subalgebra_basis()
+    with pytest.raises(ShapeMismatch, match="different relations"):
+        verify_expectation(counted, big, [*basis, identity_element(g.base_relation())])
+    with pytest.raises(IncompatibleData, match="^sub_basis has non-exact entries"):
+        verify_expectation(counted, big, [*basis, basis[0].scale(0.5)])
+    assert calls == []
 
 
 def first_failure(report, field):
