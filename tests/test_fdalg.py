@@ -413,8 +413,10 @@ def test_verify_expectation_detects_unfaithful():
     assert not report.all_pass
 
 
-def test_verify_expectation_decides_exact_faithfulness_exactly():
-    # the class Gram matrix of the two-edge model is diag(p(a), p(b))
+@pytest.mark.parametrize("drift", [1e-9, 0])
+def test_verify_expectation_decides_exact_faithfulness_exactly(drift):
+    # the class Gram matrix of the two-edge model is diag(p(a), p(b));
+    # float p is refused by its type, also at drift 0, where it equals exact (1, 0)
     g = two_edge_graph()
     basis = [include_j(g, u) for u in canonical_units(g.base_relation()).values()]
     xa, xb = ("x", "a"), ("x", "b")
@@ -440,7 +442,7 @@ def test_verify_expectation_decides_exact_faithfulness_exactly():
         "faithful: trace form not hermitian (off by 2e-12)"
     )
     with pytest.raises(IncompatibleData, match="^a unit image has non-exact entries"):
-        report(1 - 1e-12, 1e-12)
+        report(1.0 - drift, 0.0 + drift)
 
 
 @settings(max_examples=150, deadline=None)
