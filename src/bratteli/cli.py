@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .diagram import _level_counts
+from .diagram import _label_levels, _level_counts, _tree_levels
 from .errors import BratteliError, FileFormatError, PathError
 from .fdalg import ModelExpectation, extract_transition, verify_expectation
 from .fileio import (
@@ -30,7 +30,7 @@ from .fileio import (
 from .harmonic import ergodic_components, harmonic_from_terminal
 from .rational import as_fraction, format_fraction, long_ints
 from .skew import pascal_diagram, skew_product
-from .walk import _q_ratios, markov_cylinder_table, q_measure_witness, radon_nikodym
+from .walk import _cylinder_levels, q_measure_witness, radon_nikodym
 
 
 def _tsv_line(row) -> str:
@@ -50,7 +50,7 @@ def _render_json(value):
     return value
 
 
-ROW_BLOCK = 1024  # rows per write: few writes, and no whole-table string
+ROW_BLOCK = 64  # rows per write: few writes, and small even where labels run long
 
 
 def emit(args, columns, rows):
@@ -116,8 +116,9 @@ def cmd_measure(args) -> int:
     count = sum(map(sum, _level_counts(w.diagram, 0, depth)))
     if count > args.max_paths:
         _refuse(f"measure to depth {depth}", count, args.max_paths)
-    table = markov_cylinder_table(w, depth)
-    emit(args, ("level", "id", "value"), ((len(a), a.label(), m) for a, m in table.items()))
+    levels = _cylinder_levels(w, _label_levels(w.diagram, 0, depth))
+    rows = ((n, a, m) for n, (labels, masses) in enumerate(levels) for a, m in zip(labels, masses))
+    emit(args, ("level", "id", "value"), rows)
     return 0
 
 
@@ -211,8 +212,11 @@ def _pascal_rows(d, q, depth: int):
     number of 1 bits; else ``(None, (bits, q(a), 1/C(depth, k)))`` at the
     first path where it is not.
     """
-    for ends, tops, bottoms in _q_ratios(d, q, depth):
-        pass
+    tops = bottoms = [1] * len(d._vertices[0])
+    for m, (prefix, last, ends) in enumerate(itertools.islice(_tree_levels(d, 0, depth), 1, None)):
+        qn = q._rho[m]  # q(a e) = q(a) q(e), as unreduced ratios top / bottom
+        tops = [tops[i] * qn[k].numerator for i, k in zip(prefix, last)]
+        bottoms = [bottoms[i] * qn[k].denominator for i, k in zip(prefix, last)]
     inverse = [Fraction(1, math.comb(depth, k)) for k in range(depth + 1)]
     rows = []
     # edge order is bit order, so path j's word is j in binary; it ends at

@@ -9,9 +9,10 @@ Diagrams are immutable after construction and every operation here is a pure
 function, so values may be shared freely across threads.  Path enumeration is
 part of the public contract: paths come back in lexicographic order by edge
 index, and tests and CLI output depend on that order.  Every path consumer
-(``enumerate_paths``, the cylinder tables and the q-measure check of ``walk``)
-reads the one path tree of ``_tree_levels``, which grows each level from the
-one before over integer indices; ``_path_levels`` adds the paths themselves.
+(``enumerate_paths``, the cylinder tables, ``measure`` and the q-measure
+check of ``walk``) reads the one path tree of ``_tree_levels``, which grows
+each level from the one before over integer indices; ``_path_levels`` adds
+the paths themselves, ``_label_levels`` only their labels.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Violation:
         return f"level {self.level}: {self.subject}: {self.rule}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinitePath:
     """A composable run of edges e_{m+1}..e_{m+k} starting at level m.
 
@@ -250,20 +251,28 @@ class BratteliDiagram:
         Raises PathError when an edge is unknown or consecutive edges do not
         compose.
         """
-        self.require_valid()
         ids = tuple(edge_ids)
-        if not 0 <= start_level <= self.depth:
-            raise PathError(f"start level {start_level} out of range 0..{self.depth}")
-        if start_level + len(ids) > self.depth:
-            raise PathError("path not in diagram: runs past the last level")
+        first, at = self._follow(ids, start_level)
         if not ids:
             if anchor is None:
                 raise PathError("empty path needs an anchor vertex")
             self.vertex_index(start_level, anchor)
             return FinitePath(start_level, anchor, (), anchor)
+        first_src = self._vertices[start_level][first]
+        if anchor is not None and anchor != first_src:
+            raise PathError(f"anchor '{anchor}' does not match first edge source '{first_src}'")
+        return FinitePath(start_level, first_src, ids, self._vertices[start_level + len(ids)][at])
+
+    def _follow(self, ids, start_level: int = 0):
+        """:meth:`path`'s checks of ``ids``: the first source and last range indices, or Nones."""
+        self.require_valid()
+        if not 0 <= start_level <= self.depth:
+            raise PathError(f"start level {start_level} out of range 0..{self.depth}")
+        if start_level + len(ids) > self.depth:
+            raise PathError("path not in diagram: runs past the last level")
         # walk the integer indices: edge k of floor m runs from vertex
         # _src[m][k] of V(m) to vertex _rng[m][k] of V(m+1)
-        eidx, src, rng, at = self._eidx, self._src, self._rng, None
+        eidx, src, rng, first, at = self._eidx, self._src, self._rng, None, None
         for m, eid in enumerate(ids, start_level):
             k = eidx[m].get(eid)
             if k is None:
@@ -276,10 +285,7 @@ class BratteliDiagram:
                     f"'{self._vertices[m][src[m][k]]}', expected '{self._vertices[m][at]}'"
                 )
             at = rng[m][k]
-        first_src = self._vertices[start_level][first]
-        if anchor is not None and anchor != first_src:
-            raise PathError(f"anchor '{anchor}' does not match first edge source '{first_src}'")
-        return FinitePath(start_level, first_src, ids, self._vertices[start_level + len(ids)][at])
+        return first, at
 
     def empty_path(self, vertex_id: str, level: int = 0) -> FinitePath:
         return self.path((), start_level=level, anchor=vertex_id)
@@ -362,6 +368,26 @@ def _path_levels(d: BratteliDiagram, from_level: int, to_level: int):
                 for i, k in zip(prefix, last)
             ]
         yield paths, prefix, last, ends
+
+
+def _label_levels(d: BratteliDiagram, from_level: int, to_level: int):
+    """The rows of ``_path_levels`` with labels for paths: the prefix's label, a comma, the edge id."""
+    for m, (prefix, last, ends) in enumerate(_tree_levels(d, from_level, to_level), start=from_level - 1):
+        if m < from_level:
+            labels = ["@" + v for v in d._vertices[from_level]]
+        else:
+            ids = [d._edges[m][k].id for k in last]
+            labels = ids if m == from_level else [f"{labels[i]},{x}" for i, x in zip(prefix, ids)]
+        yield labels, prefix, last, ends
+
+
+def _tree_path(d: BratteliDiagram, n: int, j: int) -> FinitePath:
+    """Path ``j`` of level ``n`` of the path tree from V(0), traced back through its prefixes."""
+    levels, ids = list(_tree_levels(d, 0, n)), []
+    for m in range(n, 0, -1):
+        ids.append(d._edges[m - 1][levels[m][1][j]].id)
+        j = levels[m][0][j]
+    return d.path(ids[::-1]) if ids else d.empty_path(d._vertices[0][j])
 
 
 def enumerate_paths(d: BratteliDiagram, from_level: int, to_level: int) -> list[FinitePath]:

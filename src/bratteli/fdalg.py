@@ -185,10 +185,11 @@ class AlgebraElement:
     def trace(self):
         return sum((v for (x, y), v in self.entries.items() if x == y), 0)
 
-    def max_abs(self) -> float:
+    def max_abs(self) -> int | Fraction | float:
+        """The largest |entry|, 0 if none: exact on exact entries."""
         return max((abs(v) for v in self.entries.values()), default=0)
 
-    def distance(self, other: "AlgebraElement") -> float:
+    def distance(self, other: "AlgebraElement") -> int | Fraction | float:
         return (self - other).max_abs()
 
     def to_dense(self) -> np.ndarray:
@@ -425,8 +426,8 @@ def verify_expectation(
     random f, and faithfulness via positive definiteness of the class Gram
     matrices t(u,v) = trace Q(e(u,v)).
 
-    Every check is exact.  Entries of sub_basis, of the unit images and of
-    Q(f*f) must be ints and Fractions, or IncompatibleData is raised;
+    Every check is exact.  Entries of sub_basis and of every value of Q the
+    checks read must be ints and Fractions, or IncompatibleData is raised;
     sub_basis (and its relation) is checked before Q is first applied.
     Range, positivity and faithfulness are decided by the integer
     elimination of ``_reduce`` and ``_semidefinite``.
@@ -455,15 +456,15 @@ def verify_expectation(
     _require_exact(sub_basis, "sub_basis has non-exact entries; the checks need exact arithmetic")
     rng = random.Random(7)
     report = ExpectationReport()
-    if d := Q(one).distance(one):
-        report._fail("unital", f"Q(1) differs from 1 by {float(d):.3g}")
-
+    q_one = Q(one)
     pairs = list(ambient.pairs())
     units = [matrix_unit(ambient, x, y) for (x, y) in pairs]
     images = [Q(u) for u in units]
     _require_exact(images, "a unit image has non-exact entries; the checks need exact arithmetic")
+    if d := _exact(q_one, "Q(1)").distance(one):
+        report._fail("unital", f"Q(1) differs from 1 by {float(d):.3g}")
     for pair, img in zip(pairs, images):
-        if d := Q(img).distance(img):
+        if d := _exact(Q(img), "Q(Q(u))").distance(img):
             report._fail("idempotent", f"Q^2 != Q at unit {pair}: off by {float(d):.3g}")
             break
 
@@ -486,7 +487,7 @@ def verify_expectation(
     # image, and by a row r of m when r is its column or a column of its
     # image; an untouched pair compares Q(0) with two empty products.
     index = {pair: i for i, pair in enumerate(pairs)}
-    q_zero = Q(AlgebraElement.zero(ambient))
+    q_zero = _exact(Q(AlgebraElement.zero(ambient)), "Q(0)")
     image_rows = [_rows(img.entries) for img in images]
     by_col: dict = {}
     by_row: dict = {}
@@ -514,7 +515,7 @@ def verify_expectation(
             elif len(col) == 1 and type(col[0][1]) is int and col[0][1] == 1:
                 q_left = images[index[(col[0][0], t)]]
             else:
-                q_left = Q(m * u)
+                q_left = _exact(Q(m * u), "Q(m u)")
             prod = _product(m.entries, img_rows)
             if prod != q_left.entries and _nonzero(prod) != q_left.entries:
                 if left := q_left.distance(m * img):
@@ -526,7 +527,7 @@ def verify_expectation(
             elif len(row) == 1 and type(row[0][1]) is int and row[0][1] == 1:
                 q_right = images[index[(s, row[0][0])]]
             else:
-                q_right = Q(u * m)
+                q_right = _exact(Q(u * m), "Q(u m)")
             prod = _product(img.entries, m_rows)
             if prod != q_right.entries and _nonzero(prod) != q_right.entries:
                 if right := q_right.distance(img * m):
@@ -545,8 +546,7 @@ def verify_expectation(
             for i, x in enumerate(cls_):
                 for j, y in enumerate(cls_):
                     entries[(x, y)] = gram[i][j]
-        image = Q(AlgebraElement._valid(ambient, entries))
-        _require_exact([image], "Q(f*f) has non-exact entries; the checks need exact arithmetic")
+        image = _exact(Q(AlgebraElement._valid(ambient, entries)), "Q(f*f)")
         for cls_ in classes:
             rows = [[image.entries.get((x, y), 0) for y in cls_] for x in cls_]
             if off := _asymmetry(rows):
@@ -567,6 +567,13 @@ def verify_expectation(
             report._fail("faithful", f"trace form on class of {cls_[0]!r} is not positive definite")
             break
     return report
+
+
+def _exact(image: AlgebraElement, what: str) -> AlgebraElement:
+    """``image``, a value of Q named ``what``, once its entries are exact."""
+    if all(isinstance(v, _EXACT) for v in image.entries.values()):
+        return image
+    raise IncompatibleData(f"{what} has non-exact entries; the checks need exact arithmetic")
 
 
 def _require_exact(elements: Sequence[AlgebraElement], message: str):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .diagram import BratteliDiagram, FinitePath
+from .diagram import BratteliDiagram
 from .errors import FileFormatError, IncompatibleData, InvalidDiagram
 from .fdalg import AlgebraElement, FiniteEquivRelation, InclusionGraph
 from .rational import as_fraction, format_fraction
@@ -204,27 +204,33 @@ def potential_from_file(df: DiagramFile) -> EdgePotential:
     return EdgePotential(df.diagram, group, df.rho_levels, parse=parse)
 
 
-def load_measure_table(d: BratteliDiagram, source) -> tuple[dict, int]:
+def load_measure_table(d: BratteliDiagram, source) -> tuple[dict[str, Fraction], int]:
     """Read a cylinder table {'empty': {vertex: rat}, 'paths': {'e1,e2': rat}}.
 
-    Returns the table keyed by FinitePath and the depth (longest path seen).
+    Returns the masses keyed by ``FinitePath.label()`` ('@vertex' for an empty
+    path) and the depth (longest path seen).  Labels are checked against ``d``
+    in file order, as ``d.path`` checks them, and no path is built.
     """
     data = _load_json(source, "measure")
-    table: dict[FinitePath, Fraction] = {}
+    table: dict[str, Fraction] = {}
     depth = 0
     empty = data.get("empty", {})
     if not isinstance(empty, dict):
         raise FileFormatError("'empty' must be an object mapping vertices to rationals")
     for v, raw in empty.items():
-        table[d.empty_path(_string(v, "empty"))] = _rational(raw, f"empty['{v}']")
+        d.require_valid()
+        d.vertex_index(0, _string(v, "empty"))
+        table["@" + v] = _rational(raw, f"empty['{v}']")
     paths = data.get("paths", {})
     if not isinstance(paths, dict):
         raise FileFormatError("'paths' must be an object mapping edge lists to rationals")
     for label, raw in paths.items():
         ids = _string(label, "paths").split(",")
-        a = d.path(ids)
-        table[a] = _rational(raw, f"paths['{label}']")
-        depth = max(depth, len(a))
+        d._follow(ids)
+        if label in table:
+            raise FileFormatError(f"path label '{label}' also names an empty path")
+        table[label] = _rational(raw, f"paths['{label}']")
+        depth = max(depth, len(ids))
     return table, depth
 
 

@@ -29,15 +29,14 @@ component.  Values become Fractions only where they leave the API: each nu_n
 row and the whole of q on first request, so a command that reads only nu
 builds no q.
 
-Cylinder tables and the q-measure check read the one level-by-level path tree
-of ``diagram._path_levels``.  The table carries mu(Z(a)) from prefix to
-extension.  The q-measure check runs on Python ints the same way as the
-walk: it brings each level's masses over one denominator, so additivity is a
-cross-multiplied integer test; q(a) is carried by ``_q_ratios`` as an
-unreduced integer ratio top / bottom (the CLI's ``pascal`` check reads the
-same carry), marginals are integer sums by terminus index, and
-m(Z(a)) = q(a) m_n(r(a)) becomes x * bottom == top * marginal.  Fractions are
-built for the witness and the error messages only.
+Cylinder tables, ``measure`` and the q-measure check read the one
+level-by-level path tree of ``diagram._tree_levels``: ``_cylinder_levels``
+carries mu(Z(a)) from prefix to extension, and the q-measure check reads the
+table by label.  It runs on Python ints the same way as the walk: it brings
+each level's masses over one denominator, so additivity is a cross-multiplied
+integer test, and m(Z(a)) = q(a) m_n(r(a)) is tested one edge at a time, on
+integer marginals by terminus index, as m(Z(a e)) against m(Z(a)) q(e).
+Fractions and paths are built for the witness and the error messages only.
 
 Everything here is exact; there is no floating point in this module.  The
 seeded sampler draws with ``randrange`` over the same integer numerators, so
@@ -53,7 +52,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .diagram import BratteliDiagram, FinitePath, _path_levels, _tree_levels, tail_related
+from .diagram import BratteliDiagram, FinitePath, tail_related
+from .diagram import _label_levels, _path_levels, _tree_levels, _tree_path
 from .errors import (
     IncompatibleData,
     NotAMeasure,
@@ -412,14 +412,23 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
 
 # -- cylinder tables and the q-measure criterion ------------------------------
 
+def _cylinder_levels(w: RandomWalk, levels):
+    """Each level's keys and mu(Z(a)), over the rows of ``_path_levels`` or
+    ``_label_levels`` from level 0."""
+    masses = w.initial._nu0
+    for n, (keys, prefix, last, _) in enumerate(levels):
+        if n:  # mu(Z(a e)) = mu(Z(a)) p(e)
+            rho = w.transition._rho[n - 1]
+            masses = [masses[i] * rho[k] for i, k in zip(prefix, last)]
+        yield keys, masses
+
+
 def markov_cylinder_table(w: RandomWalk, depth: int) -> dict[FinitePath, Fraction]:
     """The walk's own cylinder masses on all paths of length <= depth."""
     if not 0 <= depth <= w.depth:
         raise PathError(f"table depth {depth} out of range 0..{w.depth}")
-    table, masses = {}, w.initial._nu0
-    for n, (paths, prefix, last, _) in enumerate(_path_levels(w.diagram, 0, depth)):
-        if n:  # mu(Z(a e)) = mu(Z(a)) p(e)
-            masses = [masses[i] * w.transition._rho[n - 1][k] for i, k in zip(prefix, last)]
+    table = {}
+    for paths, masses in _cylinder_levels(w, _path_levels(w.diagram, 0, depth)):
         table.update(zip(paths, masses))
     return table
 
@@ -432,7 +441,7 @@ def table_from_leaves(
     masses = _masses(levels[-1][0], leaf_masses)
     table = dict(zip(levels[-1][0], masses))
     for n in range(depth - 1, -1, -1):
-        masses = _prefix_sums(levels[n][0], levels[n + 1][1], masses)
+        masses = _prefix_sums(len(levels[n][0]), levels[n + 1][1], masses)
         table.update(zip(levels[n][0], masses))
     return table
 
@@ -440,22 +449,22 @@ def table_from_leaves(
 _MISSING = object()
 
 
-def _masses(paths, table, nonnegative: bool = False) -> list[Fraction]:
-    """The table's masses on ``paths``; NotAMeasure at a missing (or negative) one."""
+def _masses(keys, table, nonnegative: bool = False) -> list[Fraction]:
+    """The masses on ``keys``, paths or labels; NotAMeasure at a missing (or negative) one."""
     row = []
-    for a in paths:
+    for a in keys:
         x = table.get(a, _MISSING)
         if x is _MISSING:
-            raise NotAMeasure(f"no mass for path {a.label()}")
+            raise NotAMeasure(f"no mass for path {a if type(a) is str else a.label()}")
         row.append(as_fraction(x))
         if nonnegative and row[-1] < 0:
-            raise NotAMeasure(f"negative mass on path {a.label()}")
+            raise NotAMeasure(f"negative mass on path {a if type(a) is str else a.label()}")
     return row
 
 
-def _prefix_sums(paths, prefix, masses) -> list:
-    """Per path of ``paths``, the sum of the masses of its one-edge extensions."""
-    sums = [0] * len(paths)
+def _prefix_sums(count: int, prefix, masses) -> list:
+    """Per path of a level of ``count``, the sum of the masses of its extensions."""
+    sums = [0] * count
     for i, x in zip(prefix, masses):
         sums[i] += x
     return sums
@@ -466,6 +475,10 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
     cotransition ``q``: m(Z(a)) = q(a) times m's own level-n marginal at r(a)
     for every path a of length n <= depth.
 
+    ``table`` maps each path, or its ``FinitePath.label()`` as
+    ``fileio.load_measure_table`` reads it, to its mass.  It is read by label,
+    which is unique unless an edge id holds a comma or is '@' and a vertex id.
+
     None if the table passes; else (path, expected mass, actual mass).
     """
     if not isinstance(q, CotransitionProbability):
@@ -474,56 +487,40 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
         raise IncompatibleData("cotransition must be built on the same diagram")
     if not 0 <= depth <= d.depth:
         raise PathError(f"depth {depth} out of range 0..{d.depth}")
-    levels = list(_path_levels(d, 0, depth))
+    if isinstance(next(iter(table), None), FinitePath):
+        table = {a.label(): x for a, x in table.items() if a.start_level == 0}
     # each level's masses as integer numerators over one denominator
-    masses = [_over_lcm(_masses(paths, table, nonnegative=True)) for paths, *_ in levels]
+    masses = [_over_lcm(_masses(keys, table, True)) for keys, *_ in _label_levels(d, 0, depth)]
     nums, den = masses[0]
     if sum(nums) != den:
         raise NotAMeasure(f"empty-path masses sum to {long_str(Fraction(sum(nums), den))}, not 1")
-    for n in range(depth):
-        (above, unit), (below, sub) = masses[n], masses[n + 1]
-        parts = _prefix_sums(levels[n][0], levels[n + 1][1], below)
-        for a, x, y in zip(levels[n][0], above, parts):
-            if x * sub != y * unit:
-                raise NotAMeasure(
-                    f"not additive at {a.label()}: mass {long_str(Fraction(x, unit))}, "
-                    f"extensions sum to {long_str(Fraction(y, sub))}"
-                )
-    # criterion: m(a) = q(a) times m's own level marginal at r(a); with q(a)
-    # = top / bottom and both masses over the level's unit, that is
-    # x * bottom == top * marginal
-    ratios = _q_ratios(d, q, depth, [row[1:] for row in levels])
-    for n, ((paths, *_), (ends, tops, bottoms), (row, unit)) in enumerate(
-        zip(levels, ratios, masses)
-    ):
-        marginal = [0] * len(d.vertices(n))
+    for n, (prefix, _, _) in enumerate(_tree_levels(d, 0, depth)):
+        if n:
+            (above, unit), (below, sub) = masses[n - 1], masses[n]
+            parts = _prefix_sums(len(above), prefix, below)
+            for j, (x, y) in enumerate(zip(above, parts)):
+                if x * sub != y * unit:
+                    raise NotAMeasure(
+                        f"not additive at {_tree_path(d, n - 1, j).label()}: mass "
+                        f"{long_str(Fraction(x, unit))}, extensions sum to {long_str(Fraction(y, sub))}"
+                    )
+    # criterion: level 0 holds; where level n-1 holds, m(a) = q(a) M(r(a)), M
+    # its marginal, so m(a e) = q(a e) M'(r(a e)) is x M qd == y qn M' on the
+    # masses x, y of a e, a and q(e) = qn / qd, or M' == 0 where M is 0
+    for n, (prefix, last, ends) in enumerate(_tree_levels(d, 0, depth)):
+        row, unit = masses[n]
+        marginal = [0] * len(d._vertices[n])
         for t, x in zip(ends, row):
             marginal[t] += x
-        for a, t, x, top, bottom in zip(paths, ends, row, tops, bottoms):
-            if x * bottom != top * marginal[t]:
-                return (a, Fraction(top * marginal[t], bottom * unit), Fraction(x, unit))
+        if n:
+            above, qn, src = masses[n - 1][0], q._rho[n - 1], d._src[n - 1]
+            for j, (i, k, t, x) in enumerate(zip(prefix, last, ends, row)):
+                mv, mw = before[src[k]], marginal[t]
+                if x * mv * qn[k].denominator != above[i] * qn[k].numerator * mw or not mv and mw:
+                    a = _tree_path(d, n, j)
+                    return (a, q.of_path(a) * Fraction(mw, unit), Fraction(x, unit))
+        before = marginal
     return None
-
-
-def _q_ratios(d: BratteliDiagram, q, depth: int, tree=None):
-    """q(a) on every path a of length <= depth from V(0), carried from prefix
-    to extension as an unreduced integer ratio top / bottom.
-
-    Yields ``(ends, tops, bottoms)`` per level of the path tree of
-    ``diagram._tree_levels``: path j ends at vertex ``ends[j]`` and q(a) =
-    ``tops[j] / bottoms[j]``.  ``tree`` is that tree's ``(prefix, last,
-    ends)`` rows when the caller already holds them.
-    """
-    if tree is None:
-        tree = _tree_levels(d, 0, depth)
-    for n, (prefix, last, ends) in enumerate(tree):
-        if n:  # q(a e) = q(a) q(e)
-            qn = q._rho[n - 1]
-            tops = [tops[i] * qn[k].numerator for i, k in zip(prefix, last)]
-            bottoms = [bottoms[i] * qn[k].denominator for i, k in zip(prefix, last)]
-        else:
-            tops = bottoms = [1] * len(ends)
-        yield ends, tops, bottoms
 
 
 def sample_path(w: RandomWalk, seed: int, depth: int) -> FinitePath:

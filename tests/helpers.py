@@ -6,11 +6,16 @@ linear algebra) and independent of the library's own shortcuts.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import bratteli
 from bratteli import (
     AlgebraElement,
     BratteliDiagram,
@@ -114,6 +119,33 @@ def chain_walk(depth):
     return build_walk(
         d, [{f"l{n}": 1} for n in range(1, depth + 1)], {"c0": 1}
     )
+
+
+# -- peak memory of a command ---------------------------------------------------
+
+# argv: the command; prints its exit code and its max RSS in kB
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mb(argv):
+    """(exit code, max RSS in MB) of the command ``argv``, its stdout
+    discarded and ``bratteli`` importable from this tree.  The command is
+    started from a small helper process, because a child's max RSS starts
+    at its parent's peak: a direct child of the test run would report the
+    test run's own."""
+    src = str(Path(bratteli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    code, kb = out.split()
+    return int(code), int(kb) / 1024
 
 
 # -- the diagram's violations ----------------------------------------------------
@@ -246,6 +278,25 @@ def oracle_markov_cylinder_table(w, depth):
         for a in _oracle_paths(w.diagram, n):
             table[a] = cylinder_measure(w, a)
     return table
+
+
+def oracle_measure_rows(w, depth):
+    """The ``measure`` command's rows (level, label, mass), read off the
+    whole cylinder table keyed by path."""
+    return [(len(a), a.label(), m) for a, m in oracle_markov_cylinder_table(w, depth).items()]
+
+
+def oracle_load_measure_table(d, data):
+    """A decoded table file {'empty': ..., 'paths': ...} read path by path:
+    each label through ``d.path`` in file order, the masses keyed by path."""
+    table, depth = {}, 0
+    for v, raw in data.get("empty", {}).items():
+        table[d.empty_path(v)] = as_fraction(raw)
+    for label, raw in data.get("paths", {}).items():
+        a = d.path(label.split(","))
+        table[a] = as_fraction(raw)
+        depth = max(depth, len(a))
+    return table, depth
 
 
 def oracle_table_from_leaves(d, depth, leaf_masses):

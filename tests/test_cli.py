@@ -18,6 +18,7 @@ from bratteli import (
     table_from_leaves,
 )
 from bratteli.cli import main
+from helpers import peak_rss_mb
 
 F = Fraction
 
@@ -106,6 +107,22 @@ def test_measure_on_deep_chain(tmp_path, capsys):
             lines = out.read().splitlines()
         assert len(lines) == depth + 2
         assert lines[-1] == f"{depth}\t" + ",".join(f"l{n}" for n in range(1, depth + 1)) + "\t1/1"
+
+
+def test_measure_on_deep_chain_peak_rss(tmp_path):
+    # only one level of labels is held: the whole table's edge tuples took
+    # about 125 MB at depth 3000
+    depth = 3000
+    chain = {
+        "vertices": [[f"c{n}"] for n in range(depth + 1)],
+        "edges": [[{"id": f"l{n}", "src": f"c{n - 1}", "rng": f"c{n}", "p": "1"}]
+                  for n in range(1, depth + 1)],
+        "nu0": {"c0": "1"},
+    }
+    f = write_json(tmp_path, "chain.json", chain)
+    code, peak = peak_rss_mb([sys.executable, "-m", "bratteli", "measure", f])
+    assert code == 0
+    assert peak <= 50
 
 
 def complete_diagram(width, depth):

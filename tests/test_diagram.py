@@ -212,6 +212,19 @@ def test_contains_path():
     assert not d.contains_path(other)
 
 
+def test_finite_path_has_no_instance_dict():
+    d = chain_diagram(2)
+    a = d.path(["l1", "l2"])
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.terminus = "c0"
+    same = FinitePath(0, "c0", ("l1", "l2"), "c2")
+    assert a == same
+    assert hash(a) == hash(same)
+    assert repr(a) == "FinitePath(start_level=0, anchor='c0', edges=('l1', 'l2'), terminus='c2')"
+    assert (a.label(), d.empty_path("c0").label()) == ("l1,l2", "@c0")
+
+
 def test_path_edges_and_extensions():
     d = two_level([("e0", "a", "c"), ("e1", "a", "d"), ("e2", "b", "d")])
     empty = d.empty_path("a")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -634,14 +635,45 @@ def test_non_exact_input_is_refused():
     with pytest.raises(IncompatibleData, match="^a unit image has non-exact entries"):
         verify_expectation(lambda f: model(f).scale(1.0), big, basis)
     # 1, the units and the products m u carry only 1s, so Q returns doubles
-    # only for Q(Q(u)), which the idempotence check may compare, and Q(f*f)
-    with pytest.raises(IncompatibleData, match=r"^Q\(f\*f\) has non-exact entries"):
+    # only for Q(Q(u)), which the idempotence check compares, and Q(f*f)
+    with pytest.raises(IncompatibleData, match=r"^Q\(Q\(u\)\) has non-exact entries"):
         verify_expectation(
             lambda f: model(f).scale(1.0 if any(v != 1 for v in f.entries.values()) else 1),
             big, basis,
         )
+    # the samples f*f, and no other argument, have an entry on every pair
+    dense = len(list(big.pairs()))
+    with pytest.raises(IncompatibleData, match=r"^Q\(f\*f\) has non-exact entries"):
+        verify_expectation(
+            lambda f: model(f).scale(1.0 if len(f.entries) == dense else 1), big, basis
+        )
     with pytest.raises(IncompatibleData, match="^generators have non-exact entries"):
         brute_force_commutant([identity_element(big).scale(2.5)], big)
+
+
+@pytest.mark.parametrize("value", ["Q(1)", "Q(Q(u))"])
+def test_non_exact_q_value_off_the_units_is_refused(value):
+    # Q returns doubles for one value only, equal to the exact ones: the
+    # distance would read 0.0 and the check pass, were it not refused
+    g = random_inclusion_graph(random.Random(83))
+    me = ModelExpectation(g, random_transition(random.Random(84), g))
+    model, big, basis = me.as_endomorphism(), g.big_relation(), me.subalgebra_basis()
+    one, images = identity_element(big), []
+    inexact = {
+        "Q(1)": lambda f: f.entries == one.entries,
+        "Q(Q(u))": lambda f: any(f is image for image in images),
+    }[value]
+
+    def q(f):
+        image = model(f)
+        if inexact(f):
+            return image.scale(1.0)
+        images.append(image)
+        return image
+
+    assert verify_expectation(model, big, basis).all_pass
+    with pytest.raises(IncompatibleData, match=f"^{re.escape(value)} has non-exact entries"):
+        verify_expectation(q, big, basis)
 
 
 def test_sub_basis_is_checked_before_q():

@@ -212,7 +212,8 @@ def test_measure_table_round_trip():
     }
     loaded, depth = load_measure_table(d, payload)
     assert depth == 2
-    assert loaded == table
+    # keyed by label, '@vertex' for an empty path
+    assert loaded == {a.label(): m for a, m in table.items()}
 
 
 def test_measure_table_errors():

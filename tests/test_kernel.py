@@ -64,7 +64,7 @@ from bratteli import (
     skew_product,
     table_from_leaves,
 )
-from bratteli.fileio import dump_diagram
+from bratteli.fileio import dump_diagram, load_measure_table
 from bratteli.rational import as_fraction
 
 from helpers import (
@@ -77,7 +77,9 @@ from helpers import (
     oracle_ergodic_components,
     oracle_harmonic_from_terminal,
     oracle_is_harmonic,
+    oracle_load_measure_table,
     oracle_markov_cylinder_table,
+    oracle_measure_rows,
     oracle_path,
     oracle_q_measure_witness,
     oracle_skew_product,
@@ -86,6 +88,7 @@ from helpers import (
     random_diagram,
     random_walk,
     random_walk_on,
+    random_walk_with_multipath,
 )
 
 F = Fraction
@@ -344,6 +347,83 @@ def test_path_consumers_match_oracles(rng):
         assert_same_outcome(q_measure_witness, fraction_q_measure_witness, d, q, bad, depth)
         leaves = {a: x for a, x in bad.items() if len(a) == depth}
         assert_same_outcome(table_from_leaves, oracle_table_from_leaves, d, depth, leaves)
+
+
+@kernel_settings
+@given(randoms, st.sampled_from(["tsv", "json"]), st.booleans())
+def test_measure_matches_table_rows(rng, fmt, limited):
+    # measure writes each level from the labels of the one before; its rows
+    # must be those of the whole table keyed by path
+    w = random_walk_with_multipath(rng, max_depth=5)
+    d = w.diagram
+    depth = rng.randint(0, d.depth) if limited else d.depth
+    rows, columns = oracle_measure_rows(w, depth), ("level", "id", "value")
+    want = json_oracle(columns, rows) if fmt == "json" else fraction_tsv(columns, rows)
+    p = {(n, e.id): w.transition(n, e.id) for n in range(1, d.depth + 1) for e in d.edges(n)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "walk.json"
+        path.write_text(json.dumps(dump_diagram(d, p=p, nu0=w.initial.as_dict())))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["measure", str(path), "--format", fmt, *(["--depth", str(depth)] * limited)])
+    assert (code, out.getvalue()) == (0, want)
+
+
+def table_payload(table):
+    """The table file of a table keyed by path, masses as 'num/den'."""
+    def text(x):
+        return f"{x.numerator}/{x.denominator}"
+
+    return {
+        "empty": {a.anchor: text(x) for a, x in table.items() if not a.edges},
+        "paths": {a.label(): text(x) for a, x in table.items() if a.edges},
+    }
+
+
+TABLE_FAULTS = ["none", "missing", "negative", "non-additive", "unknown-edge", "perturbed-leaf"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(randoms, st.sampled_from(TABLE_FAULTS))
+def test_label_read_check_matches_oracle(rng, fault):
+    # the table file read by label must give the witness, or the error and
+    # message, of the file read path by path and checked by the oracle
+    w = random_walk_with_multipath(rng, max_depth=5)
+    d = w.diagram
+    depth = rng.randint(0, d.depth)
+    table = oracle_markov_cylinder_table(w, depth)
+    q = rng.choice([w.cotransition, random_walk_on(rng, d).cotransition])
+    a = rng.choice(list(table))
+    if fault == "missing":
+        del table[a]
+    elif fault == "negative":
+        table[a] = -table[a]
+    elif fault == "non-additive":
+        table[a] += F(1, 7)
+    elif fault == "perturbed-leaf":
+        # half a leaf's mass to a sibling: still a measure, not a q-measure
+        leaves = [b for b in table if len(b) == depth]
+        b = rng.choice(leaves)
+        c = rng.choice([c for c in leaves if (c.anchor, c.edges[:-1]) == (b.anchor, b.edges[:-1])])
+        delta = table[b] / 2
+        table[b] -= delta
+        table[c] += delta
+    payload = table_payload(table)
+    items = list(payload["paths"].items())
+    if fault == "unknown-edge":
+        # an unknown id, at level 1 or after a path, or two edges that do not compose
+        first = [e.id for e in d.edges(1)]
+        label = rng.choice(["zz", f"{rng.choice(first)},zz"])
+        if d.depth > 1:
+            e = rng.choice(d.edges(1))
+            off = [f.id for f in d.edges(2) if f.src != e.rng]
+            label = f"{e.id},{rng.choice(off)}" if off and rng.random() < 0.5 else label
+        items.append((label, "1/2"))
+    rng.shuffle(items)  # the file order the loader checks in
+    payload["paths"] = dict(items)
+    got = outcome(lambda: q_measure_witness(d, q, *load_measure_table(d, payload)))
+    want = outcome(lambda: oracle_q_measure_witness(d, q, *oracle_load_measure_table(d, payload)))
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None)
