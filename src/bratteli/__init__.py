@@ -11,6 +11,7 @@ from types import ModuleType as _ModuleType
 
 from .diagram import (
     BratteliDiagram,
+    CylinderTable,
     Edge,
     FinitePath,
     Violation,

@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .diagram import _label_levels, _level_counts, _tree_levels
+from .diagram import _label_levels, _level_counts, _require_labels, _tree_levels
 from .errors import BratteliError, FileFormatError, PathError
 from .fdalg import ModelExpectation, extract_transition, verify_expectation
 from .fileio import (
@@ -110,6 +110,7 @@ def _refuse(what: str, count, limit: int):
 
 def cmd_measure(args) -> int:
     w = _walk(args)
+    _require_labels(w.diagram)  # qcheck could not read its labels back
     depth = args.depth if args.depth is not None else w.depth
     if not 0 <= depth <= w.depth:
         raise PathError(f"depth {depth} out of range 0..{w.depth}")

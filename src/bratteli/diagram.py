@@ -12,12 +12,15 @@ index, and tests and CLI output depend on that order.  Every path consumer
 (``enumerate_paths``, the cylinder tables, ``measure`` and the q-measure
 check of ``walk``) reads the one path tree of ``_tree_levels``, which grows
 each level from the one before over integer indices; ``_path_levels`` adds
-the paths themselves, ``_label_levels`` only their labels.
+the paths themselves, ``_label_levels`` only their labels, and
+``CylinderTable`` holds masses by their place in it.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import InvalidDiagram, PathError
@@ -379,6 +382,98 @@ def _label_levels(d: BratteliDiagram, from_level: int, to_level: int):
             ids = [d._edges[m][k].id for k in last]
             labels = ids if m == from_level else [f"{labels[i]},{x}" for i, x in zip(prefix, ids)]
         yield labels, prefix, last, ends
+
+
+def _require_labels(d: BratteliDiagram):
+    """PathError naming the first edge id, level by level, with a comma: labels join ids with commas."""
+    bad = next(((n, e.id) for n, row in enumerate(d._edges, 1) for e in row if "," in e.id), None)
+    if bad:
+        raise PathError(f"edge id '{bad[1]}' at level {bad[0]} holds a comma, which path labels cannot name")
+
+
+_MISSING = object()  # a slot of a CylinderTable that has no mass
+
+
+class CylinderTable:
+    """Masses on the paths from V(0) of ``diagram``, by slot (n, j): path j of
+    level n of the path tree of ``_tree_levels``, one list per level.  The
+    tree grows as paths reach a new level, while its last level has at most
+    ``limit`` paths: a table of at most ``limit`` masses lacks one there
+    anyway.  ``len`` counts the masses given, ``depth`` is the longest path
+    given."""
+
+    def __init__(self, d: BratteliDiagram, limit: int):
+        self.diagram, self.depth, self._limit, self._count = d, 0, limit, 0
+        self._tree = _tree_levels(d, 0, d.depth)
+        self._ends = next(self._tree)[2]  # the terminus of each path of the last level
+        self._rows = [[_MISSING] * len(self._ends)]  # per level, the masses in path order
+        self._first = []  # per level, the place of each path's first extension in the next
+
+    @classmethod
+    def of(cls, d: BratteliDiagram, mapping) -> "CylinderTable":
+        """A mapping from paths, or their labels, to masses as a table; keys
+        that name no path from V(0) of ``d`` are left out."""
+        table = cls(d, len(mapping))
+        for key, x in mapping.items():
+            if isinstance(key, FinitePath) and key.start_level == 0:
+                ids, vertex = key.edges, key.anchor
+            elif isinstance(key, str):  # '@vertex', or edge ids joined by commas
+                ids, vertex = ((), key[1:]) if key[:1] == "@" else (key.split(","), None)
+            else:
+                continue
+            with contextlib.suppress(PathError):
+                table.put(table.locate(ids) if ids else (0, d.vertex_index(0, vertex)), x)
+        return table
+
+    def __len__(self):
+        return self._count
+
+    def _grow(self, n: int) -> bool:
+        """Whether level n is held, after growing the tree as far as ``limit`` lets it."""
+        d, rows = self.diagram, self._rows
+        # the last row may already be converted: count its paths by their ends
+        while len(rows) <= min(n, d.depth) and len(self._ends) <= self._limit:
+            out = d._out[len(rows) - 1]
+            self._first.append(list(accumulate((len(out[t]) for t in self._ends), initial=0)))
+            self._ends = next(self._tree)[2]
+            rows.append([_MISSING] * len(self._ends))
+        return n < len(rows)
+
+    def locate(self, ids) -> tuple:
+        """The slot of the path from V(0) with edge ids ``ids``, or (n, None) if
+        its level n is not held; PathError, as ``d.path`` words it, if ``d`` has
+        no such path."""
+        d, j, at = self.diagram, None, None
+        if len(ids) >= len(self._rows) and not self._grow(len(ids)):
+            d._follow(ids)
+            return len(ids), None
+        eidx, src, rng, out, first = d._eidx, d._src, d._rng, d._out, self._first
+        for m, eid in enumerate(ids):
+            k = eidx[m].get(eid)
+            if k is None or m and src[m][k] != at:
+                d._follow(ids)  # raises the PathError that names the fault
+            j, at = first[m][j] + out[m][at].index(k) if m else k, rng[m][k]
+        return len(ids), j
+
+    def level(self, n: int, convert: Callable):
+        """Row n as ``convert(diagram, n, row)``, which takes the row's place on
+        the first call, so a table takes no more masses once checked.  Ask for
+        level n only once level n-1 has all its masses: then it can grow."""
+        self._grow(n)
+        if type(self._rows[n]) is list:
+            self._rows[n] = convert(self.diagram, n, self._rows[n])
+        return self._rows[n]
+
+    def put(self, slot, x) -> bool:
+        """Give ``slot`` the mass ``x``; False if it has one or its level is not held."""
+        n, j = slot
+        self._count += 1
+        if n > self.depth:
+            self.depth = n
+        if j is None or self._rows[n][j] is not _MISSING:
+            return False
+        self._rows[n][j] = x
+        return True
 
 
 def _tree_path(d: BratteliDiagram, n: int, j: int) -> FinitePath:

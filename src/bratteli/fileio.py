@@ -12,13 +12,16 @@ violate a domain invariant surface later as BratteliError.
 from __future__ import annotations
 
 import json
+import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Mapping
 
-from .diagram import BratteliDiagram
+from .diagram import BratteliDiagram, CylinderTable, _require_labels
 from .errors import FileFormatError, IncompatibleData, InvalidDiagram
 from .fdalg import AlgebraElement, FiniteEquivRelation, InclusionGraph
 from .rational import as_fraction, format_fraction
@@ -204,34 +207,108 @@ def potential_from_file(df: DiagramFile) -> EdgePotential:
     return EdgePotential(df.diagram, group, df.rho_levels, parse=parse)
 
 
-def load_measure_table(d: BratteliDiagram, source) -> tuple[dict[str, Fraction], int]:
+CHUNK = 1 << 16  # characters of a measure table file read at a time
+
+# a table file's pieces, compiled on first use: white space, a JSON string
+# (group: its text, escapes not decoded), the top object's '{', the ',' or '}'
+# after a section, a section ("key": '{') or '}', a mass ("key": a string or
+# an integer, and ',' or '}') or '}'
+_WS, _STR = r"[ \t\n\r]*", r'"([^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*)"'
+_PIECES = (_WS + r"\{", _WS + "([,}])", _WS + r"(?:(\})|" + _STR + _WS + ":" + _WS + r"\{)",
+           _WS + r"(?:(\})|" + _STR + _WS + ":" + _WS + "(?:" + _STR + "|(-?(?:0|[1-9][0-9]*)))" + _WS + "([,}]))")
+
+
+def _streamed_members(f):
+    """(section, key, value) per member of the 'empty' and 'paths' objects of
+    a table file, in file order, read CHUNK characters at a time; a
+    FileFormatError where the text is anything else."""
+    text, at = "", 0
+    opening, after, section_re, mass_re = map(re.compile, _PIECES)
+
+    def take(pattern):
+        nonlocal text, at
+        while not (m := pattern.match(text, at)):
+            chunk = f.read(max(CHUNK, len(text) - at))  # at least double what is held
+            if not chunk:
+                raise FileFormatError("not a table file of 'empty' and 'paths' objects")
+            text, at = text[at:] + chunk, 0
+        at = m.end()
+        return m
+
+    def string(m, group):
+        return m[group] if "\\" not in m[group] else scanstring(m.string, m.start(group))[0]
+
+    take(opening)
+    seen, sep = set(), "{"
+    while sep != "}":
+        m = take(section_re)
+        if m[1] and sep == "{":  # '}' may close '{', not follow ','
+            break
+        section = None if m[1] else string(m, 2)
+        if section not in ("empty", "paths") or section in seen:
+            raise FileFormatError(f"unexpected member {section!r} in a table file")
+        seen.add(section)
+        inner = "{"
+        while inner != "}":
+            m = take(mass_re)
+            if m[1] and inner == "{":
+                break
+            if m[1]:
+                raise FileFormatError("'}' after ',' in a table file")
+            yield section, string(m, 2), string(m, 3) if m[3] is not None else int(m[4])
+            inner = m[5]
+        sep = take(after)[1]
+    if (text[at:] + f.read()).strip(" \t\n\r"):
+        raise FileFormatError("extra data after a table file's object")
+
+
+def _decoded_members(data: dict):
+    """(section, key, value) per member of a decoded table: 'empty', then 'paths'."""
+    for section, what in (("empty", "vertices"), ("paths", "edge lists")):
+        members = data.get(section, {})
+        if not isinstance(members, dict):
+            raise FileFormatError(f"'{section}' must be an object mapping {what} to rationals")
+        yield from ((section, _string(key, section), raw) for key, raw in members.items())
+
+
+def _fill(table: CylinderTable, members, streamed: bool = False) -> tuple[CylinderTable, int]:
+    """Give each member's mass its slot of ``table``; the table and its depth."""
+    d = table.diagram
+    for section, key, raw in members:
+        slot = (0, d.vertex_index(0, key)) if section == "empty" else table.locate(key.split(","))
+        if not table.put(slot, _rational(raw, f"{section}['{key}']")) and streamed:
+            raise FileFormatError(f"repeated key {key!r} in a JSON object")  # or a level not held
+    return table, table.depth
+
+
+def load_measure_table(d: BratteliDiagram, source) -> tuple[CylinderTable, int]:
     """Read a cylinder table {'empty': {vertex: rat}, 'paths': {'e1,e2': rat}}.
 
-    Returns the masses keyed by ``FinitePath.label()`` ('@vertex' for an empty
-    path) and the depth (longest path seen).  Labels are checked against ``d``
-    in file order, as ``d.path`` checks them, and no path is built.
+    Returns the masses in a ``CylinderTable`` on ``d``, each in its slot of
+    the path tree, and the depth (the longest path given); the table's
+    ``len`` is its number of entries.  Labels are checked against ``d`` in
+    file order, as ``d.path`` checks them.  A comma in an edge id is refused
+    up front: no label could name a path through that edge.
+
+    A regular file is read CHUNK characters at a time, each mass put straight
+    into its slot: no decoded JSON object, whole-file text or label dict is
+    held.  A file that pass does not take (a JSON fault, a repeated key, a
+    member besides 'empty' and 'paths', a mass that is not a string or an
+    integer, a fault in an entry) is decoded whole and read as a decoded
+    ``source`` is, 'empty' first: json's own error wins, then the first fault
+    in that order.
     """
+    _require_labels(d)
+    if not isinstance(source, (dict, list)) and os.path.isfile(source):
+        try:
+            with open(source, encoding="utf-8") as f:
+                # a member takes at least 4 characters, so the file holds at most size // 4
+                return _fill(CylinderTable(d, os.fstat(f.fileno()).st_size // 4), _streamed_members(f), True)
+        except ValueError:  # FileFormatError, BratteliError, a JSON or UTF-8 fault
+            pass
     data = _load_json(source, "measure")
-    table: dict[str, Fraction] = {}
-    depth = 0
-    empty = data.get("empty", {})
-    if not isinstance(empty, dict):
-        raise FileFormatError("'empty' must be an object mapping vertices to rationals")
-    for v, raw in empty.items():
-        d.require_valid()
-        d.vertex_index(0, _string(v, "empty"))
-        table["@" + v] = _rational(raw, f"empty['{v}']")
-    paths = data.get("paths", {})
-    if not isinstance(paths, dict):
-        raise FileFormatError("'paths' must be an object mapping edge lists to rationals")
-    for label, raw in paths.items():
-        ids = _string(label, "paths").split(",")
-        d._follow(ids)
-        if label in table:
-            raise FileFormatError(f"path label '{label}' also names an empty path")
-        table[label] = _rational(raw, f"paths['{label}']")
-        depth = max(depth, len(ids))
-    return table, depth
+    limit = sum(len(data[s]) for s in ("empty", "paths") if isinstance(data.get(s), dict))
+    return _fill(CylinderTable(d, limit), _decoded_members(data))
 
 
 def load_terminal(source) -> dict:

@@ -31,8 +31,9 @@ builds no q.
 
 Cylinder tables, ``measure`` and the q-measure check read the one
 level-by-level path tree of ``diagram._tree_levels``: ``_cylinder_levels``
-carries mu(Z(a)) from prefix to extension, and the q-measure check reads the
-table by label.  It runs on Python ints the same way as the walk: it brings
+carries mu(Z(a)) from prefix to extension, and a ``CylinderTable`` holds a
+table's masses by their place in it, one list per level, for the q-measure
+check.  The check runs on Python ints the same way as the walk: it brings
 each level's masses over one denominator, so additivity is a cross-multiplied
 integer test, and m(Z(a)) = q(a) m_n(r(a)) is tested one edge at a time, on
 integer marginals by terminus index, as m(Z(a e)) against m(Z(a)) q(e).
@@ -52,8 +53,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .diagram import BratteliDiagram, FinitePath, tail_related
-from .diagram import _label_levels, _path_levels, _tree_levels, _tree_path
+from .diagram import BratteliDiagram, CylinderTable, FinitePath, tail_related
+from .diagram import _MISSING, _path_levels, _tree_levels, _tree_path
 from .errors import (
     IncompatibleData,
     NotAMeasure,
@@ -438,7 +439,7 @@ def table_from_leaves(
 ) -> dict[FinitePath, Fraction]:
     """Extend masses on length-``depth`` paths to an additive cylinder table."""
     levels = list(_path_levels(d, 0, depth))
-    masses = _masses(levels[-1][0], leaf_masses)
+    masses = _masses(d, depth, [leaf_masses.get(a, _MISSING) for a in levels[-1][0]])
     table = dict(zip(levels[-1][0], masses))
     for n in range(depth - 1, -1, -1):
         masses = _prefix_sums(len(levels[n][0]), levels[n + 1][1], masses)
@@ -446,20 +447,22 @@ def table_from_leaves(
     return table
 
 
-_MISSING = object()
-
-
-def _masses(keys, table, nonnegative: bool = False) -> list[Fraction]:
-    """The masses on ``keys``, paths or labels; NotAMeasure at a missing (or negative) one."""
-    row = []
-    for a in keys:
-        x = table.get(a, _MISSING)
+def _masses(d: BratteliDiagram, n: int, row, nonnegative: bool = False) -> list[Fraction]:
+    """The masses ``row`` of level n of the path tree; NotAMeasure at a missing (or negative) one."""
+    out = []
+    for j, x in enumerate(row):
         if x is _MISSING:
-            raise NotAMeasure(f"no mass for path {a if type(a) is str else a.label()}")
-        row.append(as_fraction(x))
-        if nonnegative and row[-1] < 0:
-            raise NotAMeasure(f"negative mass on path {a if type(a) is str else a.label()}")
-    return row
+            raise NotAMeasure(f"no mass for path {_tree_path(d, n, j).label()}")
+        out.append(as_fraction(x))
+        if nonnegative and out[-1] < 0:
+            raise NotAMeasure(f"negative mass on path {_tree_path(d, n, j).label()}")
+    return out
+
+
+def _level_masses(d: BratteliDiagram, n: int, row) -> tuple[tuple[int, ...], int]:
+    """The masses ``row`` of level n of the path tree as integer numerators
+    over one denominator; NotAMeasure at a missing or negative one."""
+    return _over_lcm(_masses(d, n, row, True))
 
 
 def _prefix_sums(count: int, prefix, masses) -> list:
@@ -475,9 +478,12 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
     cotransition ``q``: m(Z(a)) = q(a) times m's own level-n marginal at r(a)
     for every path a of length n <= depth.
 
-    ``table`` maps each path, or its ``FinitePath.label()`` as
-    ``fileio.load_measure_table`` reads it, to its mass.  It is read by label,
-    which is unique unless an edge id holds a comma or is '@' and a vertex id.
+    ``table`` is a ``CylinderTable`` on ``d``, as ``fileio.load_measure_table``
+    reads it, or maps each path, or its ``FinitePath.label()``, to its mass;
+    a mapping is read into a ``CylinderTable`` first.  The masses are read
+    level by level, in path-tree order, and each level's row of the table
+    becomes its integer numerators over one denominator.  A label names one
+    path unless an edge id holds a comma or is '@' and a vertex id.
 
     None if the table passes; else (path, expected mass, actual mass).
     """
@@ -487,10 +493,11 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
         raise IncompatibleData("cotransition must be built on the same diagram")
     if not 0 <= depth <= d.depth:
         raise PathError(f"depth {depth} out of range 0..{d.depth}")
-    if isinstance(next(iter(table), None), FinitePath):
-        table = {a.label(): x for a, x in table.items() if a.start_level == 0}
-    # each level's masses as integer numerators over one denominator
-    masses = [_over_lcm(_masses(keys, table, True)) for keys, *_ in _label_levels(d, 0, depth)]
+    if not isinstance(table, CylinderTable):
+        table = CylinderTable.of(d, table)
+    elif table.diagram is not d:  # so are its slots
+        raise IncompatibleData("cylinder table must be read on the same diagram")
+    masses = [table.level(n, _level_masses) for n in range(depth + 1)]
     nums, den = masses[0]
     if sum(nums) != den:
         raise NotAMeasure(f"empty-path masses sum to {long_str(Fraction(sum(nums), den))}, not 1")

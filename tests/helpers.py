@@ -13,8 +13,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 import bratteli
 from bratteli import (
     AlgebraElement,
@@ -22,6 +20,7 @@ from bratteli import (
     CotransitionProbability,
     Edge,
     ExpectationReport,
+    FileFormatError,
     FinitePath,
     HarmonicCheck,
     InclusionGraph,
@@ -40,6 +39,7 @@ from bratteli import (
     subdiagram,
 )
 from bratteli.diagram import _path_levels
+from bratteli.fileio import _load_json, _rational, _string
 from bratteli.rational import as_fraction, long_str
 
 
@@ -286,15 +286,24 @@ def oracle_measure_rows(w, depth):
     return [(len(a), a.label(), m) for a, m in oracle_markov_cylinder_table(w, depth).items()]
 
 
-def oracle_load_measure_table(d, data):
-    """A decoded table file {'empty': ..., 'paths': ...} read path by path:
+def oracle_load_measure_table(d, source):
+    """A table file {'empty': ..., 'paths': ...}, a path or a decoded payload,
+    read as the whole-file reader did: the file decoded by ``json.loads``
+    (through ``fileio._load_json``), then 'empty' and 'paths' in that order,
     each label through ``d.path`` in file order, the masses keyed by path."""
+    data = _load_json(source, "measure")
     table, depth = {}, 0
-    for v, raw in data.get("empty", {}).items():
-        table[d.empty_path(v)] = as_fraction(raw)
-    for label, raw in data.get("paths", {}).items():
-        a = d.path(label.split(","))
-        table[a] = as_fraction(raw)
+    empty = data.get("empty", {})
+    if not isinstance(empty, dict):
+        raise FileFormatError("'empty' must be an object mapping vertices to rationals")
+    for v, raw in empty.items():
+        table[d.empty_path(_string(v, "empty"))] = _rational(raw, f"empty['{v}']")
+    paths = data.get("paths", {})
+    if not isinstance(paths, dict):
+        raise FileFormatError("'paths' must be an object mapping edge lists to rationals")
+    for label, raw in paths.items():
+        a = d.path(_string(label, "paths").split(","))
+        table[a] = _rational(raw, f"paths['{label}']")
         depth = max(depth, len(a))
     return table, depth
 
@@ -928,16 +937,6 @@ def _build_graph(fibers, M):
 
 
 # -- linear-algebra oracles ----------------------------------------------------
-
-
-def elements_to_matrix(elements, relation):
-    """Stack sparse elements as columns of a dense coordinate matrix."""
-    index = {pair: i for i, pair in enumerate(relation.pairs())}
-    mat = np.zeros((len(index), len(elements)), dtype=complex)
-    for j, m in enumerate(elements):
-        for k, v in m.entries.items():
-            mat[index[k], j] = complex(v)
-    return mat
 
 
 def random_element(rng, relation, scale=1.0):

@@ -125,6 +125,76 @@ def test_measure_on_deep_chain_peak_rss(tmp_path):
     assert peak <= 50
 
 
+def test_qcheck_on_deep_chain_peak_rss(tmp_path):
+    # the 10.3 MB table is streamed into the path tree: decoded whole with
+    # json.loads and held as a label dict, it took qcheck to 53.3 MB
+    depth = 2000
+    chain = {
+        "vertices": [[f"c{n}"] for n in range(depth + 1)],
+        "edges": [[{"id": f"l{n}", "src": f"c{n - 1}", "rng": f"c{n}", "p": "1"}]
+                  for n in range(1, depth + 1)],
+        "nu0": {"c0": "1"},
+    }
+    f = write_json(tmp_path, "chain.json", chain)
+    table, label = tmp_path / "table.json", "l1"
+    with open(table, "w", encoding="utf-8") as out:
+        out.write('{"empty": {"c0": "1"}, "paths": {"l1": "1"')
+        for n in range(2, depth + 1):
+            label += f",l{n}"
+            out.write(f', "{label}": "1"')
+        out.write("}}")
+    code, peak = peak_rss_mb([sys.executable, "-m", "bratteli", "qcheck", f, "--measure", str(table)])
+    assert code == 0
+    assert peak <= 40
+
+
+def test_qcheck_on_a_deep_label_builds_no_deep_level(tmp_path):
+    # two edges per floor: level 20 has 2**20 paths, and a table naming one of
+    # them lacks a mass at level 1 already; the path tree grows only while a
+    # level could be complete, so qcheck never builds level 20
+    depth = 20
+    doubled = {
+        "vertices": [[f"c{n}"] for n in range(depth + 1)],
+        "edges": [[{"id": f"{x}{n}", "src": f"c{n - 1}", "rng": f"c{n}", "p": "1/2"} for x in "ab"]
+                  for n in range(1, depth + 1)],
+        "nu0": {"c0": "1"},
+    }
+    f = write_json(tmp_path, "doubled.json", doubled)
+    label = ",".join(f"a{n}" for n in range(1, depth + 1))
+    table = write_json(tmp_path, "table.json", {"empty": {"c0": "1"}, "paths": {label: "1"}})
+    argv = [sys.executable, "-m", "bratteli", "qcheck", f, "--measure", table]
+    assert subprocess.run(argv, capture_output=True, text=True).stderr == "error: no mass for path a1\n"
+    code, peak = peak_rss_mb(argv)
+    assert code == 1
+    assert peak <= 40
+
+
+def test_qcheck_reads_a_table_from_a_pipe(tmp_path):
+    # a pipe has no size to bound the table by and cannot be read twice: it
+    # is decoded whole, as any file was before tables were streamed
+    f = write_json(tmp_path, "vee.json", VEE)
+    for table, out in ((MEASURE, "q-measure: OK\n"), ({**MEASURE, "note": []}, "q-measure: OK\n")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bratteli", "qcheck", f, "--measure", "/dev/stdin"],
+            input=json.dumps(table), capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("command", ["measure", "qcheck"])
+def test_comma_in_edge_id_is_refused(tmp_path, capsys, command):
+    # a label joins edge ids with commas: measure would write a label that
+    # qcheck cannot read back, so both refuse the diagram up front
+    payload = json.loads(json.dumps(VEE))
+    payload["edges"][0][1]["id"] = "e,b"
+    f = write_json(tmp_path, "comma.json", payload)
+    table = write_json(tmp_path, "table.json", {"empty": {"a": "1/3", "b": "2/3"}, "paths": {"ea": "1/3"}})
+    argv = [command, f] + (["--measure", table] if command == "qcheck" else [])
+    assert run_main(capsys, argv) == (
+        1, "", "error: edge id 'e,b' at level 1 holds a comma, which path labels cannot name\n"
+    )
+
+
 def complete_diagram(width, depth):
     """``width`` vertices per level, each joined to every vertex below it."""
     vertices = [[f"v{n}.{i}" for i in range(width)] for n in range(depth + 1)]

@@ -39,7 +39,6 @@ from bratteli.cli import main
 
 from helpers import (
     chain_diagram,
-    elements_to_matrix,
     fraction_echelon,
     fraction_semidefinite,
     fraction_span,
@@ -1047,11 +1046,3 @@ def test_diagonalize_rejections():
         diagonalize_state(np.eye(2))
     with pytest.raises(SupportViolation):
         diagonalize_state(np.diag([1.0, 0.0]))
-
-
-def test_elements_to_matrix_helper_roundtrip():
-    rel = FiniteEquivRelation.from_partition([["a", "b"]])
-    units = list(canonical_units(rel).values())
-    mat = elements_to_matrix(units, rel)
-    assert mat.shape == (4, 4)
-    assert np.allclose(mat, np.eye(4))

@@ -17,6 +17,7 @@ from bratteli import (
     ZLattice,
     dump_diagram,
     dump_element,
+    enumerate_paths,
     load_diagram,
     load_element,
     load_inclusion_graph,
@@ -211,9 +212,10 @@ def test_measure_table_round_trip():
                   for a, m in table.items() if len(a) > 0},
     }
     loaded, depth = load_measure_table(d, payload)
-    assert depth == 2
-    # keyed by label, '@vertex' for an empty path
-    assert loaded == {a.label(): m for a, m in table.items()}
+    assert (depth, len(loaded)) == (2, len(table))
+    # held level by level, in enumeration order
+    for n in range(3):
+        assert loaded._rows[n] == [table[a] for a in enumerate_paths(d, 0, n)]
 
 
 def test_measure_table_errors():

@@ -6,7 +6,9 @@ diagrams and walks; so must every cylinder table and q-measure verdict built
 on the shared path tree, down to key order and error messages, and so must
 the Fraction versions of the integer path-tree kernels and of the table
 parser and renderer (``helpers.fraction_*``); the streamed JSON table must
-be the bytes of ``json.dumps`` of the whole table.  p and q are edge
+be the bytes of ``json.dumps`` of the whole table, and a table file read in
+chunks must make ``qcheck`` exit and print as the whole-file reader and the
+oracle do.  p and q are edge
 potentials: their path values must be the products of their level rows.  The
 walk's q is built on first request, and the index-native skew product must
 equal the string-id one of ``helpers.oracle_skew_product``, down to its
@@ -43,6 +45,7 @@ from bratteli import (
     BratteliError,
     CotransitionProbability,
     EdgePotential,
+    FileFormatError,
     HarmonicSequence,
     IncompatibleData,
     MultiplicativeRationals,
@@ -51,6 +54,7 @@ from bratteli import (
     TransitionProbability,
     WindowError,
     ZLattice,
+    build_walk,
     cylinder_measure,
     enumerate_paths,
     ergodic_components,
@@ -64,8 +68,9 @@ from bratteli import (
     skew_product,
     table_from_leaves,
 )
+from bratteli import fileio
 from bratteli.fileio import dump_diagram, load_measure_table
-from bratteli.rational import as_fraction
+from bratteli.rational import as_fraction, format_fraction
 
 from helpers import (
     fraction_as_fraction,
@@ -381,18 +386,34 @@ def table_payload(table):
 
 
 TABLE_FAULTS = ["none", "missing", "negative", "non-additive", "unknown-edge", "perturbed-leaf"]
+FILE_FAULTS = ["truncated", "repeated-label", "non-string-mass", "syntax-after-bad-label"]
+# characters JSON escapes, or that a reader could take for structure; no comma
+ODD = ['"', "\\", "\\u0041", "\n", "\t", "\x7f", "/", " ", "{", "}", ":", "[", "@", "\u00e9", "\u2028", "\U0001f600"]
 
 
-@settings(max_examples=150, deadline=None)
-@given(randoms, st.sampled_from(TABLE_FAULTS))
-def test_label_read_check_matches_oracle(rng, fault):
-    # the table file read by label must give the witness, or the error and
-    # message, of the file read path by path and checked by the oracle
+def odd_ids(rng, w):
+    """``w`` on a copy of its diagram in which each vertex and edge id ends in
+    a character of ``ODD``."""
+    d = w.diagram
+    name = {(n, v): v + rng.choice(ODD) for n in range(d.depth + 1) for v in d.vertices(n)}
+    eid = {(n, e.id): e.id + rng.choice(ODD) for n in range(1, d.depth + 1) for e in d.edges(n)}
+    odd = BratteliDiagram(
+        [[name[n, v] for v in d.vertices(n)] for n in range(d.depth + 1)],
+        [[(eid[n, e.id], name[n - 1, e.src], name[n, e.rng]) for e in d.edges(n)] for n in range(1, d.depth + 1)],
+    )
+    p = [{eid[n, e.id]: w.transition(n, e.id) for e in d.edges(n)} for n in range(1, d.depth + 1)]
+    return build_walk(odd, p, {name[0, v]: x for v, x in w.initial.as_dict().items()})
+
+
+def faulty_table(rng, fault, odd=False):
+    """A diagram, a walk on it whose q checks the table, and a table payload
+    with one of the ``TABLE_FAULTS``, in a random file order."""
     w = random_walk_with_multipath(rng, max_depth=5)
+    w = odd_ids(rng, w) if odd else w
     d = w.diagram
     depth = rng.randint(0, d.depth)
     table = oracle_markov_cylinder_table(w, depth)
-    q = rng.choice([w.cotransition, random_walk_on(rng, d).cotransition])
+    qw = rng.choice([w, random_walk_on(rng, d)])
     a = rng.choice(list(table))
     if fault == "missing":
         del table[a]
@@ -421,9 +442,88 @@ def test_label_read_check_matches_oracle(rng, fault):
         items.append((label, "1/2"))
     rng.shuffle(items)  # the file order the loader checks in
     payload["paths"] = dict(items)
+    return d, qw, payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(randoms, st.sampled_from(TABLE_FAULTS))
+def test_label_read_check_matches_oracle(rng, fault):
+    # the table file read by label must give the witness, or the error and
+    # message, of the file read path by path and checked by the oracle
+    d, qw, payload = faulty_table(rng, fault)
+    q = qw.cotransition
     got = outcome(lambda: q_measure_witness(d, q, *load_measure_table(d, payload)))
     want = outcome(lambda: oracle_q_measure_witness(d, q, *oracle_load_measure_table(d, payload)))
     assert got == want
+
+
+def table_text(rng, payload, fault):
+    """The JSON text of a table payload: compact or indented, 'paths' before
+    or after 'empty', non-ASCII escaped or not, at times with a member the
+    reader ignores; with one of the ``FILE_FAULTS`` written in."""
+    indent, ascii_only = rng.choice([None, 1, 4]), rng.random() < 0.5
+    sections = {k: [(json.dumps(x, ensure_ascii=ascii_only), json.dumps(y)) for x, y in v.items()]
+                for k, v in payload.items()}
+    members = sections["paths"] or sections["empty"]
+    if fault == "repeated-label" and members:
+        members.insert(rng.randrange(len(members) + 1), rng.choice(members))
+    elif fault == "non-string-mass" and members:
+        i = rng.randrange(len(members))
+        members[i] = (members[i][0], rng.choice(["0.5", "null", "true", "[1]", '{"x": 1}', "1e3", "-0", "7"]))
+    elif fault == "syntax-after-bad-label":
+        sections["paths"].insert(0, ('"zz"', '"1/2"'))
+
+    def obj(pairs, level):
+        if indent is None:
+            return "{" + ",".join(f"{k}:{v}" for k, v in pairs) + "}"
+        pad = "\n" + " " * indent * (level + 1)
+        body = ",".join(f"{pad}{k}: {v}" for k, v in pairs)
+        return "{" + body + "\n" + " " * indent * level + "}" if pairs else "{}"
+
+    order = rng.sample(["empty", "paths"], 2)
+    top = [(json.dumps(k), obj(sections[k], 1)) for k in order]
+    if rng.random() < 0.2:
+        top.insert(rng.randrange(3), ('"note"', '[1, {"a": "b"}]'))
+    text = obj(top, 0)
+    if fault == "syntax-after-bad-label":
+        text = text[:-1].rstrip() + ",}"  # a ',' before the last '}'
+    elif fault == "truncated":
+        text = text[:rng.randrange(len(text))]
+    return text
+
+
+def oracle_qcheck(d, q, source):
+    """``bratteli qcheck``'s exit code, stdout and stderr on the table file
+    ``source``, from the whole-file reader and the q-measure oracle."""
+    try:
+        witness = oracle_q_measure_witness(d, q, *oracle_load_measure_table(d, source))
+    except (FileFormatError, json.JSONDecodeError) as exc:
+        return 2, "", f"parse error: {exc}\n"
+    except BratteliError as exc:
+        return 1, "", f"error: {exc}\n"
+    if witness is None:
+        return 0, "q-measure: OK\n", ""
+    a, expected, actual = witness
+    return 1, f"q-measure: FAIL at {a.label()}: expected {format_fraction(expected)}, got {format_fraction(actual)}\n", ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(randoms, st.sampled_from(TABLE_FAULTS + FILE_FAULTS))
+def test_file_read_check_matches_oracle(rng, fault):
+    # the same tables as files, with ids JSON escapes, in several layouts and
+    # read in chunks of a few characters or of the default size: qcheck must
+    # exit and print as the whole-file reader and the oracle do
+    d, qw, payload = faulty_table(rng, fault if fault in TABLE_FAULTS else "none", odd=True)
+    p = {(n, e.id): qw.transition(n, e.id) for n in range(1, d.depth + 1) for e in d.edges(n)}
+    with tempfile.TemporaryDirectory() as tmp:
+        walk, table = Path(tmp) / "walk.json", Path(tmp) / "table.json"
+        walk.write_text(json.dumps(dump_diagram(d, p=p, nu0=qw.initial.as_dict())), encoding="utf-8")
+        table.write_text(table_text(rng, payload, fault), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(fileio, "CHUNK", rng.choice([1, 2, 3, 5, 8, 13, fileio.CHUNK])):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["qcheck", str(walk), "--measure", str(table)])
+        assert (code, out.getvalue(), err.getvalue()) == oracle_qcheck(d, qw.cotransition, str(table))
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,6 +11,7 @@ import bratteli.walk
 from bratteli import (
     BratteliDiagram,
     CotransitionProbability,
+    CylinderTable,
     IncompatibleData,
     InitialDistribution,
     NotAMeasure,
@@ -309,15 +310,37 @@ def test_q_check_catches_shifted_mass():
     assert expected != actual
 
 
+def test_q_check_reads_paths_by_their_edges():
+    # a table keyed by path is read edge by edge, so an edge id that holds a
+    # comma, which no label can name, still finds its mass
+    d = BratteliDiagram([["r"], ["a", "b"], ["c"]],
+                        [[("x,y", "r", "a"), ("z", "r", "b")], [("u,", "a", "c"), ("v", "b", "c")]])
+    w = build_walk(d, [{"x,y": F(1, 3), "z": F(2, 3)}, {"u,": 1, "v": 1}], {"r": 1})
+    assert q_measure_witness(d, w.cotransition, markov_cylinder_table(w, 2), 2) is None
+
+
 def test_q_check_wants_q_on_the_same_diagram():
-    # same ids in another edge order: q read by index would be misaligned
+    # same ids in another edge order: q, or a table's slots, read by index
+    # would be misaligned
     V = [["r"], ["a", "b"]]
     d = BratteliDiagram(V, [[("e", "r", "a"), ("f", "r", "b"), ("g", "r", "b")]])
     other = BratteliDiagram(V, [[("f", "r", "b"), ("e", "r", "a"), ("g", "r", "b")]])
     p = [{"e": F(1, 2), "f": F(1, 4), "g": F(1, 4)}]
-    table = markov_cylinder_table(build_walk(d, p, {"r": 1}), 1)
+    w = build_walk(d, p, {"r": 1})
+    table = markov_cylinder_table(w, 1)
     with pytest.raises(IncompatibleData, match="same diagram"):
         q_measure_witness(d, build_walk(other, p, {"r": 1}).cotransition, table, 1)
+    with pytest.raises(IncompatibleData, match="same diagram"):
+        q_measure_witness(d, w.cotransition, CylinderTable.of(other, table), 1)
+
+
+def test_q_check_grows_past_a_checked_level():
+    # a one-mass table holds level 0 only until level 0 is checked; the check
+    # of level 1 must still grow to it and name its missing path
+    d = BratteliDiagram([["r"], ["a"]], [[("e", "r", "a")]])
+    w = build_walk(d, [{"e": 1}], {"r": 1})
+    with pytest.raises(NotAMeasure, match="no mass for path e"):
+        q_measure_witness(d, w.cotransition, {d.empty_path("r"): 1}, 1)
 
 
 def test_q_check_table_errors():

@@ -7,19 +7,23 @@ PARENT_SRC is the ``src`` directory of the other tree, e.g. of a
 the inputs come from ``perfbench/gen.py``; every invocation of the workload's
 script in ``perfbench/workloads.py``, plus the start-up probe, then runs as
 ``python -m bratteli`` under both trees, once as scripted (TSV) and once
-more with ``--format json``.  Exit code, stdout and stderr must be
-byte-identical.  Each command that differs is listed, the counts are reported
-per format, and the exit code is 1 if any command differs, else 0.
+more with ``--format json``.  Each ``qcheck`` invocation runs a second time
+on a copy of its table re-serialized with ``indent=1`` and 'paths' first, so
+that table readers are compared on another layout of the same input.  Exit
+code, stdout and stderr must be byte-identical.  Each command that differs
+is listed, the counts are reported per format, and the exit code is 1 if
+any command differs, else 0.
 
 Each run's max RSS is read with ``os.wait4``, as the benchmark reads it, and
 every command whose max RSS moved by more than RSS_MOVE_MB between the trees
 is listed with both values.  Per workload and tree, the largest max RSS over
 the workload's scripted commands (TSV, all seeds, no start-up probe) is
-printed too: the figure the benchmark's ``peak_rss_mb`` takes, for
-information only.  A child's max RSS
-starts at its parent's peak, so this process stays small (the benchmark's
-own figure is floored at its runner's): a helper process writes the inputs
-and lists the commands, and outputs are compared by digest, never held whole.
+printed too (the re-serialized ``qcheck`` runs are left out): the figure
+the benchmark's ``peak_rss_mb`` takes, for information only.  A child's max
+RSS starts at its parent's peak, so this process stays small (the
+benchmark's own figure is floored at its runner's): a helper process writes
+the inputs and the re-serialized tables and lists the commands, and outputs
+are compared by digest, never held whole.
 """
 
 import argparse
@@ -40,6 +44,8 @@ import gen  # noqa: E402  (only the standard library; generate() runs in the hel
 RSS_MOVE_MB = 0.5
 
 # argv: perfbench dir, workload, seed, input dir; prints the commands as JSON
+# [argv, scripted] pairs, where scripted is false for the start-up probe and
+# for each qcheck's second run, on its table re-serialized
 LIST_COMMANDS = """
 import json, sys
 from pathlib import Path
@@ -50,13 +56,24 @@ workload, seed, out = sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])
 files, facts, _ = gen.generate(workload, seed)
 for name, text in files.items():
     (out / name).write_text(text, encoding="utf-8")
-script = [workloads.STARTUP, *workloads.SCRIPTS[workload](facts)]
-print(json.dumps([list(inv.argv) for inv in script]))
+commands = [[list(workloads.STARTUP.argv), False]]
+for inv in workloads.SCRIPTS[workload](facts):
+    argv = list(inv.argv)
+    commands.append([argv, True])
+    if argv[0] == "qcheck":
+        i = argv.index("--measure") + 1
+        table = json.loads((out / argv[i]).read_text(encoding="utf-8"))
+        copy = "reserialized-" + argv[i]
+        text = json.dumps({"paths": table.pop("paths"), **table}, indent=1)
+        (out / copy).write_text(text, encoding="utf-8")
+        commands.append([argv[:i] + [copy] + argv[i + 1:], False])
+print(json.dumps(commands))
 """
 
 
 def commands(workload, seed, cwd):
-    """Write the workload's inputs for ``seed`` into ``cwd``; its argv lists."""
+    """Write the workload's inputs for ``seed`` into ``cwd``; its (argv,
+    scripted) pairs."""
     argv = [sys.executable, "-c", LIST_COMMANDS, str(ROOT / "perfbench"), workload, str(seed), cwd]
     return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
 
@@ -102,7 +119,7 @@ def main():
         peak = {"here": 0.0, "there": 0.0}  # largest max RSS of the scripted commands
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as tmp:
-                for i, inv in enumerate(commands(workload, seed, tmp)):
+                for inv, scripted in commands(workload, seed, tmp):
                     for fmt, extra in formats.items():
                         argv = (*inv, *extra)
                         mine, my_rss = run(here, argv, tmp)
@@ -115,7 +132,7 @@ def main():
                             print(f"DIFFERS: {command}")
                         if abs(my_rss - their_rss) > RSS_MOVE_MB:
                             print(f"RSS MOVED: {command}: {their_rss:.2f} MB there, {my_rss:.2f} MB here")
-                        if i and not extra:  # command 0 is the start-up probe
+                        if scripted and not extra:
                             peak["here"] = max(peak["here"], my_rss)
                             peak["there"] = max(peak["there"], their_rss)
         print(f"PEAK RSS: {workload}: {peak['there']:.2f} MB there, {peak['here']:.2f} MB here")
