@@ -80,8 +80,8 @@ def _parse_path(d, text: str):
     """Comma-separated edge ids; '@vertex' names an empty level-0 path."""
     if text.startswith("@"):
         return d.empty_path(text[1:])
-    ids = [part for part in text.split(",") if part]
-    if not ids:
+    ids = text.split(",")
+    if not all(ids):  # an empty part is refused, not dropped: the path read is the one given
         raise PathError(f"cannot parse path {text!r}")
     return d.path(ids)
 

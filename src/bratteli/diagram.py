@@ -13,7 +13,7 @@ index, and tests and CLI output depend on that order.  Every path consumer
 check of ``walk``) reads the one path tree of ``_tree_levels``, which grows
 each level from the one before over integer indices; ``_path_levels`` adds
 the paths themselves, ``_label_levels`` only their labels, and
-``CylinderTable`` holds masses by their place in it.
+``CylinderTable`` holds masses by their place in it until a check takes them.
 """
 
 from __future__ import annotations
@@ -237,10 +237,6 @@ class BratteliDiagram:
         """All invariant violations; empty iff the diagram is valid."""
         return list(self._violations)
 
-    @property
-    def is_valid(self) -> bool:
-        return not self._violations
-
     def require_valid(self):
         if self._violations:
             raise InvalidDiagram(str(self._violations[0]))
@@ -310,9 +306,6 @@ class BratteliDiagram:
             FinitePath(p.start_level, p.anchor, p.edges + (e.id,), e.rng)
             for e in self.out_edges(n, p.terminus)
         ]
-
-    def path_edges(self, p: FinitePath) -> list[Edge]:
-        return [self.edge(p.start_level + i + 1, eid) for i, eid in enumerate(p.edges)]
 
 
 def _duplicates(n: int, kind: str, ids, index) -> list[Violation]:
@@ -399,8 +392,8 @@ class CylinderTable:
     level n of the path tree of ``_tree_levels``, one list per level.  The
     tree grows as paths reach a new level, while its last level has at most
     ``limit`` paths: a table of at most ``limit`` masses lacks one there
-    anyway.  ``len`` counts the masses given, ``depth`` is the longest path
-    given."""
+    anyway, so a mass deeper is left out.  ``len`` counts the masses given,
+    ``depth`` is the longest path given; a check takes each row once."""
 
     def __init__(self, d: BratteliDiagram, limit: int):
         self.diagram, self.depth, self._limit, self._count = d, 0, limit, 0
@@ -408,21 +401,16 @@ class CylinderTable:
         self._ends = next(self._tree)[2]  # the terminus of each path of the last level
         self._rows = [[_MISSING] * len(self._ends)]  # per level, the masses in path order
         self._first = []  # per level, the place of each path's first extension in the next
+        self._past = set()  # the edge ids of each path given on a level not held
 
     @classmethod
     def of(cls, d: BratteliDiagram, mapping) -> "CylinderTable":
-        """A mapping from paths, or their labels, to masses as a table; keys
-        that name no path from V(0) of ``d`` are left out."""
+        """A mapping from paths to masses as a table, leaving out paths not from V(0) of ``d``."""
         table = cls(d, len(mapping))
-        for key, x in mapping.items():
-            if isinstance(key, FinitePath) and key.start_level == 0:
-                ids, vertex = key.edges, key.anchor
-            elif isinstance(key, str):  # '@vertex', or edge ids joined by commas
-                ids, vertex = ((), key[1:]) if key[:1] == "@" else (key.split(","), None)
-            else:
-                continue
-            with contextlib.suppress(PathError):
-                table.put(table.locate(ids) if ids else (0, d.vertex_index(0, vertex)), x)
+        for a, x in mapping.items():
+            if a.start_level == 0:
+                with contextlib.suppress(PathError):
+                    table.put(table.locate(a.edges) if a.edges else (0, d.vertex_index(0, a.anchor)), x)
         return table
 
     def __len__(self):
@@ -431,7 +419,6 @@ class CylinderTable:
     def _grow(self, n: int) -> bool:
         """Whether level n is held, after growing the tree as far as ``limit`` lets it."""
         d, rows = self.diagram, self._rows
-        # the last row may already be converted: count its paths by their ends
         while len(rows) <= min(n, d.depth) and len(self._ends) <= self._limit:
             out = d._out[len(rows) - 1]
             self._first.append(list(accumulate((len(out[t]) for t in self._ends), initial=0)))
@@ -440,13 +427,13 @@ class CylinderTable:
         return n < len(rows)
 
     def locate(self, ids) -> tuple:
-        """The slot of the path from V(0) with edge ids ``ids``, or (n, None) if
-        its level n is not held; PathError, as ``d.path`` words it, if ``d`` has
-        no such path."""
+        """The slot of the path from V(0) with edge ids ``ids``, or (n, the ids)
+        if its level n is not held; PathError, as ``d.path`` words it, if ``d``
+        has no such path."""
         d, j, at = self.diagram, None, None
         if len(ids) >= len(self._rows) and not self._grow(len(ids)):
             d._follow(ids)
-            return len(ids), None
+            return len(ids), tuple(ids)
         eidx, src, rng, out, first = d._eidx, d._src, d._rng, d._out, self._first
         for m, eid in enumerate(ids):
             k = eidx[m].get(eid)
@@ -455,24 +442,28 @@ class CylinderTable:
             j, at = first[m][j] + out[m][at].index(k) if m else k, rng[m][k]
         return len(ids), j
 
-    def level(self, n: int, convert: Callable):
-        """Row n as ``convert(diagram, n, row)``, which takes the row's place on
-        the first call, so a table takes no more masses once checked.  Ask for
+    def take(self, n: int) -> list:
+        """Row n, the masses of level n in path order and ``_MISSING`` where a
+        path has none, handed over: the table keeps no reference to it.  Take
         level n only once level n-1 has all its masses: then it can grow."""
         self._grow(n)
-        if type(self._rows[n]) is list:
-            self._rows[n] = convert(self.diagram, n, self._rows[n])
-        return self._rows[n]
+        row, self._rows[n] = self._rows[n], None
+        return row
 
     def put(self, slot, x) -> bool:
-        """Give ``slot`` the mass ``x``; False if it has one or its level is not held."""
+        """Give ``slot`` the mass ``x``; False if it has one."""
         n, j = slot
         self._count += 1
         if n > self.depth:
             self.depth = n
-        if j is None or self._rows[n][j] is not _MISSING:
+        if type(j) is tuple:  # a level not held: the mass is left out, its path's ids kept
+            if j in self._past:
+                return False
+            self._past.add(j)
+        elif self._rows[n][j] is not _MISSING:
             return False
-        self._rows[n][j] = x
+        else:
+            self._rows[n][j] = x
         return True
 
 

@@ -271,13 +271,13 @@ def _decoded_members(data: dict):
         yield from ((section, _string(key, section), raw) for key, raw in members.items())
 
 
-def _fill(table: CylinderTable, members, streamed: bool = False) -> tuple[CylinderTable, int]:
+def _fill(table: CylinderTable, members) -> tuple[CylinderTable, int]:
     """Give each member's mass its slot of ``table``; the table and its depth."""
     d = table.diagram
     for section, key, raw in members:
         slot = (0, d.vertex_index(0, key)) if section == "empty" else table.locate(key.split(","))
-        if not table.put(slot, _rational(raw, f"{section}['{key}']")) and streamed:
-            raise FileFormatError(f"repeated key {key!r} in a JSON object")  # or a level not held
+        if not table.put(slot, _rational(raw, f"{section}['{key}']")):
+            raise FileFormatError(f"repeated key {key!r} in a JSON object")
     return table, table.depth
 
 
@@ -285,10 +285,10 @@ def load_measure_table(d: BratteliDiagram, source) -> tuple[CylinderTable, int]:
     """Read a cylinder table {'empty': {vertex: rat}, 'paths': {'e1,e2': rat}}.
 
     Returns the masses in a ``CylinderTable`` on ``d``, each in its slot of
-    the path tree, and the depth (the longest path given); the table's
-    ``len`` is its number of entries.  Labels are checked against ``d`` in
-    file order, as ``d.path`` checks them.  A comma in an edge id is refused
-    up front: no label could name a path through that edge.
+    the path tree (a mass on a level with more paths than the file could
+    hold is left out), and the depth, the longest path given; ``len`` counts
+    the entries.  Labels are checked in file order, as ``d.path`` checks
+    them; an edge id with a comma, which no label can name, is refused first.
 
     A regular file is read CHUNK characters at a time, each mass put straight
     into its slot: no decoded JSON object, whole-file text or label dict is
@@ -303,7 +303,7 @@ def load_measure_table(d: BratteliDiagram, source) -> tuple[CylinderTable, int]:
         try:
             with open(source, encoding="utf-8") as f:
                 # a member takes at least 4 characters, so the file holds at most size // 4
-                return _fill(CylinderTable(d, os.fstat(f.fileno()).st_size // 4), _streamed_members(f), True)
+                return _fill(CylinderTable(d, os.fstat(f.fileno()).st_size // 4), _streamed_members(f))
         except ValueError:  # FileFormatError, BratteliError, a JSON or UTF-8 fault
             pass
     data = _load_json(source, "measure")

@@ -32,9 +32,9 @@ builds no q.
 Cylinder tables, ``measure`` and the q-measure check read the one
 level-by-level path tree of ``diagram._tree_levels``: ``_cylinder_levels``
 carries mu(Z(a)) from prefix to extension, and a ``CylinderTable`` holds a
-table's masses by their place in it, one list per level, for the q-measure
-check.  The check runs on Python ints the same way as the walk: it brings
-each level's masses over one denominator, so additivity is a cross-multiplied
+table's masses by their place in it until the q-measure check takes them.
+The check runs on Python ints the same way as the walk: it brings each
+level's masses over one denominator, so additivity is a cross-multiplied
 integer test, and m(Z(a)) = q(a) m_n(r(a)) is tested one edge at a time, on
 integer marginals by terminus index, as m(Z(a e)) against m(Z(a)) q(e).
 Fractions and paths are built for the witness and the error messages only.
@@ -375,6 +375,15 @@ def radon_nikodym(w: RandomWalk, a: FinitePath, b: FinitePath) -> Fraction:
     return w.cotransition.of_path(a) / w.cotransition.of_path(b)
 
 
+def _cotransition_on(d: BratteliDiagram, q) -> CotransitionProbability:
+    """``q`` built on ``d``, from its mappings if need be: it is read by edge index."""
+    if not isinstance(q, CotransitionProbability):
+        q = CotransitionProbability(d, q)
+    if q.diagram is not d:
+        raise IncompatibleData("cotransition must be built on the same diagram")
+    return q
+
+
 def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]) -> RandomWalk:
     """The unique walk with cotransition ``q`` and level distributions ``nus``.
 
@@ -385,10 +394,7 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
     same (q, nus).
     """
     d.require_valid()
-    if not isinstance(q, CotransitionProbability):
-        q = CotransitionProbability(d, q)
-    if q.diagram is not d:
-        raise IncompatibleData("cotransition must be built on the same diagram")
+    q = _cotransition_on(d, q)
     levels = d.align("vertex", nus, as_fraction, "distribution", IncompatibleData)
     bad = _first_mismatch(d, q._rho, levels)
     if bad:
@@ -459,12 +465,6 @@ def _masses(d: BratteliDiagram, n: int, row, nonnegative: bool = False) -> list[
     return out
 
 
-def _level_masses(d: BratteliDiagram, n: int, row) -> tuple[tuple[int, ...], int]:
-    """The masses ``row`` of level n of the path tree as integer numerators
-    over one denominator; NotAMeasure at a missing or negative one."""
-    return _over_lcm(_masses(d, n, row, True))
-
-
 def _prefix_sums(count: int, prefix, masses) -> list:
     """Per path of a level of ``count``, the sum of the masses of its extensions."""
     sums = [0] * count
@@ -479,55 +479,50 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
     for every path a of length n <= depth.
 
     ``table`` is a ``CylinderTable`` on ``d``, as ``fileio.load_measure_table``
-    reads it, or maps each path, or its ``FinitePath.label()``, to its mass;
-    a mapping is read into a ``CylinderTable`` first.  The masses are read
-    level by level, in path-tree order, and each level's row of the table
-    becomes its integer numerators over one denominator.  A label names one
-    path unless an edge id holds a comma or is '@' and a vertex id.
+    reads it (each level's row is taken out of it, so it is checked once), or
+    maps each path to its mass.  One pass over the path tree tests additivity,
+    which raises at once, and the criterion, whose first failure is returned.
 
     None if the table passes; else (path, expected mass, actual mass).
     """
-    if not isinstance(q, CotransitionProbability):
-        q = CotransitionProbability(d, q)
-    if q.diagram is not d:  # q is read by edge index
-        raise IncompatibleData("cotransition must be built on the same diagram")
+    q = _cotransition_on(d, q)
     if not 0 <= depth <= d.depth:
         raise PathError(f"depth {depth} out of range 0..{d.depth}")
     if not isinstance(table, CylinderTable):
         table = CylinderTable.of(d, table)
-    elif table.diagram is not d:  # so are its slots
+    elif table.diagram is not d:  # its slots are read by index too
         raise IncompatibleData("cylinder table must be read on the same diagram")
-    masses = [table.level(n, _level_masses) for n in range(depth + 1)]
+    masses = [_over_lcm(_masses(d, n, table.take(n), True)) for n in range(depth + 1)]
     nums, den = masses[0]
     if sum(nums) != den:
         raise NotAMeasure(f"empty-path masses sum to {long_str(Fraction(sum(nums), den))}, not 1")
-    for n, (prefix, _, _) in enumerate(_tree_levels(d, 0, depth)):
-        if n:
-            (above, unit), (below, sub) = masses[n - 1], masses[n]
-            parts = _prefix_sums(len(above), prefix, below)
-            for j, (x, y) in enumerate(zip(above, parts)):
-                if x * sub != y * unit:
-                    raise NotAMeasure(
-                        f"not additive at {_tree_path(d, n - 1, j).label()}: mass "
-                        f"{long_str(Fraction(x, unit))}, extensions sum to {long_str(Fraction(y, sub))}"
-                    )
     # criterion: level 0 holds; where level n-1 holds, m(a) = q(a) M(r(a)), M
     # its marginal, so m(a e) = q(a e) M'(r(a e)) is x M qd == y qn M' on the
     # masses x, y of a e, a and q(e) = qn / qd, or M' == 0 where M is 0
+    witness = None
     for n, (prefix, last, ends) in enumerate(_tree_levels(d, 0, depth)):
         row, unit = masses[n]
         marginal = [0] * len(d._vertices[n])
         for t, x in zip(ends, row):
             marginal[t] += x
         if n:
-            above, qn, src = masses[n - 1][0], q._rho[n - 1], d._src[n - 1]
+            above, sup = masses[n - 1]
+            parts = _prefix_sums(len(above), prefix, row)
+            for j, (x, y) in enumerate(zip(above, parts)):
+                if x * unit != y * sup:
+                    raise NotAMeasure(
+                        f"not additive at {_tree_path(d, n - 1, j).label()}: mass "
+                        f"{long_str(Fraction(x, sup))}, extensions sum to {long_str(Fraction(y, unit))}"
+                    )
+            qn, src = q._rho[n - 1], d._src[n - 1]
             for j, (i, k, t, x) in enumerate(zip(prefix, last, ends, row)):
                 mv, mw = before[src[k]], marginal[t]
-                if x * mv * qn[k].denominator != above[i] * qn[k].numerator * mw or not mv and mw:
+                if witness is None and (x * mv * qn[k].denominator != above[i] * qn[k].numerator * mw
+                                        or not mv and mw):
                     a = _tree_path(d, n, j)
-                    return (a, q.of_path(a) * Fraction(mw, unit), Fraction(x, unit))
+                    witness = (a, q.of_path(a) * Fraction(mw, unit), Fraction(x, unit))
         before = marginal
-    return None
+    return witness
 
 
 def sample_path(w: RandomWalk, seed: int, depth: int) -> FinitePath:

@@ -636,6 +636,12 @@ MALFORMED = {
     "path-of-empty-ids": (
         ["rn", "FILE", "--a", ",", "--b", "ea"], lambda payload: None, 1,
         "error: cannot parse path ','"),
+    "path-with-an-empty-inner-id": (
+        ["rn", "FILE", "--a", "ea,,eb", "--b", "ea"], lambda payload: None, 1,
+        "error: cannot parse path 'ea,,eb'"),
+    "path-with-empty-end-ids": (
+        ["rn", "FILE", "--a", ",ea,", "--b", "ea"], lambda payload: None, 1,
+        "error: cannot parse path ',ea,'"),
 }
 
 

@@ -386,7 +386,8 @@ def table_payload(table):
 
 
 TABLE_FAULTS = ["none", "missing", "negative", "non-additive", "unknown-edge", "perturbed-leaf"]
-FILE_FAULTS = ["truncated", "repeated-label", "non-string-mass", "syntax-after-bad-label"]
+FILE_FAULTS = ["truncated", "repeated-label", "non-string-mass", "syntax-after-bad-label",
+               "comma-before-inner-close", "extra-data"]
 # characters JSON escapes, or that a reader could take for structure; no comma
 ODD = ['"', "\\", "\\u0041", "\n", "\t", "\x7f", "/", " ", "{", "}", ":", "[", "@", "\u00e9", "\u2028", "\U0001f600"]
 
@@ -482,6 +483,9 @@ def table_text(rng, payload, fault):
 
     order = rng.sample(["empty", "paths"], 2)
     top = [(json.dumps(k), obj(sections[k], 1)) for k in order]
+    if fault == "comma-before-inner-close":  # a ',' before the '}' of a section that has members
+        i = next(i for i, k in enumerate(order) if sections[k])
+        top[i] = (top[i][0], top[i][1][:-1].rstrip() + ",}")
     if rng.random() < 0.2:
         top.insert(rng.randrange(3), ('"note"', '[1, {"a": "b"}]'))
     text = obj(top, 0)
@@ -489,6 +493,8 @@ def table_text(rng, payload, fault):
         text = text[:-1].rstrip() + ",}"  # a ',' before the last '}'
     elif fault == "truncated":
         text = text[:rng.randrange(len(text))]
+    elif fault == "extra-data":
+        text += rng.choice([" x", "{}", "\n1", ' ""'])
     return text
 
 
@@ -524,6 +530,43 @@ def test_file_read_check_matches_oracle(rng, fault):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(["qcheck", str(walk), "--measure", str(table)])
         assert (code, out.getvalue(), err.getvalue()) == oracle_qcheck(d, qw.cotransition, str(table))
+
+
+# a table on a diagram with two edges per floor whose level 12 has 4,096
+# paths: the file is too small to hold a mass on every path of level 5, so
+# its path tree stops there and the level-12 label's mass is left out; the
+# check finds level 2 without a mass first.  After the label: nothing, a JSON
+# fault, or the label again
+PAST_LABEL = ",".join(f"a{n}" for n in range(1, 13))
+PAST_TAILS = {"none": "}}", "json-fault": ', "a2": }}', "repeated": f', "{PAST_LABEL}": "1"}}}}'}
+
+
+@pytest.mark.parametrize("tail", sorted(PAST_TAILS))
+def test_label_past_the_held_levels_is_left_out(tmp_path, tail):
+    # a streamed table takes such a label without decoding the file whole;
+    # a JSON fault or a repeated key after it still reads as json reports it
+    d = BratteliDiagram(
+        [[f"c{n}"] for n in range(13)],
+        [[(f"{x}{n}", f"c{n - 1}", f"c{n}") for x in "ab"] for n in range(1, 13)],
+    )
+    w = build_walk(d, [{f"a{n}": F(1, 2), f"b{n}": F(1, 2)} for n in range(1, 13)], {"c0": 1})
+    p = {(n, e.id): F(1, 2) for n in range(1, 13) for e in d.edges(n)}
+    walk, table = tmp_path / "walk.json", tmp_path / "table.json"
+    walk.write_text(json.dumps(dump_diagram(d, p=p, nu0={"c0": 1})), encoding="utf-8")
+    table.write_text('{"empty": {"c0": "1"}, "paths": {"a1": "1/2", "b1": "1/2", '
+                     f'"{PAST_LABEL}": "1"' + PAST_TAILS[tail], encoding="utf-8")
+    out, err, load_json = io.StringIO(), io.StringIO(), fileio._load_json
+
+    def diagram_only(source, what):
+        assert what != "measure", "the table file was decoded whole"
+        return load_json(source, what)
+
+    with mock.patch.object(fileio, "_load_json", diagram_only) if tail == "none" else contextlib.nullcontext():
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["qcheck", str(walk), "--measure", str(table)])
+    want = oracle_qcheck(d, w.cotransition, str(table))
+    assert (code, out.getvalue(), err.getvalue()) == want
+    assert want[0] == (1 if tail == "none" else 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,10 +14,13 @@ code, stdout and stderr must be byte-identical.  Each command that differs
 is listed, the counts are reported per format, and the exit code is 1 if
 any command differs, else 0.
 
-Each run's max RSS is read with ``os.wait4``, as the benchmark reads it, and
-every command whose max RSS moved by more than RSS_MOVE_MB between the trees
-is listed with both values.  Per workload and tree, the largest max RSS over
-the workload's scripted commands (TSV, all seeds, no start-up probe) is
+Each run's max RSS is read with ``os.wait4``, as the benchmark reads it.  A
+command whose max RSS moved by more than RSS_MOVE_MB between the trees runs
+RSS_RERUNS more times under each tree, alternating which tree runs first, and
+is listed with both medians and the run count if they still differ by more
+than RSS_MOVE_MB: one run per tree moves by that much on code that did not
+change.  Per workload and tree, the largest max RSS over the workload's
+scripted commands (TSV, all seeds, no start-up probe, first runs only) is
 printed too (the re-serialized ``qcheck`` runs are left out): the figure
 the benchmark's ``peak_rss_mb`` takes, for information only.  A child's max
 RSS starts at its parent's peak, so this process stays small (the
@@ -30,6 +33,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,6 +46,7 @@ sys.dont_write_bytecode = True  # leave perfbench/ as committed
 import gen  # noqa: E402  (only the standard library; generate() runs in the helper)
 
 RSS_MOVE_MB = 0.5
+RSS_RERUNS = 4  # more runs per tree of a command whose first runs moved
 
 # argv: perfbench dir, workload, seed, input dir; prints the commands as JSON
 # [argv, scripted] pairs, where scripted is false for the start-up probe and
@@ -104,6 +109,16 @@ def run(src, argv, cwd):
         return (proc.returncode, digest(out), digest(err)), usage.ru_maxrss / 1024
 
 
+def rss_medians(here, there, argv, cwd, mine, theirs):
+    """Median max RSS of ``argv`` under each tree, over the first runs' ``mine``
+    and ``theirs`` and RSS_RERUNS more per tree, alternating which runs first."""
+    trees, runs = (here, there), ([mine], [theirs])
+    for i in range(RSS_RERUNS):
+        for side in (1, 0) if i % 2 == 0 else (0, 1):
+            runs[side].append(run(trees[side], argv, cwd)[1])
+    return statistics.median(runs[0]), statistics.median(runs[1])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the tree to compare with")
@@ -131,7 +146,10 @@ def main():
                             differ[fmt] += 1
                             print(f"DIFFERS: {command}")
                         if abs(my_rss - their_rss) > RSS_MOVE_MB:
-                            print(f"RSS MOVED: {command}: {their_rss:.2f} MB there, {my_rss:.2f} MB here")
+                            mid, their_mid = rss_medians(here, there, argv, tmp, my_rss, their_rss)
+                            if abs(mid - their_mid) > RSS_MOVE_MB:
+                                print(f"RSS MOVED: {command}: medians of {1 + RSS_RERUNS} runs per tree, "
+                                      f"{their_mid:.2f} MB there, {mid:.2f} MB here")
                         if scripted and not extra:
                             peak["here"] = max(peak["here"], my_rss)
                             peak["there"] = max(peak["there"], their_rss)
