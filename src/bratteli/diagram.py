@@ -3,7 +3,8 @@
 A diagram of depth N has vertex levels V(0)..V(N) and edge levels E(1)..E(N);
 every edge of E(n) runs from V(n-1) to V(n).  Identifiers are opaque strings
 in the public interface and are mapped to dense integer indices internally;
-all outputs use the original strings.
+all outputs use the original strings.  Edges are held as ids and indices;
+a level's ``Edge`` objects are built when a caller first asks for them.
 
 Diagrams are immutable after construction and every operation here is a pure
 function, so values may be shared freely across threads.  Path enumeration is
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable
 
-from .errors import InvalidDiagram, PathError
+from .errors import IncompatibleData, InvalidDiagram, PathError
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,23 +82,30 @@ class BratteliDiagram:
     ordered list per level 1..N of edges (``Edge`` instances or
     ``(id, src, rng)`` triples).  Construction accepts malformed content so
     that :meth:`validate` can report it; operations that need a valid diagram
-    call :meth:`require_valid` first.
+    call :meth:`require_valid` first.  Each floor's edges are held as their
+    (ids, source ids, range ids) and endpoint indices (``_src``, ``_rng``); a
+    level's ``Edge`` objects are built on its first request.
     """
 
     def __init__(self, vertices, edges):
         vs = tuple(tuple(level) for level in vertices)
         if len(vs) < 2:
             raise InvalidDiagram("a diagram needs depth >= 1 (at least two vertex levels)")
-        es = [tuple(e if isinstance(e, Edge) else Edge(*e) for e in level) for level in edges]
-        if len(es) != len(vs) - 1:
+        floors = [  # per floor, its edges' (ids, source ids, range ids)
+            tuple(zip(*[(e.id, e.src, e.rng) if isinstance(e, Edge) else e for e in level])) or ((),) * 3
+            for level in edges
+        ]
+        if len(floors) != len(vs) - 1:
             raise InvalidDiagram(
-                f"got {len(vs)} vertex levels but {len(es)} edge levels; need one edge level per floor"
+                f"got {len(vs)} vertex levels but {len(floors)} edge levels; need one edge level per floor"
             )
         self._vertices = vs
-        self._edges = tuple(es)
+        self._floors = floors
+        self._ids = tuple(ids for ids, _, _ in floors)
         self._vidx = tuple({v: i for i, v in enumerate(level)} for level in vs)
-        self._eidx = tuple({e.id: i for i, e in enumerate(level)} for level in self._edges)
+        self._eidx = tuple(dict(zip(ids, range(len(ids)))) for ids in self._ids)
         self._violations = tuple(self._index())
+        self._edge_objects = [None] * len(floors)
 
     # -- structure accessors ------------------------------------------------
 
@@ -111,17 +119,25 @@ class BratteliDiagram:
             raise PathError(f"vertex level {n} out of range 0..{self.depth}")
         return self._vertices[n]
 
-    def edges(self, n: int) -> tuple[Edge, ...]:
-        """Ordered edges of E(n), n = 1..depth."""
+    def _edge_ids(self, n: int) -> tuple[str, ...]:
+        """Ordered edge ids of E(n); a level out of range is a PathError, not a wrap-around."""
         if not 1 <= n <= self.depth:
             raise PathError(f"edge level {n} out of range 1..{self.depth}")
-        return self._edges[n - 1]
+        return self._ids[n - 1]
+
+    def edges(self, n: int) -> tuple[Edge, ...]:
+        """Ordered edges of E(n), n = 1..depth."""
+        self._edge_ids(n)
+        row = self._edge_objects[n - 1]
+        if row is None:
+            row = self._edge_objects[n - 1] = tuple(map(Edge, *self._floors[n - 1]))
+        return row
 
     def edge(self, n: int, edge_id: str) -> Edge:
-        return self._edges[n - 1][self.edge_index(n, edge_id)]
+        return self.edges(n)[self.edge_index(n, edge_id)]
 
     def edge_index(self, n: int, edge_id: str) -> int:
-        self.edges(n)  # a level out of range is a PathError, not a wrap-around
+        self._edge_ids(n)
         idx = self._eidx[n - 1].get(edge_id)
         if idx is None:
             raise PathError(f"no edge '{edge_id}' at level {n}")
@@ -176,7 +192,7 @@ class BratteliDiagram:
             if kind == "vertex":
                 index, ids = self._vidx[n], self.vertices(n)
             else:
-                index, ids = self._eidx[n - 1], [e.id for e in self.edges(n)]
+                index, ids = self._eidx[n - 1], self._edge_ids(n)
             unknown = [x for x in mapping if x not in index]
             if unknown:
                 raise exc(f"{what}: unknown {kind} '{min(unknown)}'{where}")
@@ -203,20 +219,20 @@ class BratteliDiagram:
                 found.append(Violation(n, f"V({n})", "level has no vertices"))
             found += _duplicates(n, "vertex", level, vidx[n])
         src, rng, out, inc = [], [], [], []
-        for m, row in enumerate(self._edges):
-            n, here, there = m + 1, vidx[m], vidx[m + 1]
-            found += _duplicates(n, "edge", [e.id for e in row], self._eidx[m])
-            s = [here.get(e.src) for e in row]
-            r = [there.get(e.rng) for e in row]
+        for m, (ids, srcs, rngs) in enumerate(self._floors):
+            n = m + 1
+            found += _duplicates(n, "edge", ids, self._eidx[m])
+            s = list(map(vidx[m].get, srcs))
+            r = list(map(vidx[n].get, rngs))
             o = [[] for _ in self._vertices[m]]
             i = [[] for _ in self._vertices[n]]
-            for k, (e, a, b) in enumerate(zip(row, s, r)):
+            for k, (a, b) in enumerate(zip(s, r)):
                 if a is None:
-                    found.append(Violation(n, f"edge '{e.id}'", f"source '{e.src}' not in V({m})"))
+                    found.append(Violation(n, f"edge '{ids[k]}'", f"source '{srcs[k]}' not in V({m})"))
                 else:
                     o[a].append(k)
                 if b is None:
-                    found.append(Violation(n, f"edge '{e.id}'", f"range '{e.rng}' not in V({n})"))
+                    found.append(Violation(n, f"edge '{ids[k]}'", f"range '{rngs[k]}' not in V({n})"))
                 else:
                     i[b].append(k)
             src.append(tuple(s))
@@ -302,9 +318,10 @@ class BratteliDiagram:
         n = p.end_level
         if n >= self.depth:
             return []
+        ids, rng, there = self._ids[n], self._rng[n], self._vertices[n + 1]
         return [
-            FinitePath(p.start_level, p.anchor, p.edges + (e.id,), e.rng)
-            for e in self.out_edges(n, p.terminus)
+            FinitePath(p.start_level, p.anchor, p.edges + (ids[k],), there[rng[k]])
+            for k in self._out[n][self.vertex_index(n, p.terminus)]
         ]
 
 
@@ -342,7 +359,7 @@ def _tree_levels(d: BratteliDiagram, from_level: int, to_level: int):
     for m in range(from_level, to_level):
         out = d._out[m]
         if m == from_level:
-            prefix, last = list(d._src[m]), list(range(len(d._edges[m])))
+            prefix, last = list(d._src[m]), list(range(len(d._ids[m])))
         else:
             prefix = [i for i, t in enumerate(ends) for _ in out[t]]
             last = [k for t in ends for k in out[t]]
@@ -358,10 +375,10 @@ def _path_levels(d: BratteliDiagram, from_level: int, to_level: int):
         if m < from_level:
             paths = [FinitePath(from_level, v, (), v) for v in d._vertices[from_level]]
         else:
-            row = d._edges[m]
+            ids, there = d._ids[m], d._vertices[m + 1]
             paths = [
-                FinitePath(from_level, paths[i].anchor, paths[i].edges + (row[k].id,), row[k].rng)
-                for i, k in zip(prefix, last)
+                FinitePath(from_level, paths[i].anchor, paths[i].edges + (ids[k],), there[t])
+                for i, k, t in zip(prefix, last, ends)
             ]
         yield paths, prefix, last, ends
 
@@ -372,14 +389,14 @@ def _label_levels(d: BratteliDiagram, from_level: int, to_level: int):
         if m < from_level:
             labels = ["@" + v for v in d._vertices[from_level]]
         else:
-            ids = [d._edges[m][k].id for k in last]
+            ids = list(map(d._ids[m].__getitem__, last))
             labels = ids if m == from_level else [f"{labels[i]},{x}" for i, x in zip(prefix, ids)]
         yield labels, prefix, last, ends
 
 
 def _require_labels(d: BratteliDiagram):
     """PathError naming the first edge id, level by level, with a comma: labels join ids with commas."""
-    bad = next(((n, e.id) for n, row in enumerate(d._edges, 1) for e in row if "," in e.id), None)
+    bad = next(((n, x) for n, row in enumerate(d._ids, 1) for x in row if "," in x), None)
     if bad:
         raise PathError(f"edge id '{bad[1]}' at level {bad[0]} holds a comma, which path labels cannot name")
 
@@ -444,10 +461,13 @@ class CylinderTable:
 
     def take(self, n: int) -> list:
         """Row n, the masses of level n in path order and ``_MISSING`` where a
-        path has none, handed over: the table keeps no reference to it.  Take
-        level n only once level n-1 has all its masses: then it can grow."""
+        path has none, handed over: the table keeps no reference to it, and a
+        second take of it is refused.  Take level n only once level n-1 has all
+        its masses: then it can grow."""
         self._grow(n)
         row, self._rows[n] = self._rows[n], None
+        if row is None:
+            raise IncompatibleData(f"level {n} of the cylinder table was taken already: a table is checked once")
         return row
 
     def put(self, slot, x) -> bool:
@@ -471,7 +491,7 @@ def _tree_path(d: BratteliDiagram, n: int, j: int) -> FinitePath:
     """Path ``j`` of level ``n`` of the path tree from V(0), traced back through its prefixes."""
     levels, ids = list(_tree_levels(d, 0, n)), []
     for m in range(n, 0, -1):
-        ids.append(d._edges[m - 1][levels[m][1][j]].id)
+        ids.append(d._ids[m - 1][levels[m][1][j]])
         j = levels[m][0][j]
     return d.path(ids[::-1]) if ids else d.empty_path(d._vertices[0][j])
 
@@ -530,7 +550,7 @@ def subdiagram(d: BratteliDiagram, keep_vertices, keep_edges) -> BratteliDiagram
         for n in range(d.depth + 1)
     ]
     es = [
-        [e for e in d.edges(n) if e.id in keep_edges[n - 1]]
-        for n in range(1, d.depth + 1)
+        [e for e in zip(*d._floors[m]) if e[0] in keep_edges[m]]
+        for m in range(d.depth)
     ]
     return BratteliDiagram(vs, es)

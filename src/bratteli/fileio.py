@@ -91,47 +91,45 @@ def load_diagram(source) -> DiagramFile:
     raw_edges = data["edges"]
     if not isinstance(raw_vertices, list) or not all(isinstance(l, list) for l in raw_vertices):
         raise FileFormatError("'vertices' must be an array of arrays of strings")
-    vertices = [
-        [_string(v, f"vertices level {n}") for v in level] for n, level in enumerate(raw_vertices)
-    ]
+    vertices = [level if set(map(type, level)) <= {str} else [_string(v, f"vertices level {n}") for v in level]
+                for n, level in enumerate(raw_vertices)]  # one exact-type test a level, then id by id
     if not isinstance(raw_edges, list) or not all(isinstance(l, list) for l in raw_edges):
         raise FileFormatError("'edges' must be an array of arrays of edge records")
-    edges = []
-    p_levels: list = []
-    rho_levels: list = []
-    has_p = no_p = has_rho = no_rho = 0
+    edges, p_levels, rho_levels = [], [], []
+    records = has_p = has_rho = 0
     p_values: dict = {}  # each distinct 'p' text is parsed once
     for m, level in enumerate(raw_edges):
-        row = []
-        p_row: dict = {}
-        rho_row: dict = {}
+        row, p_row, rho_row = [], {}, {}
+        records += len(level)
         for rec in level:
-            if not isinstance(rec, dict):
-                raise FileFormatError(f"edge level {m + 1}: records must be objects, got {rec!r}")
-            for key in ("id", "src", "rng"):
-                if key not in rec:
-                    raise FileFormatError(f"edge level {m + 1}: record lacks '{key}': {rec!r}")
-            eid = _string(rec["id"], f"edge level {m + 1}")
-            row.append((eid, _string(rec["src"], eid), _string(rec["rng"], eid)))
+            try:  # a record of three strings passes at once; any other is checked field by field
+                edge = eid, src, rng = rec["id"], rec["src"], rec["rng"]
+            except (TypeError, KeyError):
+                edge = None
+            if edge is None or type(rec) is not dict or not type(eid) is type(src) is type(rng) is str:
+                if not isinstance(rec, dict):
+                    raise FileFormatError(f"edge level {m + 1}: records must be objects, got {rec!r}")
+                for key in ("id", "src", "rng"):
+                    if key not in rec:
+                        raise FileFormatError(f"edge level {m + 1}: record lacks '{key}': {rec!r}")
+                eid = _string(rec["id"], f"edge level {m + 1}")
+                edge = eid, _string(rec["src"], eid), _string(rec["rng"], eid)
+            row.append(edge)
             if "p" in rec:
                 has_p += 1
                 raw = rec["p"]
                 if type(raw) is not str or raw not in p_values:
                     p_values[raw] = _rational(raw, f"edge '{eid}' field 'p'")
                 p_row[eid] = p_values[raw]
-            else:
-                no_p += 1
             if "rho" in rec:
                 has_rho += 1
                 rho_row[eid] = rec["rho"]
-            else:
-                no_rho += 1
         edges.append(row)
         p_levels.append(p_row)
         rho_levels.append(rho_row)
-    if has_p and no_p:
+    if has_p and has_p != records:
         raise FileFormatError("some edges carry 'p' and some do not; supply all or none")
-    if has_rho and no_rho:
+    if has_rho and has_rho != records:
         raise FileFormatError("some edges carry 'rho' and some do not; supply all or none")
     nu0 = None
     if "nu0" in data:

@@ -220,7 +220,7 @@ class ErgodicComponent:
             for n, (row, den) in enumerate(zip(levels, dens))
         ]
         qs = [
-            {e.id: x for e, x, j in zip(d.edges(n), q[n - 1], d._rng[n - 1]) if levels[n][j]}
+            {eid: x for eid, x, j in zip(d._ids[n - 1], q[n - 1], d._rng[n - 1]) if levels[n][j]}
             for n in range(1, d.depth + 1)
         ]
         sub = subdiagram(d, nus, qs)

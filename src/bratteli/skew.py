@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .diagram import BratteliDiagram, Edge, FinitePath
+from .diagram import BratteliDiagram, FinitePath
 from .errors import IncompatibleData, SupportViolation, WindowError
 from .harmonic import HarmonicSequence, harmonic_from_terminal
 from .rational import as_fraction, long_str
@@ -110,11 +110,10 @@ class SkewDiagram:
             [f"{ids[i]}@{names[g]}" for i, g in level] for ids, level in zip(d._vertices, self._keys)
         ]
         edge_levels = []
-        for m, (edges, src, rng) in enumerate(zip(d._edges, d._src, d._rng)):
+        for m, (ids, src, rng) in enumerate(zip(d._ids, d._src, d._rng)):
             here, there = d._vertices[m], d._vertices[m + 1]
             edge_levels.append([
-                Edge(f"{edges[k].id}@{names[g]}", f"{here[src[k]]}@{names[g]}",
-                     f"{there[rng[k]]}@{names[g2]}")
+                (f"{ids[k]}@{names[g]}", f"{here[src[k]]}@{names[g]}", f"{there[rng[k]]}@{names[g2]}")
                 for g, k, g2 in _skew_edges(d, self.potential, self._keys[m], m)
             ])
         skewed = BratteliDiagram(vertex_levels, edge_levels)
@@ -129,9 +128,9 @@ class SkewDiagram:
         for n, (ids, level) in enumerate(zip(d._vertices, self._keys)):
             for i, g in level:
                 yield n, f"{ids[i]}@{names[g]}", names[g]
-        for m, edges in enumerate(d._edges):
+        for m, ids in enumerate(d._ids):
             for g, k, g2 in _skew_edges(d, self.potential, self._keys[m], m):
-                yield m + 1, f"{edges[k].id}@{names[g]}", names[g2]
+                yield m + 1, f"{ids[k]}@{names[g]}", names[g2]
 
     def window(self, n: int) -> tuple:
         """Group elements present at level n, sorted."""
@@ -144,8 +143,8 @@ class SkewDiagram:
 
     def edge_pairs(self, n: int) -> tuple:
         """(base edge id, source group element) per skew edge, in edge order."""
-        edges, out = self.base._edges[n - 1], self.base._out[n - 1]
-        return tuple((edges[k].id, g) for i, g in self._keys[n - 1] for k in out[i])
+        ids, out = self.base._edge_ids(n), self.base._out[n - 1]
+        return tuple((ids[k], g) for i, g in self._keys[n - 1] for k in out[i])
 
     def vertex_id(self, n: int, base_vertex: str, g) -> str:
         name = self.group.format(g)
@@ -221,7 +220,7 @@ def lift_walk(sd: SkewDiagram, w: RandomWalk, lam0: Mapping) -> RandomWalk:
     p_levels = []
     for m, keys in enumerate(sd._keys[:-1]):
         edges = _skew_edges(sd.base, sd.potential, keys, m)
-        p_levels.append({e.id: p[m][k] for e, (_, k, _) in zip(skewed.edges(m + 1), edges)})
+        p_levels.append({eid: p[m][k] for eid, (_, k, _) in zip(skewed._ids[m], edges)})
     return build_walk(skewed, p_levels, nu)
 
 
@@ -255,18 +254,13 @@ def pascal_diagram(depth: int, t) -> tuple[BratteliDiagram, RandomWalk]:
     if not 0 < t < 1:
         raise SupportViolation(f"t must satisfy 0 < t < 1, got {t}")
     vertices = [[f"{n}:{k}" for k in range(n + 1)] for n in range(depth + 1)]
-    edges = []
-    p_levels = []
+    edges, p_levels = [], []
     for n in range(1, depth + 1):
-        row = []
-        p_row = {}
+        row, p_row = [], {}
         for k in range(n):
-            stay = f"{n - 1}:{k}:0"
-            step = f"{n - 1}:{k}:1"
-            row.append(Edge(stay, f"{n - 1}:{k}", f"{n}:{k}"))
-            row.append(Edge(step, f"{n - 1}:{k}", f"{n}:{k + 1}"))
-            p_row[stay] = 1 - t
-            p_row[step] = t
+            stay, step = f"{n - 1}:{k}:0", f"{n - 1}:{k}:1"
+            row += [(stay, f"{n - 1}:{k}", f"{n}:{k}"), (step, f"{n - 1}:{k}", f"{n}:{k + 1}")]
+            p_row[stay], p_row[step] = 1 - t, t
         edges.append(row)
         p_levels.append(p_row)
     d = BratteliDiagram(vertices, edges)
@@ -276,8 +270,7 @@ def pascal_diagram(depth: int, t) -> tuple[BratteliDiagram, RandomWalk]:
 def pascal_edge_potential(d: BratteliDiagram) -> EdgePotential:
     """The step indicator as a rank-1 lattice potential on a triangle diagram."""
     values = [
-        {e.id: (int(e.id.rsplit(":", 1)[1]),) for e in d.edges(n)}
-        for n in range(1, d.depth + 1)
+        {x: (int(x.rsplit(":", 1)[1]),) for x in ids} for ids in d._ids
     ]
     return EdgePotential(d, ZLattice(1), values)
 
@@ -325,17 +318,13 @@ def uhf_from_group_walk(
             raise SupportViolation(f"weights at level {m + 1} sum to {long_str(total)}, not 1")
         parsed.append(row)
     vertices = [[f"u{n}"] for n in range(len(parsed) + 1)]
-    edges = []
-    p_levels = []
-    rho_levels = []
+    edges, p_levels, rho_levels = [], [], []
     for m, row in enumerate(parsed):
         n = m + 1
-        level = []
-        p_row = {}
-        rho_row = {}
+        level, p_row, rho_row = [], {}, {}
         for g, wt in row:
             eid = f"{n}:{group.format(g)}"
-            level.append(Edge(eid, f"u{n - 1}", f"u{n}"))
+            level.append((eid, f"u{n - 1}", f"u{n}"))
             p_row[eid] = wt
             rho_row[eid] = g
         edges.append(level)

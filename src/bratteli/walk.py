@@ -107,15 +107,16 @@ def _require_stochastic(d: BratteliDiagram, n: int, nums, units, incoming: bool,
     ``incoming``), where the owner is the edge's source (range) vertex.
     Exact, in integers; raises SupportViolation on the first offender."""
     m = n - 1
-    owner = d._rng[m] if incoming else d._src[m]
-    for e, x, i in zip(d.edges(n), nums, owner):
-        if x <= 0:
-            raise SupportViolation(
-                f"{what}: {sym}({e.id}) = {long_str(Fraction(x, units[i]))} at level {n} is not positive"
-            )
+    if min(nums) <= 0:  # name the first offender
+        k = next(k for k, x in enumerate(nums) if x <= 0)
+        unit = units[(d._rng[m] if incoming else d._src[m])[k]]
+        raise SupportViolation(
+            f"{what}: {sym}({d._ids[m][k]}) = {long_str(Fraction(nums[k], unit))} at level {n} is not positive"
+        )
     level, side, groups = (n, "in", d._in[m]) if incoming else (n - 1, "out", d._out[m])
-    for v, unit, ks in zip(d.vertices(level), units, groups):
-        total = sum(nums[k] for k in ks)
+    get = nums.__getitem__
+    for v, unit, ks in zip(d._vertices[level], units, groups):
+        total = sum(map(get, ks))
         if total != unit:
             raise SupportViolation(
                 f"{what}: {side}-edges of '{v}' at level {level} sum to {long_str(Fraction(total, unit))}, not 1"
@@ -134,8 +135,9 @@ def _stochastic(pot, d: BratteliDiagram, values, incoming: bool, what: str, sym:
     groups, owners = (d._in, d._rng) if incoming else (d._out, d._src)
     levels = []
     for n, row in enumerate(pot._rho, start=1):
-        dens = tuple(math.lcm(*(row[k].denominator for k in ks)) for ks in groups[n - 1])
-        nums = tuple(x.numerator * (dens[i] // x.denominator) for x, i in zip(row, owners[n - 1]))
+        denominators = [x.denominator for x in row]
+        dens = tuple(math.lcm(*map(denominators.__getitem__, ks)) for ks in groups[n - 1])
+        nums = tuple(x.numerator * (dens[i] // y) for x, y, i in zip(row, denominators, owners[n - 1]))
         _require_stochastic(d, n, nums, dens, incoming, what, sym)
         levels.append((nums, dens))
     return levels
@@ -186,7 +188,7 @@ class EdgePotential:
         return self._rho[n - 1][self.diagram.edge_index(n, edge_id)]
 
     def level(self, n: int) -> dict:
-        return {e.id: v for e, v in zip(self.diagram.edges(n), self._rho[n - 1])}
+        return dict(zip(self.diagram._edge_ids(n), self._rho[n - 1]))
 
     def of_path(self, a: FinitePath):
         """Ordered product of the potential along ``a``; the identity on empty paths."""
@@ -218,7 +220,7 @@ class TransitionProbability(EdgePotential):
     def uniform(cls, d: BratteliDiagram) -> "TransitionProbability":
         d.require_valid()
         values = [
-            {e.id: Fraction(1, len(out[i])) for e, i in zip(d.edges(m + 1), d._src[m])}
+            {x: Fraction(1, len(out[i])) for x, i in zip(d._ids[m], d._src[m])}
             for m, out in enumerate(d._out)
         ]
         return cls(d, values)
@@ -407,12 +409,12 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
     p_values = []
     for n, (qn, src, rng) in enumerate(zip(q._rho, d._src, d._rng), start=1):
         row = {}
-        for e, x, i, j in zip(d.edges(n), qn, src, rng):
+        for eid, x, i, j in zip(d._ids[n - 1], qn, src, rng):
             if levels[n - 1][i] == 0:
                 raise SupportViolation(
-                    f"distribution at level {n - 1} vanishes at '{e.src}'; walk has no full support"
+                    f"distribution at level {n - 1} vanishes at '{d._vertices[n - 1][i]}'; walk has no full support"
                 )
-            row[e.id] = x * levels[n][j] / levels[n - 1][i]
+            row[eid] = x * levels[n][j] / levels[n - 1][i]
         p_values.append(row)
     return build_walk(d, p_values, dict(zip(d.vertices(0), levels[0])))
 
@@ -551,6 +553,6 @@ def sample_path(w: RandomWalk, seed: int, depth: int) -> FinitePath:
         ks = d._out[m][at]
         pnum = p._num[m]
         k = ks[draw([pnum[k] for k in ks], p._den[m][at])]
-        edges.append(d._edges[m][k].id)
+        edges.append(d._ids[m][k])
         at = d._rng[m][k]
     return d.path(edges) if edges else d.empty_path(d.vertices(0)[at])

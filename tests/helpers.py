@@ -39,7 +39,8 @@ from bratteli import (
     subdiagram,
 )
 from bratteli.diagram import _path_levels
-from bratteli.fileio import _load_json, _rational, _string
+from bratteli.errors import InvalidDiagram
+from bratteli.fileio import DiagramFile, _load_json, _rational, _string
 from bratteli.rational import as_fraction, long_str
 
 
@@ -166,7 +167,7 @@ def oracle_violations(d):
                 if v in seen:
                     found.append(Violation(n, f"vertex '{v}'", "duplicate identifier"))
                 seen.add(v)
-    for m, row in enumerate(d._edges):
+    for m, row in enumerate(map(d.edges, range(1, d.depth + 1))):
         n = m + 1
         if len(d._eidx[m]) != len(row):
             seen = set()
@@ -179,7 +180,7 @@ def oracle_violations(d):
                 found.append(Violation(n, f"edge '{e.id}'", f"source '{e.src}' not in V({n - 1})"))
             if e.rng not in d._vidx[n]:
                 found.append(Violation(n, f"edge '{e.id}'", f"range '{e.rng}' not in V({n})"))
-    for m, row in enumerate(d._edges):
+    for m, row in enumerate(map(d.edges, range(1, d.depth + 1))):
         n = m + 1
         emitting = {e.src for e in row}
         receiving = {e.rng for e in row}
@@ -196,7 +197,7 @@ def oracle_adjacency(d):
     """``(_src, _rng, _out, _in)`` of a valid diagram, built with dicts keyed
     by vertex id."""
     src, rng, out, inc = [], [], [], []
-    for m, row in enumerate(d._edges):
+    for m, row in enumerate(map(d.edges, range(1, d.depth + 1))):
         here = {v: i for i, v in enumerate(d.vertices(m))}
         there = {v: j for j, v in enumerate(d.vertices(m + 1))}
         leaving = {v: [] for v in d.vertices(m)}
@@ -209,6 +210,82 @@ def oracle_adjacency(d):
         out.append(tuple(tuple(ks) for ks in leaving.values()))
         inc.append(tuple(tuple(ks) for ks in entering.values()))
     return tuple(src), tuple(rng), tuple(out), tuple(inc)
+
+
+# -- reference oracle for the diagram file reader --------------------------------
+
+
+def oracle_load_diagram(source) -> DiagramFile:
+    """``fileio.load_diagram`` as it read a diagram file before its one-pass
+    edge records: each record's fields checked one by one, ``p`` and ``rho``
+    presence counted per record, the edges handed over as ``(id, src, rng)``."""
+    data = _load_json(source, "diagram")
+    if "vertices" not in data or "edges" not in data:
+        raise FileFormatError("diagram file needs 'vertices' and 'edges'")
+    raw_vertices = data["vertices"]
+    raw_edges = data["edges"]
+    if not isinstance(raw_vertices, list) or not all(isinstance(l, list) for l in raw_vertices):
+        raise FileFormatError("'vertices' must be an array of arrays of strings")
+    vertices = [
+        [_string(v, f"vertices level {n}") for v in level] for n, level in enumerate(raw_vertices)
+    ]
+    if not isinstance(raw_edges, list) or not all(isinstance(l, list) for l in raw_edges):
+        raise FileFormatError("'edges' must be an array of arrays of edge records")
+    edges = []
+    p_levels: list = []
+    rho_levels: list = []
+    has_p = no_p = has_rho = no_rho = 0
+    p_values: dict = {}  # each distinct 'p' text is parsed once
+    for m, level in enumerate(raw_edges):
+        row = []
+        p_row: dict = {}
+        rho_row: dict = {}
+        for rec in level:
+            if not isinstance(rec, dict):
+                raise FileFormatError(f"edge level {m + 1}: records must be objects, got {rec!r}")
+            for key in ("id", "src", "rng"):
+                if key not in rec:
+                    raise FileFormatError(f"edge level {m + 1}: record lacks '{key}': {rec!r}")
+            eid = _string(rec["id"], f"edge level {m + 1}")
+            row.append((eid, _string(rec["src"], eid), _string(rec["rng"], eid)))
+            if "p" in rec:
+                has_p += 1
+                raw = rec["p"]
+                if type(raw) is not str or raw not in p_values:
+                    p_values[raw] = _rational(raw, f"edge '{eid}' field 'p'")
+                p_row[eid] = p_values[raw]
+            else:
+                no_p += 1
+            if "rho" in rec:
+                has_rho += 1
+                rho_row[eid] = rec["rho"]
+            else:
+                no_rho += 1
+        edges.append(row)
+        p_levels.append(p_row)
+        rho_levels.append(rho_row)
+    if has_p and no_p:
+        raise FileFormatError("some edges carry 'p' and some do not; supply all or none")
+    if has_rho and no_rho:
+        raise FileFormatError("some edges carry 'rho' and some do not; supply all or none")
+    nu0 = None
+    if "nu0" in data:
+        if not isinstance(data["nu0"], dict):
+            raise FileFormatError("'nu0' must be an object mapping vertices to rationals")
+        nu0 = {
+            _string(v, "nu0"): _rational(x, f"nu0['{v}']") for v, x in data["nu0"].items()
+        }
+    try:
+        diagram = BratteliDiagram(vertices, edges)
+    except InvalidDiagram as exc:
+        # level counts that cannot even form a diagram are a file problem
+        raise FileFormatError(str(exc)) from None
+    return DiagramFile(
+        diagram=diagram,
+        p_levels=p_levels if has_p else None,
+        nu0=nu0,
+        rho_levels=rho_levels if has_rho else None,
+    )
 
 
 # -- reference oracles for the walk kernel ---------------------------------------

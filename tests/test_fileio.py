@@ -31,7 +31,7 @@ from bratteli import (
 from bratteli import fileio
 from bratteli.fdalg import FiniteEquivRelation
 
-from helpers import random_element, random_walk
+from helpers import oracle_load_diagram, random_element, random_walk
 
 F = Fraction
 
@@ -101,6 +101,84 @@ def test_load_diagram_rejects_floats_and_partial_fields():
     with pytest.raises(FileFormatError):
         load_diagram({**base, "edges": [[{"id": "e", "src": "a", "rng": "b", "p": "1"}]],
                       "nu0": {"a": True}})
+
+
+# faults a diagram file's edge records may carry, each put on one record, or
+# one level, drawn at random; and a vertex id that is not a string
+RECORD_FAULTS = (
+    ["none", "non-object", "repeated-id", "repeated-id-p-on-half", "p-on-some", "rho-on-some",
+     "bad-p", "unknown-src", "unknown-rng", "vertex-not-a-string"]
+    + [f"lacks-{key}" for key in ("id", "src", "rng")]
+    + [f"{key}-{kind}" for key in ("id", "src", "rng") for kind in ("int", "bool", "None")]
+)
+
+
+def faulty_payload(rng, faults):
+    """A diagram file's payload of a random walk, rho on its edges half the
+    time, with each fault of ``faults`` on one record or level."""
+    w = random_walk(rng, max_depth=4)
+    d = w.diagram
+    p = {(n, e.id): w.transition(n, e.id) for n in range(1, d.depth + 1) for e in d.edges(n)}
+    rho = {key: rng.randint(-2, 2) for key in p} if rng.random() < 0.5 else None
+    payload = dump_diagram(d, p=p, nu0=w.initial.as_dict(), rho=rho)
+    for fault in faults:
+        if fault == "vertex-not-a-string":
+            ids = rng.choice(payload["vertices"])
+            ids[rng.randrange(len(ids))] = rng.choice([7, True, None])
+            continue
+        level = rng.choice(payload["edges"])
+        records = [r for r in level if isinstance(r, dict)]
+        if fault == "none" or not records:
+            continue
+        rec = rng.choice(records)
+        if fault == "non-object":
+            level[level.index(rec)] = rng.choice([[rec.get("id")], rec.get("id"), 3, None, True])
+        elif fault.startswith("lacks-"):
+            rec.pop(fault[len("lacks-"):], None)
+        elif fault.split("-")[0] in ("id", "src", "rng"):
+            key, kind = fault.split("-")
+            rec[key] = {"int": 7, "bool": True, "None": None}[kind]
+        elif fault.startswith("repeated-id"):
+            for i, other in enumerate(records):
+                other["id"] = rec.get("id")
+                if fault.endswith("p-on-half") and i % 2:
+                    other.pop("p", None)
+        elif fault == "p-on-some":
+            rec.pop("p", None)
+        elif fault == "rho-on-some":
+            if rec.pop("rho", None) is None:
+                rec["rho"] = 1
+        elif fault == "bad-p":
+            rec["p"] = rng.choice(["1/0", "x", "1/2/3", 0.5, True, None])
+        elif fault.startswith("unknown-"):
+            rec[fault[len("unknown-"):]] = "nowhere"
+    return payload
+
+
+def loaded(load, payload):
+    """What a reader makes of ``payload``: the parts of its DiagramFile, or its exception."""
+    try:
+        df = load(payload)
+    except Exception as exc:
+        return type(exc), str(exc)
+    d = df.diagram
+    return ([d.vertices(n) for n in range(d.depth + 1)], [d.edges(n) for n in range(1, d.depth + 1)],
+            d.validate(), df.p_levels, df.nu0, df.rho_levels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(st.sampled_from(RECORD_FAULTS), min_size=1, max_size=2))
+def test_load_diagram_matches_oracle(rng, faults):
+    # the same DiagramFile, or the same first fault in the same words
+    payload = faulty_payload(rng, faults)
+    got = loaded(load_diagram, payload)
+    assert got == loaded(oracle_load_diagram, payload)
+    if set(faults) <= {"none", "unknown-src", "unknown-rng", "repeated-id"}:
+        # the edges are the records as given, unresolved endpoints included
+        records = [[(r["id"], r["src"], r["rng"]) for r in level] for level in payload["edges"]]
+        assert [[(e.id, e.src, e.rng) for e in row] for row in got[1]] == records
+        if {"unknown-src", "unknown-rng"} & set(faults):
+            assert got[2]
 
 
 def test_walk_from_file_requires_walk_data():

@@ -44,6 +44,7 @@ from bratteli import (
     BratteliDiagram,
     BratteliError,
     CotransitionProbability,
+    Edge,
     EdgePotential,
     FileFormatError,
     HarmonicSequence,
@@ -154,9 +155,13 @@ def test_transition_and_cotransition_are_edge_potentials(rng):
 
 @kernel_settings
 @given(randoms, st.sampled_from([True, False]))
+# seed 76 puts 0 on edge 3 and a negative value on edge 5 of level 2: the
+# first offender is named, and it is not the level's first edge
+@example(random.Random(76), True)
+@example(random.Random(76), False)
 def test_stochastic_checks_match_oracle(rng, incoming):
-    # perturb one edge of valid data; the integer check must raise exactly
-    # when the Fraction check fails, with the same message
+    # perturb one or two edges of one level of valid data; the integer check
+    # must raise exactly when the Fraction check fails, with the same message
     w = random_walk(rng)
     d = w.diagram
     if incoming:
@@ -166,8 +171,9 @@ def test_stochastic_checks_match_oracle(rng, incoming):
         rows = [w.transition.level(n) for n in range(1, d.depth + 1)]
         cls, what, sym = TransitionProbability, "transition probability", "p"
     n = rng.randint(1, d.depth)
-    eid = rng.choice(d.edges(n)).id
-    rows[n - 1][eid] = rng.choice([F(0), -rows[n - 1][eid], rows[n - 1][eid] + F(1, 7), F(1)])
+    for _ in range(rng.randint(1, 2)):
+        eid = rng.choice(d.edges(n)).id
+        rows[n - 1][eid] = rng.choice([F(0), -rows[n - 1][eid], rows[n - 1][eid] + F(1, 7), F(1)])
     expected = oracle_stochastic_violation(d, rows, incoming, what, sym)
     if expected is None:
         cls(d, rows)
@@ -878,6 +884,38 @@ def test_skew_accessors_do_not_need_the_diagram(rng, kind):
         assert lazy.diagram.edges(n) == built.edges(n) == skewed.edges(n)
     assert skew_accessors(lazy, outside) == before
     assert lazy.source_range_law_holds()
+
+
+def test_diagram_file_commands_build_no_edge_objects(tmp_path, monkeypatch):
+    # the diagram holds ids and indices: reading a file, building the walk,
+    # its q and nu, the harmonic sweep and the skew rows ask for no Edge
+    d, w = pascal_diagram(5, F(1, 3))
+    rho = pascal_edge_potential(d)
+    p = {(n, e.id): w.transition(n, e.id) for n in range(1, d.depth + 1) for e in d.edges(n)}
+    path = tmp_path / "walk.json"
+    rho = {(n, e): list(rho(n, e)) for n, e in p}
+    path.write_text(json.dumps(dump_diagram(d, p=p, nu0=w.initial.as_dict(), rho=rho)))
+    terminal = tmp_path / "terminal.json"
+    terminal.write_text(json.dumps({v: str(k) for k, v in enumerate(d.vertices(d.depth))}))
+    commands = [["distributions"], ["cotransition"], ["harmonic", "--terminal", str(terminal)],
+                ["skew", "--window=0,1"]]
+
+    def outputs():
+        runs = []
+        for command in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                runs.append((cli.main([command[0], str(path), *command[1:]]), out.getvalue()))
+        return runs
+
+    want = outputs()
+
+    def no_edge(self, *args):
+        raise AssertionError("an Edge object was built")
+
+    monkeypatch.setattr(Edge, "__init__", no_edge)
+    assert outputs() == want
+    assert all(code == 0 for code, _ in want)
 
 
 def test_skew_command_builds_only_the_base_diagram(tmp_path, monkeypatch):

@@ -334,6 +334,16 @@ def test_q_check_wants_q_on_the_same_diagram():
         q_measure_witness(d, w.cotransition, CylinderTable.of(other, table), 1)
 
 
+def test_a_table_is_checked_once():
+    # the check takes each level's row out of the table: a second check of
+    # the same table is refused by name, not run on what is left of it
+    d, w = pascal_diagram(3, F(1, 3))
+    table = CylinderTable.of(d, markov_cylinder_table(w, 3))
+    assert q_measure_witness(d, w.cotransition, table, 3) is None
+    with pytest.raises(IncompatibleData, match="level 0 of the cylinder table was taken already"):
+        q_measure_witness(d, w.cotransition, table, 3)
+
+
 def test_q_check_grows_past_a_checked_level():
     # a one-mass table holds level 0 only until level 0 is checked; the check
     # of level 1 must still grow to it and name its missing path

@@ -9,10 +9,14 @@ script in ``perfbench/workloads.py``, plus the start-up probe, then runs as
 ``python -m bratteli`` under both trees, once as scripted (TSV) and once
 more with ``--format json``.  Each ``qcheck`` invocation runs a second time
 on a copy of its table re-serialized with ``indent=1`` and 'paths' first, so
-that table readers are compared on another layout of the same input.  Exit
-code, stdout and stderr must be byte-identical.  Each command that differs
-is listed, the counts are reported per format, and the exit code is 1 if
-any command differs, else 0.
+that table readers are compared on another layout of the same input.
+``validate`` runs on every generated diagram file, and on copies of
+``wide.json`` with one fault each (a record lacking 'src', an integer id,
+'p' on some edges only, a repeated key), so that the diagram reader's
+output and its messages are compared too.  Exit code, stdout and stderr
+must be byte-identical.  Each command that differs is listed, the counts
+are reported per format, and the exit code is 1 if any command differs,
+else 0.
 
 Each run's max RSS is read with ``os.wait4``, as the benchmark reads it.  A
 command whose max RSS moved by more than RSS_MOVE_MB between the trees runs
@@ -49,8 +53,9 @@ RSS_MOVE_MB = 0.5
 RSS_RERUNS = 4  # more runs per tree of a command whose first runs moved
 
 # argv: perfbench dir, workload, seed, input dir; prints the commands as JSON
-# [argv, scripted] pairs, where scripted is false for the start-up probe and
-# for each qcheck's second run, on its table re-serialized
+# [argv, scripted] pairs, where scripted is false for the start-up probe, for
+# each qcheck's second run, on its table re-serialized, and for the validate
+# runs on the diagram files and the faulty copies of wide.json
 LIST_COMMANDS = """
 import json, sys
 from pathlib import Path
@@ -62,6 +67,26 @@ files, facts, _ = gen.generate(workload, seed)
 for name, text in files.items():
     (out / name).write_text(text, encoding="utf-8")
 commands = [[list(workloads.STARTUP.argv), False]]
+for name, text in sorted(files.items()):
+    data = json.loads(text)
+    if name not in workloads.STARTUP.argv and {"vertices", "edges"} <= set(data) and "X" not in data:
+        commands.append([["validate", name], False])
+for fault in ("lacks-src", "int-id", "p-on-some", "repeated-key") if "wide.json" in files else ():
+    data = json.loads(files["wide.json"])
+    level = data["edges"][-1]
+    rec = level[len(level) // 2]  # a record past the first of its level
+    if fault == "lacks-src":
+        del rec["src"]
+    elif fault == "int-id":
+        rec["id"] = 7
+    elif fault == "p-on-some":
+        del rec["p"]
+    text = json.dumps(data)
+    if fault == "repeated-key":
+        key = json.dumps(rec["id"])
+        text = text.replace(f'"id": {key}', f'"id": {key}, "id": {key}', 1)
+    (out / f"wide-{fault}.json").write_text(text, encoding="utf-8")
+    commands.append([["validate", f"wide-{fault}.json"], False])
 for inv in workloads.SCRIPTS[workload](facts):
     argv = list(inv.argv)
     commands.append([argv, True])
