@@ -25,6 +25,7 @@ from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import IncompatibleData, InvalidDiagram, PathError
+from .rational import as_fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -405,29 +406,33 @@ _MISSING = object()  # a slot of a CylinderTable that has no mass
 
 
 class CylinderTable:
-    """Masses on the paths from V(0) of ``diagram``, by slot (n, j): path j of
-    level n of the path tree of ``_tree_levels``, one list per level.  The
-    tree grows as paths reach a new level, while its last level has at most
-    ``limit`` paths: a table of at most ``limit`` masses lacks one there
-    anyway, so a mass deeper is left out.  ``len`` counts the masses given,
-    ``depth`` is the longest path given; a check takes each row once."""
+    """Masses on the paths from V(0) of ``diagram`` as ints, by slot (n, j):
+    path j of level n of the path tree of ``_tree_levels``, one row per level,
+    a list of numerators and one of denominators.  The tree grows as paths
+    reach a new level, while its last level has at most ``limit`` paths: a
+    table of at most ``limit`` masses lacks one there anyway, so a mass deeper
+    is left out.  ``len`` counts the masses given, ``depth`` is the longest
+    path given; a check takes each row once.  A slot is found one step from
+    the last prefix."""
 
     def __init__(self, d: BratteliDiagram, limit: int):
         self.diagram, self.depth, self._limit, self._count = d, 0, limit, 0
         self._tree = _tree_levels(d, 0, d.depth)
         self._ends = next(self._tree)[2]  # the terminus of each path of the last level
-        self._rows = [[_MISSING] * len(self._ends)]  # per level, the masses in path order
+        self._rows = [([_MISSING] * len(self._ends), [1] * len(self._ends))]  # numerators, denominators per level
         self._first = []  # per level, the place of each path's first extension in the next
         self._past = set()  # the edge ids of each path given on a level not held
+        self._head, self._at = None, (None, None)  # the last located path's prefix ids, its slot and terminus
 
     @classmethod
     def of(cls, d: BratteliDiagram, mapping) -> "CylinderTable":
-        """A mapping from paths to masses as a table, leaving out paths not from V(0) of ``d``."""
+        """A mapping from paths to rational masses as a table, leaving out paths not from V(0) of ``d``."""
         table = cls(d, len(mapping))
         for a, x in mapping.items():
             if a.start_level == 0:
                 with contextlib.suppress(PathError):
-                    table.put(table.locate(a.edges) if a.edges else (0, d.vertex_index(0, a.anchor)), x)
+                    table.put(table.locate(a.edges) if a.edges else (0, d.vertex_index(0, a.anchor)),
+                              as_fraction(x).as_integer_ratio())
         return table
 
     def __len__(self):
@@ -440,30 +445,36 @@ class CylinderTable:
             out = d._out[len(rows) - 1]
             self._first.append(list(accumulate((len(out[t]) for t in self._ends), initial=0)))
             self._ends = next(self._tree)[2]
-            rows.append([_MISSING] * len(self._ends))
+            rows.append(([_MISSING] * len(self._ends), [1] * len(self._ends)))
         return n < len(rows)
 
     def locate(self, ids) -> tuple:
-        """The slot of the path from V(0) with edge ids ``ids``, or (n, the ids)
-        if its level n is not held; PathError, as ``d.path`` words it, if ``d``
-        has no such path."""
-        d, j, at = self.diagram, None, None
-        if len(ids) >= len(self._rows) and not self._grow(len(ids)):
+        """The slot of the path from V(0) with the (one or more) edge ids
+        ``ids``, one step from the last located path's prefix where it has that
+        prefix, or (n, the ids) if its level n is not held; PathError, as
+        ``d.path`` words it, if ``d`` has no such path."""
+        d, n = self.diagram, len(ids)
+        if n >= len(self._rows) and not self._grow(n):
             d._follow(ids)
-            return len(ids), tuple(ids)
+            return n, tuple(ids)
+        head = ids[:-1]
+        start, (j, at) = (n - 1, self._at) if head == self._head else (0, (None, None))
         eidx, src, rng, out, first = d._eidx, d._src, d._rng, d._out, self._first
-        for m, eid in enumerate(ids):
-            k = eidx[m].get(eid)
+        for m in range(start, n):
+            k = eidx[m].get(ids[m])
             if k is None or m and src[m][k] != at:
                 d._follow(ids)  # raises the PathError that names the fault
+            step = j, at
             j, at = first[m][j] + out[m][at].index(k) if m else k, rng[m][k]
-        return len(ids), j
+        self._head, self._at = head, step
+        return n, j
 
-    def take(self, n: int) -> list:
-        """Row n, the masses of level n in path order and ``_MISSING`` where a
-        path has none, handed over: the table keeps no reference to it, and a
-        second take of it is refused.  Take level n only once level n-1 has all
-        its masses: then it can grow."""
+    def take(self, n: int) -> tuple[list, list]:
+        """Row n, the numerators and the denominators of the masses of level n
+        in path order, a numerator ``_MISSING`` where a path has none, handed
+        over: the table keeps no reference to it, and a second take of it is
+        refused.  Take level n only once level n-1 has all its masses: then it
+        can grow."""
         self._grow(n)
         row, self._rows[n] = self._rows[n], None
         if row is None:
@@ -471,7 +482,7 @@ class CylinderTable:
         return row
 
     def put(self, slot, x) -> bool:
-        """Give ``slot`` the mass ``x``; False if it has one."""
+        """Give ``slot`` the mass ``x``, a (numerator, denominator) pair; False if it has one."""
         n, j = slot
         self._count += 1
         if n > self.depth:
@@ -480,10 +491,10 @@ class CylinderTable:
             if j in self._past:
                 return False
             self._past.add(j)
-        elif self._rows[n][j] is not _MISSING:
+        elif self._rows[n][0][j] is not _MISSING:
             return False
         else:
-            self._rows[n][j] = x
+            self._rows[n][0][j], self._rows[n][1][j] = x
         return True
 
 

@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .diagram import BratteliDiagram, CylinderTable, _require_labels
 from .errors import FileFormatError, IncompatibleData, InvalidDiagram
-from .fdalg import AlgebraElement, FiniteEquivRelation, InclusionGraph
+from .fdalg import AlgebraElement, FiniteEquivRelation, InclusionGraph, _require_exact
 from .rational import as_fraction, format_fraction
 from .skew import ZLattice
 from .walk import EdgePotential, MultiplicativeRationals, RandomWalk, build_walk
@@ -209,72 +209,82 @@ CHUNK = 1 << 16  # characters of a measure table file read at a time
 
 # a table file's pieces, compiled on first use: white space, a JSON string
 # (group: its text, escapes not decoded), the top object's '{', the ',' or '}'
-# after a section, a section ("key": '{') or '}', a mass ("key": a string or
-# an integer, and ',' or '}') or '}'
+# after a section, a section ("key": '{') or '}', a mass ("key": a 'digits' or
+# 'digits/digits' string with a nonzero denominator, any other string or an
+# integer, and ',' or '}') or '}'
 _WS, _STR = r"[ \t\n\r]*", r'"([^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*)"'
 _PIECES = (_WS + r"\{", _WS + "([,}])", _WS + r"(?:(\})|" + _STR + _WS + ":" + _WS + r"\{)",
-           _WS + r"(?:(\})|" + _STR + _WS + ":" + _WS + "(?:" + _STR + "|(-?(?:0|[1-9][0-9]*)))" + _WS + "([,}]))")
+           _WS + r"(?:(\})|" + _STR + _WS + ":" + _WS + r'(?:"([0-9]+)(?:/(0*[1-9][0-9]*))?"|' + _STR
+           + "|(-?(?:0|[1-9][0-9]*)))" + _WS + "([,}]))")
 
 
 def _streamed_members(f):
-    """(section, key, value) per member of the 'empty' and 'paths' objects of
-    a table file, in file order, read CHUNK characters at a time; a
-    FileFormatError where the text is anything else."""
+    """(section, key, value, mass) per member of the 'empty' and 'paths'
+    objects of a table file, in file order, read CHUNK characters at a time:
+    mass is the (numerator, denominator) of an integer or a plain 'digits/digits'
+    or 'digits' string, read by int(), else None.  A FileFormatError where the
+    text is anything else."""
     text, at = "", 0
     opening, after, section_re, mass_re = map(re.compile, _PIECES)
 
-    def take(pattern):
+    def takes(pattern):  # matches back to back from at (anchored: a search past a fault is quadratic in spaces)
         nonlocal text, at
-        while not (m := pattern.match(text, at)):
+        while True:
+            while m := pattern.match(text, at):
+                at = m.end()
+                yield m
             chunk = f.read(max(CHUNK, len(text) - at))  # at least double what is held
             if not chunk:
                 raise FileFormatError("not a table file of 'empty' and 'paths' objects")
             text, at = text[at:] + chunk, 0
-        at = m.end()
-        return m
 
     def string(m, group):
         return m[group] if "\\" not in m[group] else scanstring(m.string, m.start(group))[0]
 
-    take(opening)
+    next(takes(opening))
     seen, sep = set(), "{"
     while sep != "}":
-        m = take(section_re)
+        m = next(takes(section_re))
         if m[1] and sep == "{":  # '}' may close '{', not follow ','
             break
         section = None if m[1] else string(m, 2)
         if section not in ("empty", "paths") or section in seen:
             raise FileFormatError(f"unexpected member {section!r} in a table file")
         seen.add(section)
-        inner = "{"
-        while inner != "}":
-            m = take(mass_re)
-            if m[1] and inner == "{":
+        for i, m in enumerate(takes(mass_re)):
+            close, key, num, den, value, number, inner = m.groups()
+            if close:  # '}' may close '{', not follow ','
+                if i:
+                    raise FileFormatError("'}' after ',' in a table file")
                 break
-            if m[1]:
-                raise FileFormatError("'}' after ',' in a table file")
-            yield section, string(m, 2), string(m, 3) if m[3] is not None else int(m[4])
-            inner = m[5]
-        sep = take(after)[1]
+            if "\\" in m[0]:  # an escape in the key or the value
+                key, value = string(m, 2), value and string(m, 5)
+            yield section, key, value, (int(num), int(den or 1)) if num else (int(number), 1) if number else None
+            if inner == "}":
+                break
+        sep = next(takes(after))[1]
     if (text[at:] + f.read()).strip(" \t\n\r"):
         raise FileFormatError("extra data after a table file's object")
 
 
 def _decoded_members(data: dict):
-    """(section, key, value) per member of a decoded table: 'empty', then 'paths'."""
+    """(section, key, value, None) per member of a decoded table: 'empty', then 'paths'."""
+    for stray in (key for key in data if key not in ("empty", "paths")):
+        raise FileFormatError(f"unexpected member {stray!r} in a table file")
     for section, what in (("empty", "vertices"), ("paths", "edge lists")):
         members = data.get(section, {})
         if not isinstance(members, dict):
             raise FileFormatError(f"'{section}' must be an object mapping {what} to rationals")
-        yield from ((section, _string(key, section), raw) for key, raw in members.items())
+        yield from ((section, _string(key, section), raw, None) for key, raw in members.items())
 
 
 def _fill(table: CylinderTable, members) -> tuple[CylinderTable, int]:
-    """Give each member's mass its slot of ``table``; the table and its depth."""
+    """Give each member's mass its slot of ``table``, the int pair the reader
+    took or else the value as ``_rational`` reads it; the table and its depth."""
     d = table.diagram
-    for section, key, raw in members:
+    for section, key, raw, mass in members:
         slot = (0, d.vertex_index(0, key)) if section == "empty" else table.locate(key.split(","))
-        if not table.put(slot, _rational(raw, f"{section}['{key}']")):
+        if not table.put(slot, mass or _rational(raw, f"{section}['{key}']").as_integer_ratio()):
             raise FileFormatError(f"repeated key {key!r} in a JSON object")
     return table, table.depth
 
@@ -282,20 +292,19 @@ def _fill(table: CylinderTable, members) -> tuple[CylinderTable, int]:
 def load_measure_table(d: BratteliDiagram, source) -> tuple[CylinderTable, int]:
     """Read a cylinder table {'empty': {vertex: rat}, 'paths': {'e1,e2': rat}}.
 
-    Returns the masses in a ``CylinderTable`` on ``d``, each in its slot of
-    the path tree (a mass on a level with more paths than the file could
-    hold is left out), and the depth, the longest path given; ``len`` counts
-    the entries.  Labels are checked in file order, as ``d.path`` checks
-    them; an edge id with a comma, which no label can name, is refused first.
+    Returns the masses in a ``CylinderTable`` on ``d``, each an int pair in
+    its slot of the path tree (a mass on a level with more paths than the file
+    could hold is left out), and the depth, the longest path given; ``len``
+    counts the entries.  Labels are checked in file order, as ``d.path`` checks
+    them, one step from the last prefix; a comma in an edge id is refused first.
 
-    A regular file is read CHUNK characters at a time, each mass put straight
-    into its slot: no decoded JSON object, whole-file text or label dict is
-    held.  A file that pass does not take (a JSON fault, a repeated key, a
-    member besides 'empty' and 'paths', a mass that is not a string or an
-    integer, a fault in an entry) is decoded whole and read as a decoded
-    ``source`` is, 'empty' first: json's own error wins, then the first fault
-    in that order.
-    """
+    A regular file is read CHUNK characters at a time, a chunk's members back
+    to back, each mass put straight into its slot: no decoded JSON object,
+    whole-file text or label dict is held.  A file that pass does not take (a
+    JSON fault, a repeated key, another member than 'empty' and 'paths', a mass
+    that is not a string or an integer, a fault in an entry) is decoded whole
+    and read as a decoded ``source`` is: json's error, a stray member, then the
+    first fault, 'empty' first."""
     _require_labels(d)
     if not isinstance(source, (dict, list)) and os.path.isfile(source):
         try:
@@ -333,28 +342,23 @@ def load_inclusion_graph(source) -> tuple[InclusionGraph, dict | None]:
 
 
 def dump_element(elem: AlgebraElement) -> list:
-    """Serialize as [x, y, re, im] rows in the relation's pair order."""
-    rows = []
-    for pair in elem.relation.pairs():
-        if pair in elem.entries:
-            x, y = pair
-            v = complex(elem.entries[pair])
-            rows.append([_point_out(x), _point_out(y), v.real, v.imag])
-    return rows
+    """Serialize as [x, y, 'num/den'] rows in the relation's pair order;
+    IncompatibleData if an entry is not an int or a Fraction."""
+    _require_exact([elem], "algebra element has non-exact entries; files hold exact 'num/den' values")
+    return [[_point_out(x), _point_out(y), format_fraction(elem.entries[x, y])]
+            for x, y in elem.relation.pairs() if (x, y) in elem.entries]
 
 
 def load_element(rel: FiniteEquivRelation, data) -> AlgebraElement:
-    """Deserialize [x, y, re, im] rows onto the given relation."""
+    """Deserialize [x, y, 'num/den'] rows (or integer values) onto the given relation."""
     if not isinstance(data, list):
-        raise FileFormatError("algebra element must be an array of [x, y, re, im] rows")
+        raise FileFormatError("algebra element must be an array of [x, y, 'num/den'] rows")
     entries = {}
     for rec in data:
-        if not isinstance(rec, list) or len(rec) != 4:
-            raise FileFormatError(f"algebra element row must be [x, y, re, im], got {rec!r}")
-        x, y, re, im = rec
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
-            raise FileFormatError(f"algebra element row has non-numeric parts: {rec!r}")
-        entries[(_point_in(x), _point_in(y))] = complex(re, im)
+        if not isinstance(rec, list) or len(rec) != 3:
+            raise FileFormatError(f"algebra element row must be [x, y, 'num/den'], got {rec!r}")
+        x, y, value = rec
+        entries[(_point_in(x), _point_in(y))] = _rational(value, f"algebra element row {rec!r}")
     return AlgebraElement(rel, entries)
 
 

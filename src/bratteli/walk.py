@@ -446,8 +446,11 @@ def table_from_leaves(
     d: BratteliDiagram, depth: int, leaf_masses: Mapping[FinitePath, Fraction]
 ) -> dict[FinitePath, Fraction]:
     """Extend masses on length-``depth`` paths to an additive cylinder table."""
-    levels = list(_path_levels(d, 0, depth))
-    masses = _masses(d, depth, [leaf_masses.get(a, _MISSING) for a in levels[-1][0]])
+    levels, masses = list(_path_levels(d, 0, depth)), []
+    for a in levels[-1][0]:
+        if a not in leaf_masses:
+            raise NotAMeasure(f"no mass for path {a.label()}")
+        masses.append(as_fraction(leaf_masses[a]))
     table = dict(zip(levels[-1][0], masses))
     for n in range(depth - 1, -1, -1):
         masses = _prefix_sums(len(levels[n][0]), levels[n + 1][1], masses)
@@ -455,16 +458,15 @@ def table_from_leaves(
     return table
 
 
-def _masses(d: BratteliDiagram, n: int, row, nonnegative: bool = False) -> list[Fraction]:
-    """The masses ``row`` of level n of the path tree; NotAMeasure at a missing (or negative) one."""
-    out = []
-    for j, x in enumerate(row):
-        if x is _MISSING:
-            raise NotAMeasure(f"no mass for path {_tree_path(d, n, j).label()}")
-        out.append(as_fraction(x))
-        if nonnegative and out[-1] < 0:
-            raise NotAMeasure(f"negative mass on path {_tree_path(d, n, j).label()}")
-    return out
+def _row_over_lcm(d: BratteliDiagram, n: int, row) -> tuple[list[int], int]:
+    """A ``CylinderTable`` row of level n over its denominators' lcm; NotAMeasure at a missing or negative mass."""
+    nums, dens = row
+    if _MISSING in nums or min(nums, default=0) < 0:
+        j = next(j for j, x in enumerate(nums) if x is _MISSING or x < 0)
+        raise NotAMeasure(f"{'no mass for' if nums[j] is _MISSING else 'negative mass on'} path "
+                          f"{_tree_path(d, n, j).label()}")
+    den = math.lcm(*dens)
+    return [x * (den // y) for x, y in zip(nums, dens)], den
 
 
 def _prefix_sums(count: int, prefix, masses) -> list:
@@ -494,7 +496,7 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
         table = CylinderTable.of(d, table)
     elif table.diagram is not d:  # its slots are read by index too
         raise IncompatibleData("cylinder table must be read on the same diagram")
-    masses = [_over_lcm(_masses(d, n, table.take(n), True)) for n in range(depth + 1)]
+    masses = [_row_over_lcm(d, n, table.take(n)) for n in range(depth + 1)]
     nums, den = masses[0]
     if sum(nums) != den:
         raise NotAMeasure(f"empty-path masses sum to {long_str(Fraction(sum(nums), den))}, not 1")

@@ -366,9 +366,13 @@ def oracle_measure_rows(w, depth):
 def oracle_load_measure_table(d, source):
     """A table file {'empty': ..., 'paths': ...}, a path or a decoded payload,
     read as the whole-file reader did: the file decoded by ``json.loads``
-    (through ``fileio._load_json``), then 'empty' and 'paths' in that order,
-    each label through ``d.path`` in file order, the masses keyed by path."""
+    (through ``fileio._load_json``), a member besides 'empty' and 'paths'
+    refused, then 'empty' and 'paths' in that order, each label through
+    ``d.path`` in file order, the masses keyed by path."""
     data = _load_json(source, "measure")
+    for key in data:
+        if key not in ("empty", "paths"):
+            raise FileFormatError(f"unexpected member {key!r} in a table file")
     table, depth = {}, 0
     empty = data.get("empty", {})
     if not isinstance(empty, dict):

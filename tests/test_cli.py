@@ -171,14 +171,16 @@ def test_qcheck_on_a_deep_label_builds_no_deep_level(tmp_path):
 
 def test_qcheck_reads_a_table_from_a_pipe(tmp_path):
     # a pipe has no size to bound the table by and cannot be read twice: it
-    # is decoded whole, as any file was before tables were streamed
+    # is decoded whole, as any file was before tables were streamed, and a
+    # member besides 'empty' and 'paths' is refused there as in a file
     f = write_json(tmp_path, "vee.json", VEE)
-    for table, out in ((MEASURE, "q-measure: OK\n"), ({**MEASURE, "note": []}, "q-measure: OK\n")):
+    stray = (2, "", "parse error: unexpected member 'note' in a table file\n")
+    for table, want in ((MEASURE, (0, "q-measure: OK\n", "")), ({**MEASURE, "note": []}, stray)):
         proc = subprocess.run(
             [sys.executable, "-m", "bratteli", "qcheck", f, "--measure", "/dev/stdin"],
             input=json.dumps(table), capture_output=True, text=True,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 @pytest.mark.parametrize("command", ["measure", "qcheck"])
@@ -354,6 +356,22 @@ def table_payload(table):
     paths = {a.label(): f"{m.numerator}/{m.denominator}"
              for a, m in table.items() if len(a) > 0}
     return {"empty": empty, "paths": paths}
+
+
+def test_qcheck_refuses_a_stray_table_member(tmp_path, capsys):
+    # a member besides 'empty' and 'paths' exits 2, after the table's members
+    # (read streamed) or before them (where the stream stops at it), and so
+    # does the output of measure --format json, which is no table file
+    f = write_json(tmp_path, "vee.json", VEE)
+    for i, table in enumerate([{**MEASURE, "extra": 1}, {"extra": 1, **MEASURE}]):
+        path = write_json(tmp_path, f"stray{i}.json", table)
+        assert run_main(capsys, ["qcheck", f, "--measure", path]) == (
+            2, "", "parse error: unexpected member 'extra' in a table file\n")
+    code, out, _ = run_main(capsys, ["measure", f, "--format", "json"])
+    path = tmp_path / "measure.json"
+    path.write_text(out)
+    assert run_main(capsys, ["qcheck", f, "--measure", str(path)]) == (
+        2, "", "parse error: unexpected member 'columns' in a table file\n")
 
 
 def test_qcheck_ok_and_fail(tmp_path, capsys):

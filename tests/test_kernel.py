@@ -393,7 +393,7 @@ def table_payload(table):
 
 TABLE_FAULTS = ["none", "missing", "negative", "non-additive", "unknown-edge", "perturbed-leaf"]
 FILE_FAULTS = ["truncated", "repeated-label", "non-string-mass", "syntax-after-bad-label",
-               "comma-before-inner-close", "extra-data"]
+               "comma-before-inner-close", "extra-data", "integer-mass", "zero-denominator", "long-numerator"]
 # characters JSON escapes, or that a reader could take for structure; no comma
 ODD = ['"', "\\", "\\u0041", "\n", "\t", "\x7f", "/", " ", "{", "}", ":", "[", "@", "\u00e9", "\u2028", "\U0001f600"]
 
@@ -464,19 +464,42 @@ def test_label_read_check_matches_oracle(rng, fault):
     assert got == want
 
 
+def mass_text(rng, text):
+    """The JSON text of a 'num/den' mass in one of the forms a table may give
+    it: as is, signed, spaced, unreduced, or where it is an integer, a bare
+    integer as a string or a number."""
+    num, den = map(int, text.split("/"))
+    forms = [text, text, f"+{text}", f" {text}", f"{2 * num}/{2 * den}"]
+    if den == 1:
+        forms += [str(num), num]
+    return json.dumps(rng.choice(forms))
+
+
 def table_text(rng, payload, fault):
     """The JSON text of a table payload: compact or indented, 'paths' before
-    or after 'empty', non-ASCII escaped or not, at times with a member the
-    reader ignores; with one of the ``FILE_FAULTS`` written in."""
+    or after 'empty', its members in the payload's order, shuffled again, or
+    level by level with siblings adjacent, masses in the forms of
+    ``mass_text``, non-ASCII escaped or not, at times with a member besides
+    'empty' and 'paths'; with one of the ``FILE_FAULTS`` written in."""
     indent, ascii_only = rng.choice([None, 1, 4]), rng.random() < 0.5
-    sections = {k: [(json.dumps(x, ensure_ascii=ascii_only), json.dumps(y)) for x, y in v.items()]
+    order = rng.choice(["payload", "shuffled", "levels"])
+    sections = {k: [(json.dumps(x, ensure_ascii=ascii_only), mass_text(rng, y)) for x, y in v.items()]
                 for k, v in payload.items()}
+    if order == "shuffled":
+        rng.shuffle(sections["paths"])
+    elif order == "levels":  # no edge id holds a comma, so a label sorts next to its siblings
+        sections["paths"].sort(key=lambda m: (json.loads(m[0]).count(","), json.loads(m[0])))
     members = sections["paths"] or sections["empty"]
     if fault == "repeated-label" and members:
         members.insert(rng.randrange(len(members) + 1), rng.choice(members))
     elif fault == "non-string-mass" and members:
         i = rng.randrange(len(members))
         members[i] = (members[i][0], rng.choice(["0.5", "null", "true", "[1]", '{"x": 1}', "1e3", "-0", "7"]))
+    elif fault in ("integer-mass", "zero-denominator", "long-numerator") and members:
+        i = rng.randrange(len(members))
+        mass = {"integer-mass": rng.choice(['"0"', '"1"', '"2"', "0", "1", "2"]), "zero-denominator": '"1/0"',
+                "long-numerator": f'"1{"0" * 4300}/3"'}[fault]
+        members[i] = (members[i][0], mass)
     elif fault == "syntax-after-bad-label":
         sections["paths"].insert(0, ('"zz"', '"1/2"'))
 
@@ -523,19 +546,23 @@ def oracle_qcheck(d, q, source):
 @given(randoms, st.sampled_from(TABLE_FAULTS + FILE_FAULTS))
 def test_file_read_check_matches_oracle(rng, fault):
     # the same tables as files, with ids JSON escapes, in several layouts and
-    # read in chunks of a few characters or of the default size: qcheck must
-    # exit and print as the whole-file reader and the oracle do
+    # mass forms, read in chunks of a few characters and of the default size:
+    # labels found one step from the last one's prefix or from V(0), masses
+    # read by int() or by the rational parser, qcheck must exit and print as
+    # the whole-file reader and the oracle do at every chunk size
     d, qw, payload = faulty_table(rng, fault if fault in TABLE_FAULTS else "none", odd=True)
     p = {(n, e.id): qw.transition(n, e.id) for n in range(1, d.depth + 1) for e in d.edges(n)}
     with tempfile.TemporaryDirectory() as tmp:
         walk, table = Path(tmp) / "walk.json", Path(tmp) / "table.json"
         walk.write_text(json.dumps(dump_diagram(d, p=p, nu0=qw.initial.as_dict())), encoding="utf-8")
         table.write_text(table_text(rng, payload, fault), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(fileio, "CHUNK", rng.choice([1, 2, 3, 5, 8, 13, fileio.CHUNK])):
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["qcheck", str(walk), "--measure", str(table)])
-        assert (code, out.getvalue(), err.getvalue()) == oracle_qcheck(d, qw.cotransition, str(table))
+        want = oracle_qcheck(d, qw.cotransition, str(table))
+        for chunk in (1, 2, 3, 5, 8, 13, fileio.CHUNK):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(fileio, "CHUNK", chunk):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["qcheck", str(walk), "--measure", str(table)])
+            assert (code, out.getvalue(), err.getvalue()) == want, chunk
 
 
 # a table on a diagram with two edges per floor whose level 12 has 4,096

@@ -8,8 +8,10 @@ the inputs come from ``perfbench/gen.py``; every invocation of the workload's
 script in ``perfbench/workloads.py``, plus the start-up probe, then runs as
 ``python -m bratteli`` under both trees, once as scripted (TSV) and once
 more with ``--format json``.  Each ``qcheck`` invocation runs a second time
-on a copy of its table re-serialized with ``indent=1`` and 'paths' first, so
-that table readers are compared on another layout of the same input.
+on a copy of its table re-serialized with ``indent=1`` and 'paths' first, and
+a third time on a copy with its 'paths' members in a seeded shuffled order,
+so that table readers are compared on other layouts of the same input, and
+labels that share no prefix with the one before are read too.
 ``validate`` runs on every generated diagram file, and on copies of
 ``wide.json`` with one fault each (a record lacking 'src', an integer id,
 'p' on some edges only, a repeated key), so that the diagram reader's
@@ -25,7 +27,7 @@ is listed with both medians and the run count if they still differ by more
 than RSS_MOVE_MB: one run per tree moves by that much on code that did not
 change.  Per workload and tree, the largest max RSS over the workload's
 scripted commands (TSV, all seeds, no start-up probe, first runs only) is
-printed too (the re-serialized ``qcheck`` runs are left out): the figure
+printed too (the re-serialized and shuffled ``qcheck`` runs are left out): the figure
 the benchmark's ``peak_rss_mb`` takes, for information only.  A child's max
 RSS starts at its parent's peak, so this process stays small (the
 benchmark's own figure is floored at its runner's): a helper process writes
@@ -54,10 +56,10 @@ RSS_RERUNS = 4  # more runs per tree of a command whose first runs moved
 
 # argv: perfbench dir, workload, seed, input dir; prints the commands as JSON
 # [argv, scripted] pairs, where scripted is false for the start-up probe, for
-# each qcheck's second run, on its table re-serialized, and for the validate
-# runs on the diagram files and the faulty copies of wide.json
+# each qcheck's second and third runs, on its table re-serialized and shuffled,
+# and for the validate runs on the diagram files and the faulty copies of wide.json
 LIST_COMMANDS = """
-import json, sys
+import json, random, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 sys.dont_write_bytecode = True  # leave perfbench/ as committed
@@ -93,10 +95,13 @@ for inv in workloads.SCRIPTS[workload](facts):
     if argv[0] == "qcheck":
         i = argv.index("--measure") + 1
         table = json.loads((out / argv[i]).read_text(encoding="utf-8"))
-        copy = "reserialized-" + argv[i]
-        text = json.dumps({"paths": table.pop("paths"), **table}, indent=1)
-        (out / copy).write_text(text, encoding="utf-8")
-        commands.append([argv[:i] + [copy] + argv[i + 1:], False])
+        paths = table.pop("paths")
+        shuffled = list(paths.items())
+        random.Random(f"{workload}:{seed}:{argv[i]}").shuffle(shuffled)
+        for copy, text in (("reserialized-", json.dumps({"paths": paths, **table}, indent=1)),
+                           ("shuffled-", json.dumps({**table, "paths": dict(shuffled)}))):
+            (out / (copy + argv[i])).write_text(text, encoding="utf-8")
+            commands.append([argv[:i] + [copy + argv[i]] + argv[i + 1:], False])
 print(json.dumps(commands))
 """
 
