@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
@@ -95,6 +96,22 @@ class FiniteEquivRelation:
             for x in cls_:
                 for y in cls_:
                     yield (x, y)
+
+    @cached_property
+    def _pair_index(self) -> tuple:
+        """Pairs numbered in ``pairs()`` order: (point, first, place, rows,
+        cols), where x = X[point[x]], pair k is (X[rows[k]], X[cols[k]]), and
+        (X[i], X[j]) is pair first[i] + place[j], for X[j] at place[j] in
+        its class."""
+        point = {x: i for i, x in enumerate(self.X)}
+        first, place, rows, cols = [0] * len(self.X), [0] * len(self.X), [], []
+        for cls_ in self.classes():
+            members = [point[x] for x in cls_]
+            for p, i in enumerate(members):
+                first[i], place[i] = len(rows), p
+                rows += [i] * len(members)
+                cols += members
+        return point, first, place, rows, cols
 
     @property
     def dimension(self) -> int:
@@ -172,7 +189,14 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._same_relation(other)
-        return AlgebraElement._valid(self.relation, _product(self.entries, _rows(other.entries)))
+        rows: dict = {}  # y -> [(z, other(y,z)), ...] in entry order
+        for (y, z), v in other.entries.items():
+            rows.setdefault(y, []).append((z, v))
+        out: dict = {}
+        for (x, y), u in self.entries.items():
+            for z, v in rows.get(y, ()):
+                out[x, z] = out[x, z] + u * v if (x, z) in out else u * v
+        return AlgebraElement._valid(self.relation, out)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -214,44 +238,11 @@ class AlgebraElement:
         return f"AlgebraElement({len(self.entries)} entries on {len(self.relation)} points)"
 
 
-def _rows(entries: Mapping) -> dict:
-    """Sparse entries grouped by row: y -> [(z, v), ...] in entry order."""
-    rows: dict = {}
-    for (y, z), v in entries.items():
-        rows.setdefault(y, []).append((z, v))
-    return rows
-
-
 def _nonzero(entries: Mapping) -> dict:
     return {k: v for k, v in entries.items() if v != 0}
 
 
 _EXACT = (int, Fraction)
-
-
-def _product(entries: Mapping, rows: Mapping) -> dict:
-    """Entries of the product of sparse entries with a row map; zeros kept.
-
-    An int 1 times an int or Fraction is the other factor, and a key's first
-    term is stored as it is, so each value equals the sum ``0 + u * v + ...``
-    in value and type.
-    """
-    out: dict = {}
-    if not rows:
-        return out
-    for (x, y), u in entries.items():
-        u_one = type(u) is int and u == 1
-        u_exact = type(u) in _EXACT
-        for z, v in rows.get(y, ()):
-            if u_one and type(v) in _EXACT:
-                w = v
-            elif u_exact and type(v) is int and v == 1:
-                w = u
-            else:
-                w = u * v
-            key = (x, z)
-            out[key] = out[key] + w if key in out else w
-    return out
 
 
 def matrix_unit(rel: FiniteEquivRelation, x, y) -> AlgebraElement:
@@ -428,14 +419,19 @@ def verify_expectation(
 
     Every check is exact.  Entries of sub_basis and of every value of Q the
     checks read must be ints and Fractions, or IncompatibleData is raised;
-    sub_basis (and its relation) is checked before Q is first applied.
-    Range, positivity and faithfulness are decided by the integer
-    elimination of ``_reduce`` and ``_semidefinite``.
+    sub_basis (and its relation) is checked before Q is first applied.  A
+    value of Q off the ambient relation raises ShapeMismatch, a unit image
+    after the unital check.  Range, positivity and faithfulness are decided
+    by the integer elimination of ``_reduce`` and ``_semidefinite``.
 
-    Q is applied once to each matrix unit, and the module and faithfulness
-    checks read those images instead of applying Q again wherever the element
-    to map is a matrix unit or zero, as every product of a unit with the
-    j-image of a matrix unit is.  Linearity of Q is not assumed.
+    Q is applied once to each matrix unit, built for that call only, and
+    each image is held as a column keyed by pair number, one column shared
+    by all images 0; idempotence hands Q the image rebuilt from its column,
+    Q's own entries in Q's order.  The module and faithfulness checks read
+    the columns instead of applying Q again where the element to map is a
+    matrix unit or zero, as every product of a unit with the j-image of a
+    matrix unit is.  So Q gets the arguments, in the order, it got when
+    every image was held whole; linearity of Q is not assumed.
 
     Q(0) is computed once, before the module check.  If it is 0, the module
     check pairs each basis element m with the units u whose products m u,
@@ -456,86 +452,98 @@ def verify_expectation(
     _require_exact(sub_basis, "sub_basis has non-exact entries; the checks need exact arithmetic")
     rng = random.Random(7)
     report = ExpectationReport()
+    point, first, place, row_of, col_of = ambient._pair_index
+
+    def pair(k):
+        return ambient.X[row_of[k]], ambient.X[col_of[k]]
+
+    def element(col):
+        return AlgebraElement._valid(ambient, {pair(j): v for j, v in col.items()})
+
+    def column(f):  # f's entries keyed by pair number, zeros kept
+        one._same_relation(f)
+        out = {}
+        for (x, y), v in f.entries.items():
+            if not ambient.related(x, y):
+                raise ShapeMismatch(f"entry at ({x!r}, {y!r}) is outside the relation")
+            out[first[point[x]] + place[point[y]]] = v
+        return out or empty
+
     q_one = Q(one)
-    pairs = list(ambient.pairs())
-    units = [matrix_unit(ambient, x, y) for (x, y) in pairs]
-    images = [Q(u) for u in units]
-    _require_exact(images, "a unit image has non-exact entries; the checks need exact arithmetic")
+    columns, exact, empty = [], True, {}
+    for k in range(len(row_of)):
+        image = Q(element({k: 1}))
+        exact = exact and all(isinstance(v, _EXACT) for v in image.entries.values())
+        columns.append(column(image) if image.relation == ambient else None)
+    if not exact:
+        raise IncompatibleData("a unit image has non-exact entries; the checks need exact arithmetic")
     if d := _exact(q_one, "Q(1)").distance(one):
         report._fail("unital", f"Q(1) differs from 1 by {float(d):.3g}")
-    for pair, img in zip(pairs, images):
-        if d := _exact(Q(img), "Q(Q(u))").distance(img):
-            report._fail("idempotent", f"Q^2 != Q at unit {pair}: off by {float(d):.3g}")
+    if None in columns:
+        raise ShapeMismatch("elements live on different relations")
+    for k, col in enumerate(columns):
+        image = element(col)
+        if d := _exact(Q(image), "Q(Q(u))").distance(image):
+            report._fail("idempotent", f"Q^2 != Q at unit {pair(k)}: off by {float(d):.3g}")
             break
 
     # range: the sub-basis in echelon form, each image reduced against it
     echelon: dict = {}
     for m in sub_basis:
-        if row := _reduce(echelon, m.entries):
+        if row := _reduce(echelon, column(m)):
             echelon[next(iter(row))] = row
-    for pair, img in zip(pairs, images):
-        if _reduce(echelon, img.entries):
-            report._fail("range_in_subalgebra", f"Q(unit {pair}) leaves the subalgebra span")
+    for k, col in enumerate(columns):
+        if col and _reduce(echelon, col):
+            report._fail("range_in_subalgebra", f"Q(unit {pair(k)}) leaves the subalgebra span")
             break
 
-    # For u = e(s,t), m u = sum of m(x,s) e(x,t) over column s of m and
-    # u m = sum of m(t,z) e(s,z) over row t.  A line of m that is one int 1
-    # makes the product a unit, whose image is in ``images``; an empty line
-    # makes it 0.  m Q(u) and Q(u) m are summed as AlgebraElement.__mul__
-    # sums them, and the distance is taken only where they differ.
-    # A unit is touched by a column c of m when c is its row or a row of its
-    # image, and by a row r of m when r is its column or a column of its
-    # image; an untouched pair compares Q(0) with two empty products.
-    index = {pair: i for i, pair in enumerate(pairs)}
-    q_zero = _exact(Q(AlgebraElement.zero(ambient)), "Q(0)")
-    image_rows = [_rows(img.entries) for img in images]
-    by_col: dict = {}
-    by_row: dict = {}
-    for k, ((s, t), img_rows) in enumerate(zip(pairs, image_rows)):
-        for c in {s, *img_rows}:
-            by_col.setdefault(c, []).append(k)
-        for r in {t, *(z for line in img_rows.values() for z, _ in line)}:
-            by_row.setdefault(r, []).append(k)
-    for m in sub_basis:
-        m_rows = _rows(m.entries)
-        m_cols: dict = {}
+    # Side 0 is Q(m u) = m Q(u) for u = e(s,t): m u moves column s of m to
+    # column t, and entry (y,z) of Q(u) meets column y of m.  Side 1 is
+    # Q(u m) = Q(u) m, on row t of m and row z at entry (y,z).  A line of one
+    # int 1 makes the product a unit, read off its column, and an empty line
+    # makes it 0.  A column (row) c of m touches the units it can meet there.
+    q_zero = column(_exact(Q(AlgebraElement.zero(ambient)), "Q(0)"))
+    meets, parts = (row_of, col_of), ([place[j] for j in col_of], [first[i] for i in row_of])
+    touching: tuple = ({}, {})
+    for k, col in enumerate(columns):
+        for meet, by in zip(meets, touching):
+            for p in {meet[k], *map(meet.__getitem__, col)}:
+                by.setdefault(p, []).append(k)
+
+    def module_fault(m):
+        """The first failing module identity of m, as its message, or None."""
+        # m's column y holds (first[x], c) and its row x holds (place[y], c),
+        # for c = m(x,y), or None where that is an int 1
+        lines: tuple = ({}, {})
         for (x, y), c in m.entries.items():
-            m_cols.setdefault(y, []).append((x, c))
-        touched = set()
-        for c in m_cols:
-            touched.update(by_col.get(c, ()))
-        for r in m_rows:
-            touched.update(by_row.get(r, ()))
-        bad = None
-        for k in range(len(pairs)) if q_zero.entries else sorted(touched):
-            (s, t), u, img, img_rows = pairs[k], units[k], images[k], image_rows[k]
-            col = m_cols.get(s)
-            if col is None:
-                q_left = q_zero
-            elif len(col) == 1 and type(col[0][1]) is int and col[0][1] == 1:
-                q_left = images[index[(col[0][0], t)]]
-            else:
-                q_left = _exact(Q(m * u), "Q(m u)")
-            prod = _product(m.entries, img_rows)
-            if prod != q_left.entries and _nonzero(prod) != q_left.entries:
-                if left := q_left.distance(m * img):
-                    bad = f"Q(m f) != m Q(f), off by {float(left):.3g}"
-                    break
-            row = m_rows.get(t)
-            if row is None:
-                q_right = q_zero
-            elif len(row) == 1 and type(row[0][1]) is int and row[0][1] == 1:
-                q_right = images[index[(s, row[0][0])]]
-            else:
-                q_right = _exact(Q(u * m), "Q(u m)")
-            prod = _product(img.entries, m_rows)
-            if prod != q_right.entries and _nonzero(prod) != q_right.entries:
-                if right := q_right.distance(img * m):
-                    bad = f"Q(f m) != Q(f) m, off by {float(right):.3g}"
-                    break
-        if bad:
-            report._fail("bimodular", bad)
-            break
+            i, j, c = point[x], point[y], None if type(c) is int and c == 1 else c
+            lines[0].setdefault(j, []).append((first[i], c))
+            lines[1].setdefault(i, []).append((place[j], c))
+        touched = {k for by, at in zip(touching, lines) for p in at for k in by.get(p, ())}
+        for k in range(len(row_of)) if q_zero else sorted(touched):
+            for side, (at, meet, part) in enumerate(zip(lines, meets, parts)):
+                line = at.get(meet[k])
+                if line is None:
+                    q = q_zero
+                elif len(line) == 1 and line[0][1] is None:
+                    q = columns[line[0][0] + part[k]]
+                else:
+                    u = element({k: 1})
+                    q = column(_exact(Q(u * m if side else m * u), ("Q(m u)", "Q(u m)")[side]))
+                prod: dict = {}
+                for j, v in columns[k].items():
+                    for a, c in at.get(meet[j], ()):
+                        key, w = a + part[j], v if c is None else c * v
+                        prod[key] = prod[key] + w if key in prod else w
+                if prod != q and _nonzero(prod) != q:
+                    f = element(columns[k])
+                    if off := element(q).distance(f * m if side else m * f):
+                        fault = "Q(f m) != Q(f) m" if side else "Q(m f) != m Q(f)"
+                        return f"{fault}, off by {float(off):.3g}"
+        return None
+
+    if bad := next(filter(None, map(module_fault, sub_basis)), None):
+        report._fail("bimodular", bad)
 
     classes = ambient.classes()
     for _ in range(3):
@@ -558,8 +566,9 @@ def verify_expectation(
         if not report.positive:
             break
 
+    traces = [sum((v for j, v in col.items() if row_of[j] == col_of[j]), 0) for col in columns]
     for cls_ in classes:
-        rows = [[images[index[(x, y)]].trace() for y in cls_] for x in cls_]
+        rows = [traces[first[point[x]]:first[point[x]] + len(cls_)] for x in cls_]
         if off := _asymmetry(rows):
             report._fail("faithful", f"trace form not hermitian (off by {float(off):.3g})")
             break

@@ -305,7 +305,8 @@ class RandomWalk:
             nxt = [0] * len(d.vertices(m + 1))
             for j, x in zip(rng, mass):
                 nxt[j] += x
-            _require_stochastic(d, m + 1, mass, nxt, True, "cotransition probability", "q")
+            if min(mass) <= 0:  # only positivity can fail: nxt sums the masses
+                _require_stochastic(d, m + 1, mass, nxt, True, "cotransition probability", "q")
             masses.append(tuple(mass))
             nus.append(nxt)
             dens.append(dens[-1] * scale)

@@ -874,6 +874,24 @@ def random_inclusion_graph(rng, max_points=6, max_edges=8):
     return make_graph(X, V, E, Vbar, vertex_of, source_of, range_of)
 
 
+def sized_inclusion_graph(rng, n_points, n_edges, n_vertices):
+    """An inclusion graph of the benchmark's algebra-graphs shape: n_vertices
+    vertices on each side, the points spread evenly over V, and edge k from
+    V[k mod n] into Vbar[(k div n) mod n]; ``rng`` shuffles points and edges."""
+    V = [f"v{i}" for i in range(n_vertices)]
+    Vbar = [f"w{j}" for j in range(n_vertices)]
+    over = [V[k % n_vertices] for k in range(n_points)]
+    rng.shuffle(over)
+    pairs = [(V[k % n_vertices], Vbar[(k // n_vertices) % n_vertices]) for k in range(n_edges)]
+    rng.shuffle(pairs)
+    E = [f"c{k}" for k in range(n_edges)]
+    X = [f"x{k}" for k in range(n_points)]
+    return make_graph(
+        X, V, E, Vbar, dict(zip(X, over)),
+        {e: v for e, (v, _) in zip(E, pairs)}, {e: w for e, (_, w) in zip(E, pairs)},
+    )
+
+
 def random_transition(rng, g):
     p = {}
     for v in g.V:

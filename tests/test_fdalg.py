@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,7 @@ from helpers import (
     random_element,
     random_inclusion_graph,
     random_transition,
+    sized_inclusion_graph,
 )
 
 F = Fraction
@@ -625,6 +627,49 @@ def test_reports_need_no_numpy(monkeypatch):
     assert failed == set(fdalg.ExpectationReport.CHECKS)
 
 
+def test_verify_expectation_matches_oracle_at_scale():
+    # 300 big pairs in three classes of 10 points over a base of 5 pairs: x0
+    # and x1 lie over v0 and x2 over v1, and v0 (v1) sends 3 (4) edges into
+    # each w, so the images of the model share 5 directions, 9 or 12 units each
+    X, V, Vbar = ["x0", "x1", "x2"], ["v0", "v1"], ["w0", "w1", "w2"]
+    ends = [(v, w) for w in Vbar for v, k in (("v0", 3), ("v1", 4)) for _ in range(k)]
+    rng = random.Random(86)
+    rng.shuffle(ends)
+    E = [f"c{k}" for k in range(len(ends))]
+    g = make_graph(
+        X, V, E, Vbar, {"x0": "v0", "x1": "v0", "x2": "v1"},
+        {e: v for e, (v, _) in zip(E, ends)}, {e: w for e, (_, w) in zip(E, ends)},
+    )
+    me = ModelExpectation(g, random_transition(rng, g))
+    big, basis = g.big_relation(), me.subalgebra_basis()
+    assert (big.dimension, len(big.classes())) == (300, 3)
+    failed = set()
+    for kind in Q_KINDS:
+        Q = broken_q(kind, g, me, rng)
+        report = verify_expectation(Q, big, basis)
+        assert report == oracle_verify_expectation(Q, big, basis), kind
+        failed.update(check for check in report.CHECKS if not getattr(report, check))
+    assert failed == set(fdalg.ExpectationReport.CHECKS)
+
+
+def test_verify_expectation_peak_memory():
+    # the benchmark's largest algebra graph shape (12 points, 14 edges, 1,120
+    # big pairs): holding every unit, its image and a row dict per image
+    # peaked at 1.51 MB; one column per image, 0 shared, peaks at 0.56 MB
+    g = sized_inclusion_graph(random.Random(87), 12, 14, 3)
+    me = ModelExpectation(g, random_transition(random.Random(88), g))
+    big, basis, model = g.big_relation(), me.subalgebra_basis(), me.as_endomorphism()
+    assert big.dimension == 1120
+    tracemalloc.start()
+    try:
+        report = verify_expectation(model, big, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak <= 0.8 * 2**20
+
+
 def test_non_exact_input_is_refused():
     g = random_inclusion_graph(random.Random(79))
     me = ModelExpectation(g, random_transition(random.Random(80), g))
@@ -653,14 +698,15 @@ def test_non_exact_input_is_refused():
 @pytest.mark.parametrize("value", ["Q(1)", "Q(Q(u))"])
 def test_non_exact_q_value_off_the_units_is_refused(value):
     # Q returns doubles for one value only, equal to the exact ones: the
-    # distance would read 0.0 and the check pass, were it not refused
+    # distance would read 0.0 and the check pass, were it not refused.  Q(Q(u))
+    # is spotted by equality: Q gets each image rebuilt from its column
     g = random_inclusion_graph(random.Random(83))
     me = ModelExpectation(g, random_transition(random.Random(84), g))
     model, big, basis = me.as_endomorphism(), g.big_relation(), me.subalgebra_basis()
     one, images = identity_element(big), []
     inexact = {
         "Q(1)": lambda f: f.entries == one.entries,
-        "Q(Q(u))": lambda f: any(f is image for image in images),
+        "Q(Q(u))": lambda f: any(f == image for image in images),
     }[value]
 
     def q(f):
@@ -673,6 +719,18 @@ def test_non_exact_q_value_off_the_units_is_refused(value):
     assert verify_expectation(model, big, basis).all_pass
     with pytest.raises(IncompatibleData, match=f"^{re.escape(value)} has non-exact entries"):
         verify_expectation(q, big, basis)
+
+
+@pytest.mark.parametrize("units_only", [False, True])
+def test_q_values_off_the_ambient_relation_are_refused(units_only):
+    # the model in base form maps onto the base relation: all of Q, or only
+    # the units' images when Q(1) is 1
+    g = random_inclusion_graph(random.Random(89))
+    me = ModelExpectation(g, random_transition(random.Random(90), g))
+    big, one = g.big_relation(), identity_element(g.big_relation())
+    q = (lambda f: one if f == one else me(f)) if units_only else me
+    with pytest.raises(ShapeMismatch):
+        verify_expectation(q, big, me.subalgebra_basis())
 
 
 def test_sub_basis_is_checked_before_q():
@@ -748,6 +806,10 @@ def test_verify_expectation_applies_q_once_per_unit():
     report = verify_expectation(counted, big, me.subalgebra_basis())
     assert report.all_pass, report.failures
     assert len(calls) <= 2 * big.dimension + 5
+    # in order: 1, each unit, each unit's image, then 0
+    units = list(canonical_units(big).values())
+    head = [identity_element(big), *units, *map(model, units), AlgebraElement.zero(big)]
+    assert calls[:len(head)] == head
     # Q(0) once; every other call on 0 is Q(Q(u)) for a unit u that Q maps to 0
     zero_images = sum(not model(u).entries for u in canonical_units(big).values())
     assert sum(not f.entries for f in calls) == zero_images + 1
