@@ -27,7 +27,7 @@ from .fileio import (
     potential_from_file,
     walk_from_file,
 )
-from .harmonic import ergodic_components, harmonic_from_terminal
+from .harmonic import _backward_sweep, ergodic_components
 from .rational import as_fraction, format_fraction, long_ints
 from .skew import pascal_diagram, skew_product
 from .walk import _cylinder_levels, q_measure_witness, radon_nikodym
@@ -44,22 +44,24 @@ def _tsv_line(row) -> str:
     return "\t".join(cells) + "\n"
 
 
-def _render_json(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    return value
+def _json_row(row) -> list:
+    return [{"num": c.numerator, "den": c.denominator} if isinstance(c, Fraction) else c for c in row]
 
 
 ROW_BLOCK = 64  # rows per write: few writes, and small even where labels run long
 
 
 def emit(args, columns, rows):
-    """Write the table; ``rows`` is any iterable of tuples, read once and
-    written ROW_BLOCK rows at a time.  JSON is byte for byte
-    ``json.dumps({"columns": columns, "rows": rows})`` and a newline.
+    """Write the table; ``rows`` is any iterable of tuples, read once.  JSON
+    is byte for byte ``json.dumps({"columns": columns, "rows": rows})`` and a
+    newline."""
+    _write(args, columns, map(_json_row if args.format == "json" else _tsv_line, rows))
 
-    Ints of any length render (see ``rational.long_ints``, whose lock this holds).
-    """
+
+def _write(args, columns, rows):
+    """Write ``rows``, already TSV lines or JSON arrays as ``args.format``
+    asks, ROW_BLOCK at a time.  Ints of any length render (see
+    ``rational.long_ints``, whose lock this holds)."""
     out, rows = sys.stdout, iter(rows)
     with long_ints():
         if args.format == "json":
@@ -67,13 +69,27 @@ def emit(args, columns, rows):
             sep = ""
             while block := list(itertools.islice(rows, ROW_BLOCK)):
                 # a block's rows without the brackets of their list
-                out.write(sep + json.dumps([[_render_json(c) for c in row] for row in block])[1:-1])
+                out.write(sep + json.dumps(block)[1:-1])
                 sep = ", "
             out.write("]}\n")
         else:
             out.write("\t".join(columns) + "\n")
             while block := list(itertools.islice(rows, ROW_BLOCK)):
-                out.write("".join(map(_tsv_line, block)))
+                out.write("".join(block))
+
+
+def _emit_ratios(args, first, levels):
+    """Write the (level, id, value) table of ``levels``, (ids, nums, dens) per
+    level from level ``first`` on: the value of ids[i] is nums[i] / dens[i],
+    dens[i] > 0, written in lowest terms by one gcd each, with no Fraction."""
+    gcd = math.gcd
+    cells = ((n, v, x, y, gcd(x, y)) for n, (ids, nums, dens) in enumerate(levels, first)
+             for v, x, y in zip(ids, nums, dens))
+    if args.format == "json":
+        rows = ([n, v, {"num": x // g, "den": y // g}] for n, v, x, y, g in cells)
+    else:
+        rows = (f"{n}\t{v}\t{x // g}/{y // g}\n" for n, v, x, y, g in cells)
+    _write(args, ("level", "id", "value"), rows)
 
 
 def _parse_path(d, text: str):
@@ -125,15 +141,16 @@ def cmd_measure(args) -> int:
 
 def cmd_cotransition(args) -> int:
     w = _walk(args)
-    rows = [(n, eid, x) for n in range(1, w.depth + 1) for eid, x in w.cotransition.level(n).items()]
-    emit(args, ("level", "id", "value"), rows)
+    d = w.diagram
+    # q_n(e_k) = _mass[n - 1][k] / _nu_num[n][index of r(e_k)]: no q is built
+    dens = (map(nu.__getitem__, rng) for nu, rng in zip(w._nu_num[1:], d._rng))
+    _emit_ratios(args, 1, zip(d._ids, w._mass, dens))
     return 0
 
 
 def cmd_distributions(args) -> int:
     w = _walk(args)
-    rows = [(n, v, x) for n in range(w.depth + 1) for v, x in w.nu(n).items()]
-    emit(args, ("level", "id", "value"), rows)
+    _emit_ratios(args, 0, zip(w.diagram._vertices, w._nu_num, map(itertools.repeat, w._nu_den)))
     return 0
 
 
@@ -148,9 +165,8 @@ def cmd_rn(args) -> int:
 
 def cmd_harmonic(args) -> int:
     w = _walk(args)
-    h = harmonic_from_terminal(w, load_terminal(args.terminal))
-    rows = [(n, v, x) for n in range(w.depth + 1) for v, x in h.level(n).items()]
-    emit(args, ("level", "id", "value"), rows)
+    nums, dens = _backward_sweep(w, load_terminal(args.terminal))
+    _emit_ratios(args, 0, zip(w.diagram._vertices, nums, map(itertools.repeat, dens)))
     return 0
 
 
@@ -255,7 +271,8 @@ def cmd_skew(args) -> int:
     df = load_diagram(args.file)
     rho = potential_from_file(df)
     window = [rho.group.parse(part) for part in args.window.split(",") if part]
-    emit(args, ("level", "id", "value"), skew_product(df.diagram, rho, window).rows())
+    rows = skew_product(df.diagram, rho, window).rows(tsv=args.format == "tsv")
+    _write(args, ("level", "id", "value"), rows)
     return 0
 
 

@@ -121,13 +121,13 @@ def is_harmonic(w: RandomWalk, h) -> HarmonicCheck:
     return HarmonicCheck(False, *bad) if bad else HarmonicCheck(True)
 
 
-def _backward_sweep(w: RandomWalk, bottom: Sequence[int], den: int):
-    """Integer numerators of the harmonic extension of the values
-    bottom[j] / den on V(N), and their per-level denominators: level m of
-    the result is over dens[m], with dens[N] = den."""
+def _backward_sweep(w: RandomWalk, terminal: Mapping[str, object]):
+    """Integer numerators of the harmonic extension of ``terminal``, values on
+    V(N), and their per-level denominators: level m is over dens[m]."""
     d, p = w.diagram, w.transition
+    bottom = d.align("vertex", terminal, as_fraction, "terminal data", ShapeMismatch, level=d.depth)
     levels, dens = [None] * (d.depth + 1), [None] * (d.depth + 1)
-    levels[d.depth], dens[d.depth] = list(bottom), den
+    levels[d.depth], dens[d.depth] = _over_lcm(bottom)
     for m in range(d.depth - 1, -1, -1):
         levels[m], scale = _cancel(_pull(d, m + 1, p._num[m], levels[m + 1]), p._den[m])
         dens[m] = dens[m + 1] * scale
@@ -136,12 +136,10 @@ def _backward_sweep(w: RandomWalk, bottom: Sequence[int], den: int):
 
 def harmonic_from_terminal(w: RandomWalk, terminal: Mapping[str, object]) -> HarmonicSequence:
     """Backward induction from values on V(N); linear in the terminal data."""
-    d = w.diagram
-    bottom = d.align("vertex", terminal, as_fraction, "terminal data", ShapeMismatch, level=d.depth)
-    nums, dens = _backward_sweep(w, *_over_lcm(bottom))
+    nums, dens = _backward_sweep(w, terminal)
     # the sweep's rows are in vertex order already: no re-alignment
     h = HarmonicSequence.__new__(HarmonicSequence)
-    h.diagram = d
+    h.diagram = w.diagram
     h._h = tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(nums, dens))
     return h
 

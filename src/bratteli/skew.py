@@ -8,8 +8,10 @@ user-supplied initial window are materialized, level by level; the windowed
 construction is equivariant under a common left translation of the window.
 It runs over the base diagram's integer indices and keeps only what defines
 the product: each level's sorted (base vertex index, element) keys and the
-name of each distinct element, formatted once.  The skew product as a
-``BratteliDiagram`` is built and validated when ``SkewDiagram.diagram`` is
+name of each distinct element, formatted once.  The keys hold one object per
+element, as a file's potential does per value, so a product g * rho(e), looked
+up by identity in any group, is made once per pair of values on each floor.
+The skew product as a ``BratteliDiagram`` is built and validated when ``SkewDiagram.diagram`` is
 first read (lifted walks read it); ``SkewDiagram.rows``, which the ``skew``
 command prints, streams from the keys and builds none.
 
@@ -80,11 +82,17 @@ class ZLattice:
 
 def _skew_edges(d: BratteliDiagram, rho: EdgePotential, keys, m: int):
     """The skew edges over floor m+1 out of the level-m ``keys``, in edge
-    order: (source element g, base edge index k, range element g rho(e_k))."""
+    order: (source element g, base edge index k, range element g rho(e_k)),
+    each product made once per pair of objects (g, rho(e_k)) of the floor."""
     out, row, op = d._out[m], rho._rho[m], rho.group.op
+    products = {}  # g x by the ids of g and x
     for i, g in keys:
+        made = products.setdefault(id(g), {})
         for k in out[i]:
-            yield g, k, op(g, row[k])
+            g2 = made.get(id(row[k]))
+            if g2 is None:
+                g2 = made[id(row[k])] = op(g, row[k])
+            yield g, k, g2
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,17 +128,19 @@ class SkewDiagram:
         skewed.require_valid()
         return skewed
 
-    def rows(self):
+    def rows(self, tsv: bool = False):
         """(level, id, element) per skew vertex, level by level in vertex
         order, then per skew edge in edge order, where an edge (e, g) carries
-        g rho(e), the element of its range vertex; streamed from the keys."""
+        g rho(e), the element of its range vertex; streamed from the keys.
+        With ``tsv``, each row comes as its TSV line instead."""
         d, names = self.base, self._names
         for n, (ids, level) in enumerate(zip(d._vertices, self._keys)):
             for i, g in level:
-                yield n, f"{ids[i]}@{names[g]}", names[g]
+                yield f"{n}\t{ids[i]}@{names[g]}\t{names[g]}\n" if tsv else (n, f"{ids[i]}@{names[g]}", names[g])
         for m, ids in enumerate(d._ids):
             for g, k, g2 in _skew_edges(d, self.potential, self._keys[m], m):
-                yield m + 1, f"{ids[k]}@{names[g]}", names[g2]
+                name, name2 = names[g], names[g2]
+                yield f"{m + 1}\t{ids[k]}@{name}\t{name2}\n" if tsv else (m + 1, f"{ids[k]}@{name}", name2)
 
     def window(self, n: int) -> tuple:
         """Group elements present at level n, sorted."""
@@ -181,14 +191,12 @@ def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window) -> Skew
     window0 = sorted({group.parse(g) for g in initial_window})
     if not window0:
         raise WindowError("initial window is empty")
-    names = {g: group.format(g) for g in window0}  # each element's name, formatted once
+    ones = {g: g for g in window0}  # one object per distinct element, shared by the keys
     keys = [tuple((i, g) for i in range(len(d._vertices[0])) for g in window0)]
     for m, rng in enumerate(d._rng):
         reached = {(rng[k], g2) for _, k, g2 in _skew_edges(d, rho, keys[m], m)}
-        for _, g in reached:
-            if g not in names:
-                names[g] = group.format(g)
-        keys.append(tuple(sorted(reached)))
+        keys.append(tuple(sorted((i, ones.setdefault(g, g)) for i, g in reached)))
+    names = {g: group.format(g) for g in ones}  # each element's name, formatted once
     return SkewDiagram(d, group, rho, tuple(window0), tuple(keys), names)
 
 

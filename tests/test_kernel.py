@@ -18,7 +18,10 @@ builds.  The one backward step behind the harmonic sweep,
 ``is_harmonic`` and ``from_cotransition``'s check must report the first
 mismatch the string-id loops of ``helpers`` report, and each ergodic
 component must be the oracle's Doob transform, keep the walk's q and
-decompose to itself.
+decompose to itself.  The ``distributions``, ``cotransition`` and
+``harmonic`` tables, written from integers, must be the Fraction oracles'
+tables, and the skew product must apply ``group.op`` once per distinct
+(element, value) pair on a floor.
 """
 
 import contextlib
@@ -71,7 +74,7 @@ from bratteli import (
 )
 from bratteli import fileio
 from bratteli.fileio import dump_diagram, load_measure_table
-from bratteli.rational import as_fraction, format_fraction
+from bratteli.rational import as_fraction, format_fraction, long_ints
 
 from helpers import (
     fraction_as_fraction,
@@ -724,6 +727,89 @@ def test_json_rows_match_whole_table_dump(columns, rows, block):
     assert out.getvalue() == json_oracle(columns, rows)
 
 
+# -- tables written from the integer core --------------------------------------
+
+
+def run_cli(argv):
+    """(exit code, stdout) of ``cli.main(argv)`` in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def walk_file(tmp, w):
+    """``w`` as a diagram file in ``tmp``."""
+    d = w.diagram
+    p = {(n, e.id): w.transition(n, e.id) for n in range(1, d.depth + 1) for e in d.edges(n)}
+    path = Path(tmp) / "walk.json"
+    path.write_text(json.dumps(dump_diagram(d, p=p, nu0=w.initial.as_dict())))
+    return str(path)
+
+
+def terminal_value(rng):
+    """Zero, a small rational of either sign, or one whose parts have about
+    3,000 digits: each parses, and the sweep makes values of more than 4,300."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        return F(rng.choice([1, -1]) * (10**2999 + rng.randrange(10**6)), 10**2999 + rng.randrange(1, 10**6))
+    return F(rng.randint(-9, 9) * (kind > 0), rng.randint(1, 9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(randoms, st.sampled_from(["tsv", "json"]))
+def test_integer_tables_match_fraction_oracles(rng, fmt):
+    # distributions, cotransition and harmonic write their cells from the
+    # walk's integers and the sweep's rows; each table must be what the
+    # Fraction oracles give, rendered by the Fraction renderers
+    w = random_walk_with_multipath(rng, max_depth=5)
+    w = random_walk_on(rng, shuffled_floors(rng, w.diagram))
+    d = w.diagram
+    terminal = {v: terminal_value(rng) for v in d.vertices(d.depth)}
+    nus, qs = oracle_distributions(w)
+    hs = oracle_harmonic_from_terminal(w, terminal)
+    tables = {
+        "distributions": [(n, v, nus[n][v]) for n in range(d.depth + 1) for v in d.vertices(n)],
+        "cotransition": [(n, e.id, qs[n - 1][e.id]) for n in range(1, d.depth + 1) for e in d.edges(n)],
+        "harmonic": [(n, v, hs[n][v]) for n in range(d.depth + 1) for v in d.vertices(n)],
+    }
+    columns = ("level", "id", "value")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = walk_file(tmp, w)
+        term = Path(tmp) / "terminal.json"
+        with long_ints():
+            term.write_text(json.dumps({v: format_fraction(x) for v, x in terminal.items()}))
+        for command, rows in tables.items():
+            extra = ["--terminal", str(term)] if command == "harmonic" else []
+            got = run_cli([command, path, *extra, "--format", fmt])
+            with long_ints():
+                want = json_oracle(columns, rows) if fmt == "json" else fraction_tsv(columns, rows)
+            assert got == (0, want), command
+
+
+def test_tables_build_no_cotransition_potential(tmp_path, monkeypatch):
+    # cotransition reads q off the walk's integers, so no command here asks
+    # the walk for its q Fractions (the library's cached q is unchanged)
+    w = random_walk_with_multipath(random.Random(3))
+    d = w.diagram
+    path = walk_file(tmp_path, w)
+    term = tmp_path / "terminal.json"
+    term.write_text(json.dumps({v: "-1/3" for v in d.vertices(d.depth)}))
+    commands = [["cotransition"], ["distributions"], ["harmonic", "--terminal", str(term)]]
+    want = [run_cli([c[0], path, *c[1:], "--format", fmt]) for c in commands for fmt in ("tsv", "json")]
+
+    def no_q(self):
+        raise AssertionError("the walk's q was built")
+
+    monkeypatch.setattr(RandomWalk, "cotransition", property(no_q))
+    got = [run_cli([c[0], path, *c[1:], "--format", fmt]) for c in commands for fmt in ("tsv", "json")]
+    assert got == want
+    assert all(code == 0 for code, _ in got)
+    _, qs = oracle_distributions(w)
+    q = [(n, e, x) for n in range(1, d.depth + 1) for e, x in qs[n - 1].items()]
+    assert got[0][1] == fraction_tsv(("level", "id", "value"), q)
+
+
 # -- the cotransition, built on first request -----------------------------------
 
 
@@ -834,16 +920,9 @@ def test_skew_product_matches_oracle(rng, kind):
         assert outcome(skew_product, *args) == want
 
 
-@settings(max_examples=30, deadline=None)
-@given(randoms, st.sampled_from([1, 2, "rationals"]), st.sampled_from(["tsv", "json"]))
-def test_skew_command_matches_oracle_rows(rng, kind, fmt):
-    d = random_diagram(rng, max_depth=4)
-    rho, window = random_potential(rng, d, kind)
+def skew_oracle_rows(d, rho, window):
+    """The rows ``skew`` prints, from the string-id oracle."""
     group = rho.group
-    # the file writes lattice vectors as arrays and rationals as 'num/den'
-    cell = group.format if kind == "rationals" else list
-    values = {(n, e): cell(g) for n in range(1, d.depth + 1) for e, g in rho.level(n).items()}
-    text = ",".join(group.format(group.parse(g)) for g in window)
     skewed, vertex_pairs, edge_pairs = oracle_skew_product(d, rho, window)
     rows = [
         (n, vid, group.format(g))
@@ -855,18 +934,69 @@ def test_skew_command_matches_oracle_rows(rng, kind, fmt):
         for n in range(1, d.depth + 1)
         for edge, (base_id, g) in zip(skewed.edges(n), edge_pairs[n - 1])
     ]
+    return rows
+
+
+def skew_file(tmp, d, rho, kind):
+    """``d`` with the potential ``rho`` as a diagram file in ``tmp``: lattice
+    vectors as arrays, rationals as 'num/den'."""
+    cell = rho.group.format if kind == "rationals" else list
+    values = {(n, e): cell(g) for n in range(1, d.depth + 1) for e, g in rho.level(n).items()}
+    path = Path(tmp) / "skew.json"
+    path.write_text(json.dumps(dump_diagram(d, rho=values)))
+    return str(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(randoms, st.sampled_from([1, 2, "rationals"]), st.sampled_from(["tsv", "json"]))
+def test_skew_command_matches_oracle_rows(rng, kind, fmt):
+    # rank-1 and rank-2 lattice vectors and 'num/den' rationals, on floors
+    # listed in random order, each under two windows
+    d = shuffled_floors(rng, random_diagram(rng, max_depth=4))
+    rho, window = random_potential(rng, d, kind)
+    _, other = random_potential(rng, d, kind)
+    group = rho.group
     columns = ("level", "id", "value")
-    if fmt == "json":
-        want = json.dumps({"columns": list(columns), "rows": [list(row) for row in rows]}) + "\n"
-    else:
-        want = fraction_tsv(columns, rows)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "skew.json"
-        path.write_text(json.dumps(dump_diagram(d, rho=values)))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["skew", str(path), f"--window={text}", "--format", fmt])
-    assert (code, out.getvalue()) == (0, want)
+        path = skew_file(tmp, d, rho, kind)
+        for win in (window, other):
+            rows = skew_oracle_rows(d, rho, win)
+            if fmt == "json":
+                want = json.dumps({"columns": list(columns), "rows": [list(row) for row in rows]}) + "\n"
+            else:
+                want = fraction_tsv(columns, rows)
+            text = ",".join(group.format(group.parse(g)) for g in win)
+            assert run_cli(["skew", path, f"--window={text}", "--format", fmt]) == (0, want)
+
+
+@kernel_settings
+@given(randoms, st.sampled_from([1, 2, "rationals"]))
+def test_skew_product_makes_each_product_once_per_floor(rng, kind):
+    # read from a file, the potential holds one object per distinct value,
+    # so group.op runs once per distinct (element, value) pair on a floor,
+    # in the order the pairs are first met, and so again for the rows
+    d = shuffled_floors(rng, random_diagram(rng, max_depth=5))
+    rho, window = random_potential(rng, d, kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        rho = fileio.potential_from_file(fileio.load_diagram(skew_file(tmp, d, rho, kind)))
+    d, group, calls = rho.diagram, rho.group, []
+    op = type(group).op
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return op(self, a, b)
+
+    with mock.patch.object(type(group), "op", counted):
+        sd = skew_product(d, rho, window)
+        made = list(calls)
+        calls.clear()
+        rows = list(sd.rows())
+    pairs = []
+    for m, keys in enumerate(sd._keys[:-1]):
+        row = rho._rho[m]
+        pairs += dict.fromkeys((g, row[k]) for i, g in keys for k in d._out[m][i])
+    assert made == calls == pairs
+    assert rows == skew_oracle_rows(d, rho, window)
 
 
 def skew_accessors(sd, outside):

@@ -11,7 +11,10 @@ more with ``--format json``.  Each ``qcheck`` invocation runs a second time
 on a copy of its table re-serialized with ``indent=1`` and 'paths' first, and
 a third time on a copy with its 'paths' members in a seeded shuffled order,
 so that table readers are compared on other layouts of the same input, and
-labels that share no prefix with the one before are read too.
+labels that share no prefix with the one before are read too.  Each
+``harmonic`` invocation runs again on a copy of its terminal data with every
+third value zeroed and the others negated, and each ``skew`` invocation
+again under a second window of four seeded elements.
 ``validate`` runs on every generated diagram file, and on copies of
 ``wide.json`` with one fault each (a record lacking 'src', an integer id,
 'p' on some edges only, a repeated key), so that the diagram reader's
@@ -27,7 +30,7 @@ is listed with both medians and the run count if they still differ by more
 than RSS_MOVE_MB: one run per tree moves by that much on code that did not
 change.  Per workload and tree, the largest max RSS over the workload's
 scripted commands (TSV, all seeds, no start-up probe, first runs only) is
-printed too (the re-serialized and shuffled ``qcheck`` runs are left out): the figure
+printed too (the derived runs above are left out): the figure
 the benchmark's ``peak_rss_mb`` takes, for information only.  A child's max
 RSS starts at its parent's peak, so this process stays small (the
 benchmark's own figure is floored at its runner's): a helper process writes
@@ -57,9 +60,12 @@ RSS_RERUNS = 4  # more runs per tree of a command whose first runs moved
 # argv: perfbench dir, workload, seed, input dir; prints the commands as JSON
 # [argv, scripted] pairs, where scripted is false for the start-up probe, for
 # each qcheck's second and third runs, on its table re-serialized and shuffled,
-# and for the validate runs on the diagram files and the faulty copies of wide.json
+# for the validate runs on the diagram files and the faulty copies of wide.json,
+# for harmonic on its terminal data with signs flipped and every third value 0,
+# and for skew under a second, seeded window
 LIST_COMMANDS = """
 import json, random, sys
+from fractions import Fraction
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 sys.dont_write_bytecode = True  # leave perfbench/ as committed
@@ -92,6 +98,16 @@ for fault in ("lacks-src", "int-id", "p-on-some", "repeated-key") if "wide.json"
 for inv in workloads.SCRIPTS[workload](facts):
     argv = list(inv.argv)
     commands.append([argv, True])
+    if argv[0] == "harmonic":
+        i = argv.index("--terminal") + 1
+        terminal = json.loads((out / argv[i]).read_text(encoding="utf-8"))
+        signed = {v: "0/1" if j % 3 == 0 else str(-Fraction(x)) for j, (v, x) in enumerate(terminal.items())}
+        (out / ("signed-" + argv[i])).write_text(json.dumps(signed), encoding="utf-8")
+        commands.append([argv[:i] + ["signed-" + argv[i]] + argv[i + 1:], False])
+    if argv[0] == "skew":
+        window = random.Random(f"{workload}:{seed}:window").sample(range(-9, 10), 4)
+        commands.append([[a for a in argv if not a.startswith("--window")]
+                         + ["--window=" + ",".join(map(str, window))], False])
     if argv[0] == "qcheck":
         i = argv.index("--measure") + 1
         table = json.loads((out / argv[i]).read_text(encoding="utf-8"))
