@@ -59,9 +59,8 @@ def emit(args, columns, rows):
 
 
 def _write(args, columns, rows):
-    """Write ``rows``, already TSV lines or JSON arrays as ``args.format``
-    asks, ROW_BLOCK at a time.  Ints of any length render (see
-    ``rational.long_ints``, whose lock this holds)."""
+    """Write ``rows``, TSV lines or JSON arrays as ``args.format`` asks, ROW_BLOCK at a
+    time.  Ints of any length render (see ``rational.long_ints``, whose lock this holds)."""
     out, rows = sys.stdout, iter(rows)
     with long_ints():
         if args.format == "json":
@@ -79,9 +78,8 @@ def _write(args, columns, rows):
 
 
 def _emit_ratios(args, first, levels):
-    """Write the (level, id, value) table of ``levels``, (ids, nums, dens) per
-    level from level ``first`` on: the value of ids[i] is nums[i] / dens[i],
-    dens[i] > 0, written in lowest terms by one gcd each, with no Fraction."""
+    """Write the (level, id, value) table of ``levels``, (ids, nums, dens) per level from
+    ``first`` on: ids[i] has nums[i] / dens[i], dens[i] > 0, in lowest terms by one gcd."""
     gcd = math.gcd
     cells = ((n, v, x, y, gcd(x, y)) for n, (ids, nums, dens) in enumerate(levels, first)
              for v, x, y in zip(ids, nums, dens))
@@ -140,17 +138,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_cotransition(args) -> int:
-    w = _walk(args)
-    d = w.diagram
-    # q_n(e_k) = _mass[n - 1][k] / _nu_num[n][index of r(e_k)]: no q is built
-    dens = (map(nu.__getitem__, rng) for nu, rng in zip(w._nu_num[1:], d._rng))
-    _emit_ratios(args, 1, zip(d._ids, w._mass, dens))
+    _emit_ratios(args, 1, _walk(args)._q_ratios())  # no q is built
     return 0
 
 
 def cmd_distributions(args) -> int:
-    w = _walk(args)
-    _emit_ratios(args, 0, zip(w.diagram._vertices, w._nu_num, map(itertools.repeat, w._nu_den)))
+    _emit_ratios(args, 0, _walk(args)._nu_ratios())
     return 0
 
 
@@ -166,7 +159,7 @@ def cmd_rn(args) -> int:
 def cmd_harmonic(args) -> int:
     w = _walk(args)
     nums, dens = _backward_sweep(w, load_terminal(args.terminal))
-    _emit_ratios(args, 0, zip(w.diagram._vertices, nums, map(itertools.repeat, dens)))
+    _emit_ratios(args, 0, zip(map(w.diagram.vertices, range(w.depth + 1)), nums, map(itertools.repeat, dens)))
     return 0
 
 
@@ -271,7 +264,9 @@ def cmd_skew(args) -> int:
     df = load_diagram(args.file)
     rho = potential_from_file(df)
     window = [rho.group.parse(part) for part in args.window.split(",") if part]
-    rows = skew_product(df.diagram, rho, window).rows(tsv=args.format == "tsv")
+    rows = skew_product(df.diagram, rho, window).rows()
+    if args.format == "tsv":  # every cell is a str but the level
+        rows = (f"{n}\t{v}\t{x}\n" for n, v, x in rows)
     _write(args, ("level", "id", "value"), rows)
     return 0
 

@@ -8,10 +8,8 @@ user-supplied initial window are materialized, level by level; the windowed
 construction is equivariant under a common left translation of the window.
 It runs over the base diagram's integer indices and keeps only what defines
 the product: each level's sorted (base vertex index, element) keys and the
-name of each distinct element, formatted once.  The keys hold one object per
-element, as a file's potential does per value, so a product g * rho(e), looked
-up by identity in any group, is made once per pair of values on each floor.
-The skew product as a ``BratteliDiagram`` is built and validated when ``SkewDiagram.diagram`` is
+name of each distinct element, formatted once.  The skew product as a
+``BratteliDiagram`` is built and validated when ``SkewDiagram.diagram`` is
 first read (lifted walks read it); ``SkewDiagram.rows``, which the ``skew``
 command prints, streams from the keys and builds none.
 
@@ -82,17 +80,11 @@ class ZLattice:
 
 def _skew_edges(d: BratteliDiagram, rho: EdgePotential, keys, m: int):
     """The skew edges over floor m+1 out of the level-m ``keys``, in edge
-    order: (source element g, base edge index k, range element g rho(e_k)),
-    each product made once per pair of objects (g, rho(e_k)) of the floor."""
+    order: (source element g, base edge index k, range element g rho(e_k))."""
     out, row, op = d._out[m], rho._rho[m], rho.group.op
-    products = {}  # g x by the ids of g and x
     for i, g in keys:
-        made = products.setdefault(id(g), {})
         for k in out[i]:
-            g2 = made.get(id(row[k]))
-            if g2 is None:
-                g2 = made[id(row[k])] = op(g, row[k])
-            yield g, k, g2
+            yield g, k, op(g, row[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,19 +120,17 @@ class SkewDiagram:
         skewed.require_valid()
         return skewed
 
-    def rows(self, tsv: bool = False):
+    def rows(self):
         """(level, id, element) per skew vertex, level by level in vertex
         order, then per skew edge in edge order, where an edge (e, g) carries
-        g rho(e), the element of its range vertex; streamed from the keys.
-        With ``tsv``, each row comes as its TSV line instead."""
+        g rho(e), the element of its range vertex; streamed from the keys."""
         d, names = self.base, self._names
         for n, (ids, level) in enumerate(zip(d._vertices, self._keys)):
             for i, g in level:
-                yield f"{n}\t{ids[i]}@{names[g]}\t{names[g]}\n" if tsv else (n, f"{ids[i]}@{names[g]}", names[g])
+                yield n, f"{ids[i]}@{names[g]}", names[g]
         for m, ids in enumerate(d._ids):
             for g, k, g2 in _skew_edges(d, self.potential, self._keys[m], m):
-                name, name2 = names[g], names[g2]
-                yield f"{m + 1}\t{ids[k]}@{name}\t{name2}\n" if tsv else (m + 1, f"{ids[k]}@{name}", name2)
+                yield m + 1, f"{ids[k]}@{names[g]}", names[g2]
 
     def window(self, n: int) -> tuple:
         """Group elements present at level n, sorted."""
@@ -191,12 +181,14 @@ def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window) -> Skew
     window0 = sorted({group.parse(g) for g in initial_window})
     if not window0:
         raise WindowError("initial window is empty")
-    ones = {g: g for g in window0}  # one object per distinct element, shared by the keys
+    names = {g: group.format(g) for g in window0}  # each element's name, formatted once
     keys = [tuple((i, g) for i in range(len(d._vertices[0])) for g in window0)]
     for m, rng in enumerate(d._rng):
         reached = {(rng[k], g2) for _, k, g2 in _skew_edges(d, rho, keys[m], m)}
-        keys.append(tuple(sorted((i, ones.setdefault(g, g)) for i, g in reached)))
-    names = {g: group.format(g) for g in ones}  # each element's name, formatted once
+        for _, g in reached:
+            if g not in names:
+                names[g] = group.format(g)
+        keys.append(tuple(sorted(reached)))
     return SkewDiagram(d, group, rho, tuple(window0), tuple(keys), names)
 
 

@@ -46,6 +46,7 @@ each draw follows the measure exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -317,11 +318,20 @@ class RandomWalk:
         self._mass = tuple(masses)
         self._nus = [None] * len(nus)  # Fraction rows, filled on first request
 
+    def _nu_ratios(self):
+        """(vertex ids, numerators, denominators) of nu_n per level from 0 on."""
+        return zip(self.diagram._vertices, self._nu_num, map(itertools.repeat, self._nu_den))
+
+    def _q_ratios(self):
+        """(edge ids, numerators, denominators) of q_n per level from 1 on."""
+        d = self.diagram
+        for ids, rng, mass, nu in zip(d._ids, d._rng, self._mass, self._nu_num[1:]):
+            yield ids, mass, map(nu.__getitem__, rng)
+
     @cached_property
     def cotransition(self) -> CotransitionProbability:
         """q as Fractions, built on first request from the integer edge measures."""
-        rows = zip(self.diagram._rng, self._mass, self._nu_num[1:])
-        q = tuple(tuple(Fraction(x, nu[j]) for j, x in zip(rng, mass)) for rng, mass, nu in rows)
+        q = tuple(tuple(map(Fraction, nums, dens)) for _, nums, dens in self._q_ratios())
         return CotransitionProbability._from_rows(self.diagram, q)
 
     def _nu_row(self, n: int) -> tuple[Fraction, ...]:

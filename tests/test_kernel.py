@@ -969,36 +969,6 @@ def test_skew_command_matches_oracle_rows(rng, kind, fmt):
             assert run_cli(["skew", path, f"--window={text}", "--format", fmt]) == (0, want)
 
 
-@kernel_settings
-@given(randoms, st.sampled_from([1, 2, "rationals"]))
-def test_skew_product_makes_each_product_once_per_floor(rng, kind):
-    # read from a file, the potential holds one object per distinct value,
-    # so group.op runs once per distinct (element, value) pair on a floor,
-    # in the order the pairs are first met, and so again for the rows
-    d = shuffled_floors(rng, random_diagram(rng, max_depth=5))
-    rho, window = random_potential(rng, d, kind)
-    with tempfile.TemporaryDirectory() as tmp:
-        rho = fileio.potential_from_file(fileio.load_diagram(skew_file(tmp, d, rho, kind)))
-    d, group, calls = rho.diagram, rho.group, []
-    op = type(group).op
-
-    def counted(self, a, b):
-        calls.append((a, b))
-        return op(self, a, b)
-
-    with mock.patch.object(type(group), "op", counted):
-        sd = skew_product(d, rho, window)
-        made = list(calls)
-        calls.clear()
-        rows = list(sd.rows())
-    pairs = []
-    for m, keys in enumerate(sd._keys[:-1]):
-        row = rho._rho[m]
-        pairs += dict.fromkeys((g, row[k]) for i, g in keys for k in d._out[m][i])
-    assert made == calls == pairs
-    assert rows == skew_oracle_rows(d, rho, window)
-
-
 def skew_accessors(sd, outside):
     """Every value a skew product hands out other than ``diagram``, with the
     outcome of ``vertex_id`` on each reached key (as an element and as its
