@@ -98,6 +98,7 @@ from .walk import (
     RandomWalk,
     TransitionProbability,
     build_walk,
+    central_cotransition,
     cylinder_measure,
     from_cotransition,
     group_cocycle,

@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .diagram import _label_levels, _level_counts, _require_labels, _tree_levels
+from .diagram import _label_levels, _level_counts, _require_labels
 from .errors import BratteliError, FileFormatError, PathError
 from .fdalg import ModelExpectation, extract_transition, verify_expectation
 from .fileio import (
@@ -30,7 +30,7 @@ from .fileio import (
 from .harmonic import _backward_sweep, ergodic_components
 from .rational import as_fraction, format_fraction, long_ints
 from .skew import pascal_diagram, skew_product
-from .walk import _cylinder_levels, q_measure_witness, radon_nikodym
+from .walk import _cylinder_levels, central_cotransition, q_measure_witness, radon_nikodym
 
 
 def _tsv_line(row) -> str:
@@ -216,46 +216,23 @@ def cmd_extractp(args) -> int:
     return 0
 
 
-def _pascal_rows(d, q, depth: int):
-    """``(rows, None)``, the rows (depth, bits, q(a)) of every path a of the
-    triangle ``d`` in word order, when each q(a) is 1/C(depth, k) with k the
-    number of 1 bits; else ``(None, (bits, q(a), 1/C(depth, k)))`` at the
-    first path where it is not.
-    """
-    tops = bottoms = [1] * len(d._vertices[0])
-    for m, (prefix, last, ends) in enumerate(itertools.islice(_tree_levels(d, 0, depth), 1, None)):
-        qn = q._rho[m]  # q(a e) = q(a) q(e), as unreduced ratios top / bottom
-        tops = [tops[i] * qn[k].numerator for i, k in zip(prefix, last)]
-        bottoms = [bottoms[i] * qn[k].denominator for i, k in zip(prefix, last)]
-    inverse = [Fraction(1, math.comb(depth, k)) for k in range(depth + 1)]
-    rows = []
-    # edge order is bit order, so path j's word is j in binary; it ends at
-    # vertex (depth, k)
-    for j, (k, top, bottom) in enumerate(zip(ends, tops, bottoms)):
-        bits = format(j, f"0{depth}b")
-        if top * inverse[k].denominator != bottom:
-            return None, (bits, Fraction(top, bottom), inverse[k])
-        rows.append((depth, bits, inverse[k]))
-    return rows, None
-
-
 def cmd_pascal(args) -> int:
-    # 2^depth > max_paths exactly when depth reaches the limit's bit length
-    if args.depth >= max(args.max_paths, 0).bit_length():
-        _refuse(f"pascal --depth {args.depth}", f"2^{args.depth}", args.max_paths)
-    d, w = pascal_diagram(args.depth, args.t)
-    rows, mismatch = _pascal_rows(d, w.cotransition, args.depth)
-    if mismatch is not None:
-        bits, q, expected = mismatch
-        with long_ints():
-            print(
-                f"cotransition of {bits} is {format_fraction(q)}, not {format_fraction(expected)}",
-                file=sys.stderr,
-            )
-        return 1
+    depth = args.depth
+    if depth >= max(args.max_paths, 0).bit_length():  # exactly when 2^depth > max_paths
+        _refuse(f"pascal --depth {depth}", f"2^{depth}", args.max_paths)
+    d, w = pascal_diagram(depth, args.t)
+    for n, (ids, row, want) in enumerate(zip(d._ids, w.cotransition._rho, central_cotransition(d)._rho), 1):
+        for e, q, expected in zip(ids, row, want):
+            if q != expected:
+                with long_ints():
+                    print(f"cotransition of edge {e} at level {n} is {format_fraction(q)}, "
+                          f"not {format_fraction(expected)}", file=sys.stderr)
+                return 1
+    # q is central, so q(a) = 1/dim(r(a)) and D(a, b) = q(a)/q(b) = 1; edge order is bit
+    # order, so path j's word is j in binary, and it ends at (depth, k), k its 1 bits
+    inverse = [Fraction(1, math.comb(depth, k)) for k in range(depth + 1)]
+    rows = ((depth, format(j, f"0{depth}b"), inverse[j.bit_count()]) for j in range(1 << depth))
     emit(args, ("level", "id", "value"), rows)
-    # q(a) depends on r(a) only, so the density cocycle q(a)/q(b) is 1 on
-    # every tail-related pair
     print("D == 1: OK")
     return 0
 

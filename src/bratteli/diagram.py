@@ -517,6 +517,14 @@ def enumerate_paths(d: BratteliDiagram, from_level: int, to_level: int) -> list[
     return paths
 
 
+def _scatter_add(count: int, index, values) -> list:
+    """Per slot 0..count-1, the sum of the ``values`` whose ``index`` is that slot."""
+    sums = [0] * count
+    for j, x in zip(index, values):
+        sums[j] += x
+    return sums
+
+
 def _level_counts(d: BratteliDiagram, from_level: int, to_level: int):
     """Path counts from V(from_level) into each vertex of V(n), by the
     incidence recursion: yields one list per level n = from_level..to_level,
@@ -525,10 +533,7 @@ def _level_counts(d: BratteliDiagram, from_level: int, to_level: int):
     counts = [1] * len(d.vertices(from_level))
     yield counts
     for m in range(from_level, to_level):
-        below = [0] * len(d.vertices(m + 1))
-        for i, j in zip(d._src[m], d._rng[m]):
-            below[j] += counts[i]
-        counts = below
+        counts = _scatter_add(len(d._vertices[m + 1]), d._rng[m], map(counts.__getitem__, d._src[m]))
         yield counts
 
 

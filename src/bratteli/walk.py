@@ -55,7 +55,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .diagram import BratteliDiagram, CylinderTable, FinitePath, tail_related
-from .diagram import _MISSING, _path_levels, _tree_levels, _tree_path
+from .diagram import _MISSING, _level_counts, _path_levels, _scatter_add, _tree_levels, _tree_path
 from .errors import (
     IncompatibleData,
     NotAMeasure,
@@ -303,9 +303,7 @@ class RandomWalk:
             # nu_{n-1}(s(e)) p_n(e) is mass[k] / D_n
             weight, scale = _cancel(nus[-1], pden)
             mass = [weight[i] * x for i, x in zip(src, pnum)]
-            nxt = [0] * len(d.vertices(m + 1))
-            for j, x in zip(rng, mass):
-                nxt[j] += x
+            nxt = _scatter_add(len(d._vertices[m + 1]), rng, mass)
             if min(mass) <= 0:  # only positivity can fail: nxt sums the masses
                 _require_stochastic(d, m + 1, mass, nxt, True, "cotransition probability", "q")
             masses.append(tuple(mass))
@@ -430,6 +428,19 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
     return build_walk(d, p_values, dict(zip(d.vertices(0), levels[0])))
 
 
+def central_cotransition(d: BratteliDiagram) -> CotransitionProbability:
+    """q(e) = dim(s(e)) / dim(r(e)), dim(v) the number of paths from V(0) to v:
+    the cotransition of the central measures (Vershik and Kerov, 1981), whose
+    density cocycle is 1, as q(a) = 1 / dim(r(a)) on every path a from V(0).
+    Over the in-edges of v it sums to 1, since dim(v) sums dim(s(e)) over them."""
+    dims = list(_level_counts(d, 0, d.depth))
+    rows = tuple(
+        tuple(Fraction(above[i], below[j]) for i, j in zip(src, rng))
+        for above, below, src, rng in zip(dims, dims[1:], d._src, d._rng)
+    )
+    return CotransitionProbability._from_rows(d, rows)
+
+
 # -- cylinder tables and the q-measure criterion ------------------------------
 
 def _cylinder_levels(w: RandomWalk, levels):
@@ -464,7 +475,7 @@ def table_from_leaves(
         masses.append(as_fraction(leaf_masses[a]))
     table = dict(zip(levels[-1][0], masses))
     for n in range(depth - 1, -1, -1):
-        masses = _prefix_sums(len(levels[n][0]), levels[n + 1][1], masses)
+        masses = _scatter_add(len(levels[n][0]), levels[n + 1][1], masses)
         table.update(zip(levels[n][0], masses))
     return table
 
@@ -478,14 +489,6 @@ def _row_over_lcm(d: BratteliDiagram, n: int, row) -> tuple[list[int], int]:
                           f"{_tree_path(d, n, j).label()}")
     den = math.lcm(*dens)
     return [x * (den // y) for x, y in zip(nums, dens)], den
-
-
-def _prefix_sums(count: int, prefix, masses) -> list:
-    """Per path of a level of ``count``, the sum of the masses of its extensions."""
-    sums = [0] * count
-    for i, x in zip(prefix, masses):
-        sums[i] += x
-    return sums
 
 
 def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
@@ -517,12 +520,10 @@ def q_measure_witness(d: BratteliDiagram, q, table, depth: int):
     witness = None
     for n, (prefix, last, ends) in enumerate(_tree_levels(d, 0, depth)):
         row, unit = masses[n]
-        marginal = [0] * len(d._vertices[n])
-        for t, x in zip(ends, row):
-            marginal[t] += x
+        marginal = _scatter_add(len(d._vertices[n]), ends, row)
         if n:
             above, sup = masses[n - 1]
-            parts = _prefix_sums(len(above), prefix, row)
+            parts = _scatter_add(len(above), prefix, row)
             for j, (x, y) in enumerate(zip(above, parts)):
                 if x * unit != y * sup:
                     raise NotAMeasure(

@@ -122,6 +122,39 @@ def chain_walk(depth):
     )
 
 
+# -- the Young graph --------------------------------------------------------------
+
+
+def partition_id(shape):
+    """A partition's vertex id: its parts joined by '.', or '0' for the empty one."""
+    return ".".join(map(str, shape)) or "0"
+
+
+def hook_dim(shape):
+    """The number of standard tableaux of ``shape``, n! over its hook lengths
+    (Frame, Robinson and Thrall, 1954): the paths from the empty partition."""
+    columns = [sum(1 for part in shape if part > j) for j in range(shape[0] if shape else 0)]
+    hooks = math.prod(part - j + columns[j] - i - 1 for i, part in enumerate(shape) for j in range(part))
+    return math.factorial(sum(shape)) // hooks
+
+
+def young_diagram(depth):
+    """The Young graph to ``depth``: the partitions of n at level n, and one
+    edge from a partition to each partition it becomes by adding one box.
+    Returns the diagram and the shapes of each level, in vertex order."""
+    levels, edges = [[()]], []
+    for n in range(1, depth + 1):
+        floor = []
+        for shape in levels[-1]:
+            for i in range(len(shape) + 1):  # a box at the end of row i
+                if i == len(shape) or i == 0 or shape[i - 1] > shape[i]:
+                    grown = shape[:i] + ((shape[i] if i < len(shape) else 0) + 1,) + shape[i + 1:]
+                    floor.append((shape, grown))
+        levels.append(sorted({grown for _, grown in floor}, reverse=True))
+        edges.append([(f"{partition_id(a)}>{partition_id(b)}", partition_id(a), partition_id(b)) for a, b in floor])
+    return BratteliDiagram([[partition_id(s) for s in level] for level in levels], edges), levels
+
+
 # -- peak memory of a command ---------------------------------------------------
 
 # argv: the command; prints its exit code and its max RSS in kB
@@ -490,17 +523,9 @@ def fraction_q_measure_witness(d, q, table, depth):
 
 
 def fraction_pascal_rows(d, q, depth):
-    """The pascal command's row loop: q(a) by ``of_path`` on every path, in
-    ``bratteli.cli._pascal_rows``'s (rows, mismatch) shape."""
-    rows = []
-    for a in enumerate_paths(d, 0, depth):
-        bits = "".join(eid[-1] for eid in a.edges)
-        value = q.of_path(a)
-        expected = Fraction(1, math.comb(depth, bits.count("1")))
-        if value != expected:
-            return None, (bits, value, expected)
-        rows.append((depth, bits, value))
-    return rows, None
+    """The rows of the pascal command's table: (depth, word, q(a)) for every
+    path a of the triangle ``d``, q(a) by ``of_path``, in path order."""
+    return [(depth, "".join(eid[-1] for eid in a.edges), q.of_path(a)) for a in enumerate_paths(d, 0, depth)]
 
 
 def fraction_as_fraction(value):

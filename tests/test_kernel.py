@@ -20,13 +20,17 @@ mismatch the string-id loops of ``helpers`` report, and each ergodic
 component must be the oracle's Doob transform, keep the walk's q and
 decompose to itself.  The ``distributions``, ``cotransition`` and
 ``harmonic`` tables, written from integers, must be the Fraction oracles'
-tables, and the skew product must apply ``group.op`` once per distinct
-(element, value) pair on a floor.
+tables.  The central cotransition must multiply out to 1/dim(r(a)) on every
+path, be the triangle walk's q and the Young graph's Plancherel q, and
+``pascal``, which checks it edge by edge and walks no path, must write the
+oracle's q(a) on every path and name the first edge off centre.
 """
 
+import collections
 import contextlib
 import io
 import json
+import math
 import random
 import sys
 import tempfile
@@ -41,7 +45,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bratteli.diagram
 import bratteli.harmonic
+import bratteli.walk
 from bratteli import cli
 from bratteli import (
     BratteliDiagram,
@@ -59,6 +65,7 @@ from bratteli import (
     WindowError,
     ZLattice,
     build_walk,
+    central_cotransition,
     cylinder_measure,
     enumerate_paths,
     ergodic_components,
@@ -81,8 +88,10 @@ from helpers import (
     fraction_pascal_rows,
     fraction_q_measure_witness,
     fraction_tsv,
+    hook_dim,
     oracle_cotransition_check,
     oracle_distributions,
+    oracle_enumerate_paths,
     oracle_ergodic_components,
     oracle_harmonic_from_terminal,
     oracle_is_harmonic,
@@ -94,10 +103,12 @@ from helpers import (
     oracle_skew_product,
     oracle_stochastic_violation,
     oracle_table_from_leaves,
+    partition_id,
     random_diagram,
     random_walk,
     random_walk_on,
     random_walk_with_multipath,
+    young_diagram,
 )
 
 F = Fraction
@@ -621,20 +632,116 @@ def test_path_matches_string_walk(rng):
         assert_same_outcome(d.path, lambda *args: oracle_path(d, *args), edges, start, anchor)
 
 
+# -- the central cotransition and pascal ----------------------------------------
+
+
 @kernel_settings
-@given(randoms, st.booleans())
-def test_pascal_rows_match_fraction_loop(rng, own_walk):
-    # the triangle walk's own q passes; a random walk on the triangle fails
-    # at some path, and both loops must name the same one
+@given(randoms)
+def test_central_cotransition_telescopes_to_inverse_dims(rng):
+    # q(e) = dim(s(e))/dim(r(e)) passes the checked constructor, and along
+    # every path from V(0) it multiplies out to 1/dim(r(a)), dim counted here
+    # by the oracle's own enumeration
+    d = shuffled_floors(rng, random_diagram(rng))
+    q = central_cotransition(d)
+    rows = [q.level(n) for n in range(1, d.depth + 1)]
+    assert [CotransitionProbability(d, rows).level(n) for n in range(1, d.depth + 1)] == rows
+    for n in range(1, d.depth + 1):
+        paths = oracle_enumerate_paths(d, 0, n)
+        dims = collections.Counter(a.terminus for a in paths)
+        assert all(q.of_path(a) * dims[a.terminus] == 1 for a in paths)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 10**6), randoms)
+def test_central_cotransition_is_the_triangle_walks_q(depth, den, rng):
+    d, w = pascal_diagram(depth, F(rng.randint(1, den - 1), den))
+    q = central_cotransition(d)
+    assert all(q.level(n) == w.cotransition.level(n) for n in range(1, depth + 1))
+
+
+def test_young_graph_central_cotransition_and_plancherel_walk():
+    # the Young graph to depth 7: dims by the hook-length formula, the
+    # Plancherel walk p(l -> m) = dim(m)/((n+1) dim(l)), whose q is central
+    # and whose nu_n(l) is dim(l)^2/n!
+    d, shapes = young_diagram(7)
+    dims = [{partition_id(s): hook_dim(s) for s in level} for level in shapes]
+    p = [{e.id: F(dims[n][e.rng], n * dims[n - 1][e.src]) for e in d.edges(n)} for n in range(1, d.depth + 1)]
+    w = build_walk(d, p, {"0": 1})
+    q = central_cotransition(d)
+    for n in range(1, d.depth + 1):
+        central = {e.id: F(dims[n - 1][e.src], dims[n][e.rng]) for e in d.edges(n)}
+        assert q.level(n) == central == w.cotransition.level(n)
+    for n in range(d.depth + 1):
+        assert w.nu(n) == {v: F(x * x, math.factorial(n)) for v, x in dims[n].items()}
+
+
+def pascal_t(rng):
+    """A random t in (0, 1) as pascal reads it, and its Fraction."""
+    den = rng.randint(2, 10**6)
+    t = F(rng.randint(1, den - 1), den)
+    return f"{t.numerator}/{t.denominator}", t
+
+
+@settings(max_examples=5, deadline=None)
+@given(randoms)
+def test_pascal_rows_match_fraction_oracle(rng):
+    # pascal writes each row from its word's bit count; at every depth, for
+    # any t, the table must be q(a) of every path by of_path, in path order
+    text, t = pascal_t(rng)
+    columns = ("level", "id", "value")
+    for depth in range(1, 13):
+        d, w = pascal_diagram(depth, t)
+        rows = fraction_pascal_rows(d, w.cotransition, depth)
+        for fmt, oracle in (("tsv", fraction_tsv), ("json", json_oracle)):
+            got = run_cli(["pascal", "--depth", str(depth), "--t", text, "--format", fmt])
+            assert got == (0, oracle(columns, rows) + "D == 1: OK\n"), (depth, fmt)
+
+
+def test_pascal_walks_no_path():
+    # pascal checks q edge by edge and writes its rows from bit counts, so with
+    # the path tree out of reach it prints the same tables
+    argv = [["pascal", "--depth", str(depth), "--t", "2/7", "--format", fmt]
+            for depth in (1, 6) for fmt in ("tsv", "json")]
+    want = [run_cli(args) for args in argv]
+
+    def no_tree(*args):
+        raise AssertionError("pascal walked the path tree")
+
+    with contextlib.ExitStack() as stack:
+        for module in (bratteli.diagram, bratteli.walk):
+            stack.enter_context(mock.patch.object(module, "_tree_levels", no_tree))
+        with pytest.raises(AssertionError, match="path tree"):
+            enumerate_paths(pascal_diagram(2, F(1, 2))[0], 0, 2)
+        got = [run_cli(args) for args in argv]
+    assert got == want
+    assert all(code == 0 for code, _ in got)
+
+
+@kernel_settings
+@given(randoms)
+def test_pascal_names_the_first_edge_off_centre(rng):
+    # handed a random walk on the triangle, pascal names the first edge, level
+    # by level in edge order, whose q is not C(n-1, k)/C(n, k + b) for its edge
+    # n-1:k:b (the closed form, not the library's dims); else it passes
     depth = rng.randint(1, 7)
-    d, w = pascal_diagram(depth, F(rng.randint(1, 9), 10))
-    if not own_walk:
-        w = random_walk_on(rng, d)
-    got = cli._pascal_rows(d, w.cotransition, depth)
-    assert got == fraction_pascal_rows(d, w.cotransition, depth)
-    rows, mismatch = got
-    values = [row[2] for row in rows] if mismatch is None else mismatch[1:]
-    assert all(type(x) is Fraction for x in values)
+    text, t = pascal_t(rng)
+    d, _ = pascal_diagram(depth, t)
+    w = random_walk_on(rng, d)
+    bad = None
+    for n in range(1, depth + 1):
+        for e in d.edges(n):
+            k, b = map(int, e.id.split(":")[1:])
+            q, expected = w.cotransition(n, e.id), F(math.comb(n - 1, k), math.comb(n, k + b))
+            if bad is None and q != expected:
+                bad = f"cotransition of edge {e.id} at level {n} is {format_fraction(q)}, not {format_fraction(expected)}\n"
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "pascal_diagram", return_value=(d, w)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["pascal", "--depth", str(depth), "--t", text])
+    if bad is None:
+        assert (code, err.getvalue()) == (0, "")
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", bad)
 
 
 RATIONAL_PARTS = ["0", "1", "7", "12", "00", "-", "+", "/", " ", "\t", ".", "e", "E", "_",

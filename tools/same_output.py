@@ -13,8 +13,11 @@ a third time on a copy with its 'paths' members in a seeded shuffled order,
 so that table readers are compared on other layouts of the same input, and
 labels that share no prefix with the one before are read too.  Each
 ``harmonic`` invocation runs again on a copy of its terminal data with every
-third value zeroed and the others negated, and each ``skew`` invocation
-again under a second window of four seeded elements.
+third value zeroed and the others negated, each ``skew`` invocation
+again under a second window of four seeded elements, and each ``pascal``
+invocation again as ``--depth 0 --t 2/7`` (refused), ``--depth 1 --t 1/2``
+and ``--depth 9 --t 9/10``, so that its check and table are compared at
+other depths and values of t.
 ``validate`` runs on every generated diagram file, and on copies of
 ``wide.json`` with one fault each (a record lacking 'src', an integer id,
 'p' on some edges only, a repeated key), so that the diagram reader's
@@ -62,7 +65,8 @@ RSS_RERUNS = 4  # more runs per tree of a command whose first runs moved
 # each qcheck's second and third runs, on its table re-serialized and shuffled,
 # for the validate runs on the diagram files and the faulty copies of wide.json,
 # for harmonic on its terminal data with signs flipped and every third value 0,
-# and for skew under a second, seeded window
+# for skew under a second, seeded window, and for pascal's runs at other depths
+# and values of t
 LIST_COMMANDS = """
 import json, random, sys
 from fractions import Fraction
@@ -104,6 +108,9 @@ for inv in workloads.SCRIPTS[workload](facts):
         signed = {v: "0/1" if j % 3 == 0 else str(-Fraction(x)) for j, (v, x) in enumerate(terminal.items())}
         (out / ("signed-" + argv[i])).write_text(json.dumps(signed), encoding="utf-8")
         commands.append([argv[:i] + ["signed-" + argv[i]] + argv[i + 1:], False])
+    if argv[0] == "pascal":
+        for depth, t in (("0", "2/7"), ("1", "1/2"), ("9", "9/10")):
+            commands.append([["pascal", "--depth", depth, "--t", t], False])
     if argv[0] == "skew":
         window = random.Random(f"{workload}:{seed}:window").sample(range(-9, 10), 4)
         commands.append([[a for a in argv if not a.startswith("--window")]
