@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -347,7 +348,8 @@ class ModelExpectation:
 
     def __init__(self, g: InclusionGraph, p: Mapping):
         self.graph = g
-        self.p = TransitionProbability(g.diagram, [p]).level(1)
+        self._tp = TransitionProbability(g.diagram, [p])
+        self.p = self._tp.level(1)
 
     def __call__(self, fbar: AlgebraElement) -> AlgebraElement:
         """Q(f)(x,y) = sum of p(c) f(xc, yc)."""
@@ -362,8 +364,26 @@ class ModelExpectation:
         return AlgebraElement._valid(g.base_relation(), out)
 
     def as_endomorphism(self) -> Callable[[AlgebraElement], AlgebraElement]:
-        """Q followed by j: the expectation as a map of the big algebra."""
-        return lambda fbar: include_j(self.graph, self(fbar))
+        """Q followed by j: the expectation as a map of the big algebra,
+        carrying its ``unit_images`` for ``verify_expectation``."""
+        def q(fbar):
+            return include_j(self.graph, self(fbar))
+        q.unit_images = self._unit_images
+        return q
+
+    def _unit_images(self) -> tuple:
+        """(big relation, D, columns) of ``as_endomorphism()``: column k holds
+        D j(Q(u)) for the unit u of pair number k, in ints keyed by pair number,
+        D the lcm of p's denominators: j(Q(e(xa, yb))) = p(a) j(e(x, y)) if
+        a = b, else 0."""
+        g, tp, big = self.graph, self._tp, self.graph.big_relation()
+        point, first, place, rows, cols = big._pair_index
+        den = lcm(*tp._den[0])
+        num = {e: a * (den // tp._den[0][i]) for e, a, i in zip(g.E, tp._num[0], g.diagram._src[0])}
+        j = {xy: [first[point[s]] + place[point[t]] for s, t in m.entries]
+             for xy, m in zip(g.base_relation().pairs(), self.subalgebra_basis())}
+        pairs = zip(map(big.X.__getitem__, rows), map(big.X.__getitem__, cols))
+        return big, den, [dict.fromkeys(j[x, y], num[a]) if a == b else {} for (x, a), (y, b) in pairs]
 
     def epsilon(self, c) -> AlgebraElement:
         """The projection eps(c) = sum over x with vertex s(c) of e(xc, xc)."""
@@ -424,24 +444,31 @@ def verify_expectation(
     after the unital check.  Range, positivity and faithfulness are decided
     by the integer elimination of ``_reduce`` and ``_semidefinite``.
 
-    Q is applied once to each matrix unit, built for that call only, and
-    each image is held as a column keyed by pair number, one column shared
-    by all images 0; idempotence hands Q the image rebuilt from its column,
-    Q's own entries in Q's order.  The module and faithfulness checks read
-    the columns instead of applying Q again where the element to map is a
-    matrix unit or zero, as every product of a unit with the j-image of a
-    matrix unit is.  So Q gets the arguments, in the order, it got when
-    every image was held whole; linearity of Q is not assumed.
+    Elements are held as columns keyed by pair number, and each check is
+    written once over one step from the column of f to that of D Q(f).  A
+    map whose ``unit_images()`` = (relation, D, columns) is on ``ambient``,
+    column k holding D Q(u) for the unit u of pair number k, as for
+    ``ModelExpectation.as_endomorphism()``, is assumed linear and never
+    called: the step is a sparse product with the columns, and a message
+    divides its distance back by D.  Any other map is called, with D = 1,
+    once on each matrix unit, built for that call only, and on each image
+    rebuilt from its column; the module and faithfulness checks read the
+    columns where the element to map is a unit or zero, as every product of
+    a unit with the j-image of a matrix unit is.  So Q gets the arguments,
+    in the order, it got when every image was held whole.
 
     Q(0) is computed once, before the module check.  If it is 0, the module
-    check pairs each basis element m with the units u whose products m u,
-    u m, m Q(u) or Q(u) m can be non-empty, in unit order: every other pair
-    compares Q(0) with two empty products and holds.  If Q(0) is not 0, every
-    pair is checked.
+    check pairs each basis element m, in unit order, with the units u for
+    which m Q(u), Q(u) m, Q(m u) or Q(u m) can be non-zero: Q(u) meets m, or
+    a product of u with m is a unit with a non-zero image or is not a unit.
+    Every other pair compares two empty columns and holds.  If Q(0) is not 0,
+    every pair is checked.
 
     The three positivity samples f*f have, on each class, the block B^T B of
-    a block B of entries ``rng.randint(-3, 3)`` drawn row by row from
-    ``rng = random.Random(7)``.  The samples are real, so a map that is
+    a block B of entries ``rng.randrange(7) - 3`` (the draws of
+    ``rng.randint(-3, 3)``) drawn row by row from ``rng = random.Random(7)``;
+    the matrix path computes only the entries that meet a non-zero column.
+    The samples are real, so a map that is
     positive on real f only passes: (tr f / 2 + (f(1,2) - f(2,1)) / 3) 1 on
     M_2 over C 1 is one; its trace form is not hermitian, so all_pass is
     False anyway.
@@ -469,22 +496,43 @@ def verify_expectation(
             out[first[point[x]] + place[point[y]]] = v
         return out or empty
 
-    q_one = Q(one)
-    columns, exact, empty = [], True, {}
-    for k in range(len(row_of)):
-        image = Q(element({k: 1}))
-        exact = exact and all(isinstance(v, _EXACT) for v in image.entries.values())
-        columns.append(column(image) if image.relation == ambient else None)
-    if not exact:
-        raise IncompatibleData("a unit image has non-exact entries; the checks need exact arithmetic")
-    if d := _exact(q_one, "Q(1)").distance(one):
-        report._fail("unital", f"Q(1) differs from 1 by {float(d):.3g}")
-    if None in columns:
-        raise ShapeMismatch("elements live on different relations")
-    for k, col in enumerate(columns):
-        image = element(col)
-        if d := _exact(Q(image), "Q(Q(u))").distance(image):
-            report._fail("idempotent", f"Q^2 != Q at unit {pair(k)}: off by {float(d):.3g}")
+    images = getattr(Q, "unit_images", None)
+    relation, den, columns = images() if images else (None, 1, [])
+    empty: dict = {}
+    if relation == ambient:
+        domain = [j for j, col in enumerate(columns) if col]  # apply reads no other entry
+
+        def apply(col, what=None):  # the sparse product with the columns
+            out: dict = {}
+            for j, v in col.items():
+                for i, w in columns[j].items():
+                    out[i] = out[i] + v * w if i in out else v * w
+            return _nonzero(out)
+
+        q_one = apply(column(one))
+    else:
+        den, columns, q_one, exact, domain = 1, [], Q(one), True, range(len(row_of))
+
+        def apply(col, what):
+            image = Q(element(col))
+            _require_exact([image], f"{what} has non-exact entries; the checks need exact arithmetic")
+            return column(image)
+
+        for k in range(len(row_of)):
+            image = Q(element({k: 1}))
+            exact = exact and all(isinstance(v, _EXACT) for v in image.entries.values())
+            columns.append(column(image) if image.relation == ambient else None)
+        if not exact:
+            raise IncompatibleData("a unit image has non-exact entries; the checks need exact arithmetic")
+        _require_exact([q_one], "Q(1) has non-exact entries; the checks need exact arithmetic")
+        q_one = column(q_one)
+        if None in columns:
+            raise ShapeMismatch("elements live on different relations")
+    if d := _gap(q_one, column(one), den):
+        report._fail("unital", f"Q(1) differs from 1 by {float(d / den):.3g}")
+    for k in domain:
+        if d := _gap(apply(columns[k], "Q(Q(u))"), columns[k], den):
+            report._fail("idempotent", f"Q^2 != Q at unit {pair(k)}: off by {float(d / den**2):.3g}")
             break
 
     # range: the sub-basis in echelon form, each image reduced against it
@@ -502,12 +550,18 @@ def verify_expectation(
     # Q(u m) = Q(u) m, on row t of m and row z at entry (y,z).  A line of one
     # int 1 makes the product a unit, read off its column, and an empty line
     # makes it 0.  A column (row) c of m touches the units it can meet there.
-    q_zero = column(_exact(Q(AlgebraElement.zero(ambient)), "Q(0)"))
+    q_zero = apply({}, "Q(0)")
     meets, parts = (row_of, col_of), ([place[j] for j in col_of], [first[i] for i in row_of])
-    touching: tuple = ({}, {})
+    # per side and point p: the units meeting p, those of them with an
+    # image, and the units whose image meets p
+    groups, touching = ({}, {}), ({}, {})
+    for meet, group in zip(meets, groups):
+        for k, p in enumerate(meet):
+            group.setdefault(p, []).append(k)
+    alive = tuple({p: [k for k in ks if columns[k]] for p, ks in group.items()} for group in groups)
     for k, col in enumerate(columns):
-        for meet, by in zip(meets, touching):
-            for p in {meet[k], *map(meet.__getitem__, col)}:
+        for meet, by in zip(meets, touching) if col else ():
+            for p in {*map(meet.__getitem__, col)}:
                 by.setdefault(p, []).append(k)
 
     def module_fault(m):
@@ -517,29 +571,41 @@ def verify_expectation(
         lines: tuple = ({}, {})
         for (x, y), c in m.entries.items():
             i, j, c = point[x], point[y], None if type(c) is int and c == 1 else c
-            lines[0].setdefault(j, []).append((first[i], c))
-            lines[1].setdefault(i, []).append((place[j], c))
+            lines[0].setdefault(j, []).append((first[i], c, i))
+            lines[1].setdefault(i, []).append((place[j], c, j))
+        # the units u whose image meets m, whose product with m on a line of
+        # one int 1 (at x) is a unit k with an image (u is k - a + own[p]), or
+        # whose product with m needs Q; every other u compares empty columns
         touched = {k for by, at in zip(touching, lines) for p in at for k in by.get(p, ())}
+        for at, own, group, live in zip(lines, (first, place), groups, alive):
+            for p, line in at.items():
+                if len(line) == 1 and line[0][1] is None:
+                    a, _, x = line[0]
+                    touched.update(k - a + own[p] for k in live[x])
+                else:
+                    touched.update(group[p])
+        sides = tuple(enumerate(zip(lines, meets, parts)))
         for k in range(len(row_of)) if q_zero else sorted(touched):
-            for side, (at, meet, part) in enumerate(zip(lines, meets, parts)):
+            col = columns[k]
+            for side, (at, meet, part) in sides:
                 line = at.get(meet[k])
                 if line is None:
                     q = q_zero
                 elif len(line) == 1 and line[0][1] is None:
                     q = columns[line[0][0] + part[k]]
                 else:
-                    u = element({k: 1})
-                    q = column(_exact(Q(u * m if side else m * u), ("Q(m u)", "Q(u m)")[side]))
+                    product = {a + part[k]: 1 if c is None else c for a, c, _ in line}
+                    q = apply(product, ("Q(m u)", "Q(u m)")[side])
+                if not (col or q):
+                    continue
                 prod: dict = {}
-                for j, v in columns[k].items():
-                    for a, c in at.get(meet[j], ()):
+                for j, v in col.items():
+                    for a, c, _ in at.get(meet[j], ()):
                         key, w = a + part[j], v if c is None else c * v
                         prod[key] = prod[key] + w if key in prod else w
                 if prod != q and _nonzero(prod) != q:
-                    f = element(columns[k])
-                    if off := element(q).distance(f * m if side else m * f):
-                        fault = "Q(f m) != Q(f) m" if side else "Q(m f) != m Q(f)"
-                        return f"{fault}, off by {float(off):.3g}"
+                    fault = "Q(f m) != Q(f) m" if side else "Q(m f) != m Q(f)"
+                    return f"{fault}, off by {float(_gap(q, prod, 1) / den):.3g}"
         return None
 
     if bad := next(filter(None, map(module_fault, sub_basis)), None):
@@ -547,18 +613,21 @@ def verify_expectation(
 
     classes = ambient.classes()
     for _ in range(3):
-        entries: dict = {}
+        block: list = [None] * len(ambient.X)  # the B of each point's class, as columns
         for cls_ in classes:
-            cols = list(zip(*[[rng.randint(-3, 3) for _ in cls_] for _ in cls_]))
-            gram = [[sum(u * v for u, v in zip(a, b)) for b in cols] for a in cols]
-            for i, x in enumerate(cls_):
-                for j, y in enumerate(cls_):
-                    entries[(x, y)] = gram[i][j]
-        image = _exact(Q(AlgebraElement._valid(ambient, entries)), "Q(f*f)")
+            cols = list(zip(*[[rng.randrange(7) - 3 for _ in cls_] for _ in cls_]))
+            for x in cls_:
+                block[point[x]] = cols
+        sample = {}  # the entries of f*f that apply reads
+        for j in domain:
+            cols, i, k = block[row_of[j]], place[row_of[j]], place[col_of[j]]
+            sample[j] = sum(map(mul, cols[i], cols[k]))
+        image = apply(sample, "Q(f*f)")
+        dense = [image.get(k, 0) for k in range(len(row_of))]
         for cls_ in classes:
-            rows = [[image.entries.get((x, y), 0) for y in cls_] for x in cls_]
+            rows = [dense[first[point[x]]:first[point[x]] + len(cls_)] for x in cls_]
             if off := _asymmetry(rows):
-                report._fail("positive", f"Q(f*f) not self-adjoint (off by {float(off):.3g})")
+                report._fail("positive", f"Q(f*f) not self-adjoint (off by {float(off / den):.3g})")
                 break
             if not _semidefinite(rows, definite=False):
                 report._fail("positive", f"Q(f*f) is not positive on the class of {cls_[0]!r}")
@@ -570,7 +639,7 @@ def verify_expectation(
     for cls_ in classes:
         rows = [traces[first[point[x]]:first[point[x]] + len(cls_)] for x in cls_]
         if off := _asymmetry(rows):
-            report._fail("faithful", f"trace form not hermitian (off by {float(off):.3g})")
+            report._fail("faithful", f"trace form not hermitian (off by {float(off / den):.3g})")
             break
         if not _semidefinite(rows, definite=True):
             report._fail("faithful", f"trace form on class of {cls_[0]!r} is not positive definite")
@@ -578,11 +647,9 @@ def verify_expectation(
     return report
 
 
-def _exact(image: AlgebraElement, what: str) -> AlgebraElement:
-    """``image``, a value of Q named ``what``, once its entries are exact."""
-    if all(isinstance(v, _EXACT) for v in image.entries.values()):
-        return image
-    raise IncompatibleData(f"{what} has non-exact entries; the checks need exact arithmetic")
+def _gap(a: Mapping, b: Mapping, den) -> int | Fraction:
+    """The largest |a(k) - den b(k)| over two columns, 0 if none."""
+    return max((abs(a.get(k, 0) - den * b.get(k, 0)) for k in {**a, **b}), default=0)
 
 
 def _require_exact(elements: Sequence[AlgebraElement], message: str):
@@ -603,7 +670,7 @@ def _semidefinite(rows, definite: bool) -> bool:
     semidefinite: each LDL^T pivot is > 0, or 0 with a zero row; or definite."""
     echelon: dict = {}
     for i, row in enumerate(rows):
-        rest = _reduce(echelon, dict(enumerate(row)))
+        rest = _reduce(echelon, {j: v for j, v in enumerate(row) if v})
         pivot = rest.get(i, 0)
         if pivot < 0 or not pivot and (definite or rest):
             return False

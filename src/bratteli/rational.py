@@ -70,6 +70,12 @@ def as_fraction(value) -> Fraction:
             else:
                 if bottom:
                     return Fraction(top, bottom)
+        # Fraction builds 10**exp in full: refuse an exponent over the digit limit first
+        limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else 0
+        _, e, exp = text.replace("E", "e").rpartition("e")
+        exp = (exp[1:] if exp[:1] in "+-" else exp).replace("_", "").lstrip("0")
+        if limit and e and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) > limit):
+            raise IncompatibleData(f"not a rational: {value!r} (exponent over the digit limit, {limit})")
         try:
             return Fraction(text)
         except ZeroDivisionError:

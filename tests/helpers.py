@@ -8,6 +8,7 @@ linear algebra) and independent of the library's own shortcuts.
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -41,7 +42,7 @@ from bratteli import (
 from bratteli.diagram import _path_levels
 from bratteli.errors import InvalidDiagram
 from bratteli.fileio import DiagramFile, _load_json, _rational, _string
-from bratteli.rational import as_fraction, long_str
+from bratteli.rational import as_fraction, long_ints, long_str
 
 
 def random_diagram(rng, max_depth=6, max_vertices=4, max_out=3):
@@ -531,7 +532,9 @@ def fraction_pascal_rows(d, q, depth):
 def fraction_as_fraction(value):
     """``as_fraction`` with every string through ``Fraction(text)``; a
     rejected string's reason in the format's words, except over the digit
-    limit, where it is Python's."""
+    limit, where it is Python's.  A string whose last 'e' or 'E' is followed
+    by an optional sign and decimal digits (underscores allowed) naming a
+    number over the digit limit is refused before ``Fraction`` sees it."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -539,6 +542,15 @@ def fraction_as_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
+        exponent = re.fullmatch(r".*[eE][-+]?([^eE]*)", value.strip(), re.DOTALL)
+        digits = exponent and exponent[1].replace("_", "")
+        if limit and digits and digits.isdecimal():
+            with long_ints():
+                if int(digits) > limit:
+                    raise IncompatibleData(
+                        f"not a rational: {value!r} (exponent over the digit limit, {limit})"
+                    )
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
@@ -715,6 +727,26 @@ def oracle_skew_product(d, rho, initial_window):
 
 
 # -- reference oracle for the expectation checks -----------------------------
+
+
+def with_unit_images(Q, relation):
+    """A map that calls Q and carries Q's unit images, so that
+    ``verify_expectation`` takes its matrix path: ``unit_images()`` returns
+    (relation, D, columns), column k holding D Q(u) in ints, u the k-th unit
+    of ``relation.pairs()`` and D the lcm of the images' denominators.  Its
+    calls are counted in ``calls``."""
+    index = {pair: k for k, pair in enumerate(relation.pairs())}
+    images = [Q(matrix_unit(relation, x, y)) for x, y in relation.pairs()]
+    den = math.lcm(*(Fraction(v).denominator for image in images for v in image.entries.values()))
+    columns = [{index[pair]: int(v * den) for pair, v in image.entries.items()} for image in images]
+
+    def mapped(f):
+        mapped.calls += 1
+        return Q(f)
+
+    mapped.calls = 0
+    mapped.unit_images = lambda: (relation, den, columns)
+    return mapped
 
 
 def oracle_verify_expectation(Q, ambient, sub_basis):

@@ -642,6 +642,10 @@ MALFORMED = {
         ["measure", "FILE"], _set_first_edge("p", "abc"), 2,
         "parse error: edge 'ea' field 'p': not a rational: 'abc' "
         "(not an integer or 'num/den')"),
+    "p-exponent-over-the-limit": (
+        ["measure", "FILE"], _set_first_edge("p", "1e7777777"), 2,
+        "parse error: edge 'ea' field 'p': not a rational: '1e7777777' "
+        "(exponent over the digit limit, 4300)"),
     "p-zero-denominator": (
         ["measure", "FILE"], _set_first_edge("p", "1/0"), 2,
         "parse error: edge 'ea' field 'p': not a rational: '1/0' (zero denominator)"),

@@ -49,6 +49,7 @@ from helpers import (
     random_inclusion_graph,
     random_transition,
     sized_inclusion_graph,
+    with_unit_images,
 )
 
 F = Fraction
@@ -561,6 +562,132 @@ def test_verify_expectation_matches_oracle(rng, kind, scalar, basis_kind):
     basis = sub_basis(basis_kind, me, scalar, rng)
     big = g.big_relation()
     assert verify_expectation(Q, big, basis) == oracle_verify_expectation(Q, big, basis)
+
+
+# the kinds of broken_q that are linear maps; "square" and "moves-zero" are not
+LINEAR_KINDS = ["model", "adjoint", "leaves-range", "wrong-p", "spreads", "p-zero"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(LINEAR_KINDS),
+    st.sampled_from([1, 2, F(1, 2), F(1)]),
+    st.sampled_from(["units", "sums", "with-zero", "x0"]),
+)
+@example(random.Random(24), "spreads", 1, "x0")
+@example(random.Random(7), "spreads", 1, "x0")
+def test_matrix_path_reports_as_the_callable_path(rng, kind, scalar, basis_kind):
+    # a linear Q carrying its unit images is never called, and reports as the
+    # same Q without them and as the oracle, messages included
+    g = random_inclusion_graph(rng)
+    me = ModelExpectation(g, random_transition(rng, g))
+    Q = broken_q(kind, g, me, rng)
+    basis = sub_basis(basis_kind, me, scalar, rng)
+    big = g.big_relation()
+    matrix = with_unit_images(Q, big)
+    report = verify_expectation(matrix, big, basis)
+    assert matrix.calls == 0
+    assert report == verify_expectation(lambda f: Q(f), big, basis)
+    assert report == oracle_verify_expectation(Q, big, basis)
+    if kind == "model":
+        assert report == verify_expectation(me.as_endomorphism(), big, basis)
+
+
+def test_model_unit_images_are_its_values():
+    # the model's own columns, read off p's integers, are D Q(u) for every unit u
+    rng = random.Random(91)
+    for _ in range(20):
+        g = random_inclusion_graph(rng)
+        me = ModelExpectation(g, random_transition(rng, g))
+        relation, den, columns = me.as_endomorphism().unit_images()
+        _, den_q, columns_q = with_unit_images(me.as_endomorphism(), g.big_relation()).unit_images()
+        assert relation == g.big_relation()
+        assert [{k: F(v, den) for k, v in col.items()} for col in columns] == [
+            {k: F(v, den_q) for k, v in col.items()} for col in columns_q
+        ]
+
+
+def test_matrix_path_reports_the_trace_form_alike():
+    # the skewed two-edge models of the faithfulness test are linear: with their
+    # unit images they report as without, the trace form's distance included
+    g = two_edge_graph()
+    big = g.big_relation()
+    basis = [include_j(g, u) for u in canonical_units(g.base_relation()).values()]
+    xa, xb = ("x", "a"), ("x", "b")
+    unit = AlgebraElement(g.base_relation(), {("x", "x"): 1})
+    cases = [(F(1), F(0), 0), (F(2, 3), F(1, 3), 0),
+             (F(1, 2), F(1, 2), F(1, 10**12)), (F(2, 3), F(1, 3), F(5, 7))]
+    for pa, pb, skew in cases:
+        model = point_dependent_q(g, {xa: pa, xb: pb})
+
+        def q(fbar):
+            return model(fbar) + include_j(g, unit.scale(skew * fbar.entries.get((xa, xb), 0)))
+
+        report = verify_expectation(q, big, basis)
+        assert verify_expectation(with_unit_images(q, big), big, basis) == report
+        assert report.faithful == (skew == 0 and pb != 0)
+
+
+def test_module_check_reaches_units_with_image_zero():
+    # x0 and y over one vertex, m = j(e(y, x0)): the first failing pair of
+    # the module check has a unit u with Q(u) = 0, found only because m u has
+    # an image (first case) or m has a line that is not one int 1 (second)
+    g = make_graph(["x0", "y"], ["v"], ["a", "b"], ["w"], {"x0": "v", "y": "v"},
+                   {"a": "v", "b": "v"}, {"a": "w", "b": "w"})
+    me = ModelExpectation(g, {"a": F(1, 3), "b": F(2, 3)})
+    big, model = g.big_relation(), me.as_endomorphism()
+    m = include_j(g, matrix_unit(g.base_relation(), "y", "x0"))
+    u0 = (("x0", "a"), ("x0", "a"))
+
+    def dropped(f):  # the model with Q(u0) = 0: linear
+        return model(f) - model(AlgebraElement(big, {u0: 1})).scale(f.entries.get(u0, 0))
+
+    report = oracle_verify_expectation(dropped, big, [m])
+    assert first_failure(report, "bimodular") == "bimodular: Q(m f) != m Q(f), off by 0.333"
+    assert verify_expectation(with_unit_images(dropped, big), big, [m]) == report
+    assert verify_expectation(lambda f: dropped(f), big, [m]) == report
+    index = {pair: k for k, pair in enumerate(big.pairs())}
+    z = include_j(g, matrix_unit(g.base_relation(), "x0", "x0"))
+
+    def marked(f):  # adds (k + 1) z for each entry 2 at a pair k of unequal edges
+        weight = sum(index[(x, y)] + 1 for (x, y), v in f.entries.items() if v == 2 and x[1] != y[1])
+        return model(f) + z.scale(weight)
+
+    report = oracle_verify_expectation(marked, big, [m.scale(2)])
+    assert not report.bimodular
+    assert verify_expectation(marked, big, [m.scale(2)]) == report
+
+
+def test_matrix_path_samples_positivity():
+    # the transpose of M_2 is positive but not completely positive: both paths
+    # sample positivity and pass it; it is not idempotent
+    rel = FiniteEquivRelation.from_partition([["1", "2"]])
+    basis = list(canonical_units(rel).values())
+    report = verify_expectation(with_unit_images(AlgebraElement.adjoint, rel), rel, basis)
+    assert report == verify_expectation(lambda f: f.adjoint(), rel, basis)
+    assert (report.positive, report.idempotent) == (True, False)
+
+
+def test_expect_makes_no_q_call(tmp_path, capsys, monkeypatch):
+    # the CLI takes the matrix path: ModelExpectation.__call__ is never run
+    g = sized_inclusion_graph(random.Random(92), 6, 8, 2)
+    me = ModelExpectation(g, random_transition(random.Random(93), g))
+    graph = {
+        "vertices": [list(g.V), list(g.Vbar)],
+        "edges": [[{"id": e, "src": g.source_of[e], "rng": g.range_of[e], "p": str(me.p[e])}
+                   for e in g.E]],
+        "X": g.vertex_of,
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    calls = []
+    model = ModelExpectation.__call__
+    monkeypatch.setattr(ModelExpectation, "__call__", lambda self, f: calls.append(f) or model(self, f))
+    assert main(["expect", "--graph", str(path)]) == 0
+    assert calls == []
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == [f"{check}\tpass" for check in fdalg.ExpectationReport.CHECKS]
 
 
 def report_fields(report):

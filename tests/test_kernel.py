@@ -771,6 +771,27 @@ def test_as_fraction_matches_fraction_parser(text):
     assert type(got) is type(want)
 
 
+EXPONENT_PARTS = ["0", "1", "9", "12", "7777777", "e", "E", "-", "+", "_", ".", "/"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(EXPONENT_PARTS), max_size=10).map("".join))
+@example("1e7777777")
+@example("12e12121212")
+@example("-1E-12_121_212")
+@example("1e9999999999")
+@example("1e4301")
+@example("1E-4300")
+@example("9" * 30 + "e4_300")
+def test_short_rationals_parse_or_are_refused_at_once(text):
+    # no string of a few dozen bytes asks for an unbounded power of ten: an
+    # exponent over the digit limit is refused before Fraction builds 10**exp
+    start = time.perf_counter()
+    result = outcome(as_fraction, text)
+    assert time.perf_counter() - start < 1.0
+    assert result == outcome(fraction_as_fraction, text)
+
+
 TSV_CELLS = st.one_of(
     st.fractions(),
     st.integers(),

@@ -17,7 +17,10 @@ third value zeroed and the others negated, each ``skew`` invocation
 again under a second window of four seeded elements, and each ``pascal``
 invocation again as ``--depth 0 --t 2/7`` (refused), ``--depth 1 --t 1/2``
 and ``--depth 9 --t 9/10``, so that its check and table are compared at
-other depths and values of t.
+other depths and values of t.  Each ``expect`` and ``extractp`` invocation
+runs again on a copy of its graph file whose ``X`` points and edge records
+are in a seeded shuffled order, so that the expectation check's pair
+numbering is compared on another layout of the same graph.
 ``validate`` runs on every generated diagram file, and on copies of
 ``wide.json`` with one fault each (a record lacking 'src', an integer id,
 'p' on some edges only, a repeated key), so that the diagram reader's
@@ -65,8 +68,9 @@ RSS_RERUNS = 4  # more runs per tree of a command whose first runs moved
 # each qcheck's second and third runs, on its table re-serialized and shuffled,
 # for the validate runs on the diagram files and the faulty copies of wide.json,
 # for harmonic on its terminal data with signs flipped and every third value 0,
-# for skew under a second, seeded window, and for pascal's runs at other depths
-# and values of t
+# for skew under a second, seeded window, for pascal's runs at other depths
+# and values of t, and for expect and extractp on their graph file with its
+# points and edge records shuffled
 LIST_COMMANDS = """
 import json, random, sys
 from fractions import Fraction
@@ -115,6 +119,15 @@ for inv in workloads.SCRIPTS[workload](facts):
         window = random.Random(f"{workload}:{seed}:window").sample(range(-9, 10), 4)
         commands.append([[a for a in argv if not a.startswith("--window")]
                          + ["--window=" + ",".join(map(str, window))], False])
+    if argv[0] in ("expect", "extractp"):
+        i = argv.index("--graph") + 1
+        graph = json.loads((out / argv[i]).read_text(encoding="utf-8"))
+        points, order = list(graph["X"].items()), random.Random(f"{workload}:{seed}:{argv[i]}")
+        order.shuffle(points)
+        order.shuffle(graph["edges"][0])
+        graph["X"] = dict(points)
+        (out / ("shuffled-" + argv[i])).write_text(json.dumps(graph), encoding="utf-8")
+        commands.append([argv[:i] + ["shuffled-" + argv[i]] + argv[i + 1:], False])
     if argv[0] == "qcheck":
         i = argv.index("--measure") + 1
         table = json.loads((out / argv[i]).read_text(encoding="utf-8"))
