@@ -5,6 +5,9 @@ emits a deterministic table: TSV with a header row by default, or JSON with
 rationals rendered as {"num": ..., "den": ...}.  Exit codes: 0 on success,
 1 on a domain error (one-line diagnostic naming the violated invariant on
 stderr), 2 on a parse error.
+
+Each command imports the modules it runs at its head, before it reads a
+file, and no other: ``validate`` compiles no walk, ``skew`` no algebra.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 
 from .diagram import _label_levels, _level_counts, _require_labels
 from .errors import BratteliError, FileFormatError, PathError
-from .fdalg import ModelExpectation, extract_transition, verify_expectation
 from .fileio import (
     load_diagram,
     load_inclusion_graph,
@@ -27,10 +29,7 @@ from .fileio import (
     potential_from_file,
     walk_from_file,
 )
-from .harmonic import _backward_sweep, ergodic_components
 from .rational import as_fraction, format_fraction, long_ints
-from .skew import pascal_diagram, skew_product
-from .walk import _cylinder_levels, central_cotransition, q_measure_witness, radon_nikodym
 
 
 def _tsv_line(row) -> str:
@@ -111,6 +110,8 @@ def cmd_validate(args) -> int:
 
 
 def _walk(args):
+    from . import walk  # noqa: F401  (compiled before the file is read: a lower peak RSS)
+
     return walk_from_file(load_diagram(args.file))
 
 
@@ -123,6 +124,8 @@ def _refuse(what: str, count, limit: int):
 
 
 def cmd_measure(args) -> int:
+    from .walk import _cylinder_levels
+
     w = _walk(args)
     _require_labels(w.diagram)  # qcheck could not read its labels back
     depth = args.depth if args.depth is not None else w.depth
@@ -148,6 +151,8 @@ def cmd_distributions(args) -> int:
 
 
 def cmd_rn(args) -> int:
+    from .walk import radon_nikodym
+
     w = _walk(args)
     a = _parse_path(w.diagram, args.a)
     b = _parse_path(w.diagram, args.b)
@@ -157,6 +162,8 @@ def cmd_rn(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
+    from .harmonic import _backward_sweep
+
     w = _walk(args)
     nums, dens = _backward_sweep(w, load_terminal(args.terminal))
     _emit_ratios(args, 0, zip(map(w.diagram.vertices, range(w.depth + 1)), nums, map(itertools.repeat, dens)))
@@ -164,6 +171,8 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .harmonic import ergodic_components
+
     w = _walk(args)
     rows = [
         (i, comp.weight, comp.terminal)
@@ -174,6 +183,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_qcheck(args) -> int:
+    from .walk import q_measure_witness
+
     w = _walk(args)
     table, depth = load_measure_table(w.diagram, args.measure)
     witness = q_measure_witness(w.diagram, w.cotransition, table, depth)
@@ -190,6 +201,8 @@ def cmd_qcheck(args) -> int:
 
 
 def _model_expectation(args):
+    from .fdalg import ModelExpectation
+
     graph, p = load_inclusion_graph(args.graph)
     if p is None:
         raise BratteliError("graph file carries no 'p' fields; cannot build the expectation")
@@ -197,6 +210,8 @@ def _model_expectation(args):
 
 
 def cmd_expect(args) -> int:
+    from .fdalg import verify_expectation
+
     graph, me = _model_expectation(args)
     report = verify_expectation(
         me.as_endomorphism(), graph.big_relation(), me.subalgebra_basis()
@@ -210,6 +225,8 @@ def cmd_expect(args) -> int:
 
 
 def cmd_extractp(args) -> int:
+    from .fdalg import extract_transition
+
     graph, me = _model_expectation(args)
     extracted = extract_transition(me, graph)
     emit(args, ("level", "id", "value"), [(1, e, extracted[e]) for e in graph.E])
@@ -217,6 +234,9 @@ def cmd_extractp(args) -> int:
 
 
 def cmd_pascal(args) -> int:
+    from .skew import pascal_diagram
+    from .walk import central_cotransition
+
     depth = args.depth
     if depth >= max(args.max_paths, 0).bit_length():  # exactly when 2^depth > max_paths
         _refuse(f"pascal --depth {depth}", f"2^{depth}", args.max_paths)
@@ -238,10 +258,12 @@ def cmd_pascal(args) -> int:
 
 
 def cmd_skew(args) -> int:
+    from .skew import skew_product
+
     df = load_diagram(args.file)
     rho = potential_from_file(df)
     window = [rho.group.parse(part) for part in args.window.split(",") if part]
-    rows = skew_product(df.diagram, rho, window).rows()
+    rows = skew_product(df.diagram, rho, window, max_edges=args.max_edges).rows()
     if args.format == "tsv":  # every cell is a str but the level
         rows = (f"{n}\t{v}\t{x}\n" for n, v, x in rows)
     _write(args, ("level", "id", "value"), rows)
@@ -299,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("skew", cmd_skew, "windowed skew product from the 'rho' fields")
     p.add_argument("--window", "--rho-window", required=True, dest="window",
                    help="comma-separated group elements for level 0")
+    p.add_argument("--max-edges", type=int, default=MAX_PATHS,
+                   help=f"refuse to build more skew edges than this, counted a level ahead (default {MAX_PATHS:,})")
     return parser
 
 

@@ -13,8 +13,10 @@ Q(f)(x,y) = sum over edges c out of the vertex of x of p(c) f(xc, yc), which
 factors as a pinching onto the equal-edge subrelation followed by averaging.
 
 Probabilities, the expectation checks and the commutant are exact: the checks
-and the commutant take ints and Fractions and refuse any other entry.  Phases,
-unit extension and states use complex doubles compared with one tolerance.
+and the commutant take ints and Fractions and refuse any other entry.  Phases
+and unit extension use complex doubles compared with one tolerance, TOL, from
+``states``, where the state code (``DiagonalizedState``, ``diagonalize_state``)
+has moved; ``to_dense`` imports numpy when it is called.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .diagram import BratteliDiagram
 from .errors import (
     IncompatibleData,
@@ -38,9 +38,8 @@ from .errors import (
     SupportViolation,
 )
 from .rational import long_str
+from .states import TOL
 from .walk import TransitionProbability
-
-TOL = 1e-9  # comparison tolerance of the phase, cocycle and state code
 
 
 class FiniteEquivRelation:
@@ -217,8 +216,10 @@ class AlgebraElement:
     def distance(self, other: "AlgebraElement") -> int | Fraction | float:
         return (self - other).max_abs()
 
-    def to_dense(self) -> np.ndarray:
-        """Dense |X| x |X| complex matrix (for oracles and eigensolvers)."""
+    def to_dense(self):
+        """Dense |X| x |X| complex numpy array (for oracles and eigensolvers)."""
+        import numpy as np
+
         index = {x: i for i, x in enumerate(self.relation.X)}
         out = np.zeros((len(index), len(index)), dtype=complex)
         for (x, y), v in self.entries.items():
@@ -535,15 +536,18 @@ def verify_expectation(
             report._fail("idempotent", f"Q^2 != Q at unit {pair(k)}: off by {float(d / den**2):.3g}")
             break
 
-    # range: the sub-basis in echelon form, each image reduced against it
+    # range: the sub-basis in echelon form, each direction of image reduced
+    # against it once (a repeat's first unit has passed)
     echelon: dict = {}
     for m in sub_basis:
         if row := _reduce(echelon, column(m)):
             echelon[next(iter(row))] = row
+    directions = set()
     for k, col in enumerate(columns):
-        if col and _reduce(echelon, col):
+        if (line := _direction(col)) and line not in directions and _reduce(echelon, col):
             report._fail("range_in_subalgebra", f"Q(unit {pair(k)}) leaves the subalgebra span")
             break
+        directions.add(line)
 
     # Side 0 is Q(m u) = m Q(u) for u = e(s,t): m u moves column s of m to
     # column t, and entry (y,z) of Q(u) meets column y of m.  Side 1 is
@@ -650,6 +654,14 @@ def verify_expectation(
 def _gap(a: Mapping, b: Mapping, den) -> int | Fraction:
     """The largest |a(k) - den b(k)| over two columns, 0 if none."""
     return max((abs(a.get(k, 0) - den * b.get(k, 0)) for k in {**a, **b}), default=0)
+
+
+def _direction(col: Mapping) -> tuple:
+    """A column's line as a key: its non-zero entries scaled to coprime ints,
+    the first (by pair number) positive; () for a zero column."""
+    row = _reduce({}, col)  # scaled to ints
+    g = gcd(*row.values()) * (-1 if row and row[min(row)] < 0 else 1)
+    return tuple(sorted((k, v // g) for k, v in row.items()))
 
 
 def _require_exact(elements: Sequence[AlgebraElement], message: str):
@@ -861,68 +873,6 @@ def extend_matrix_unit(rel: FiniteEquivRelation, sub: FiniteEquivRelation, parti
         else:
             out[(x, y)] = matrix_unit(rel, x, y).scale(b[x] * b[y].conjugate())
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalizedState:
-    """Descending eigenvalues and an orthonormal eigenbasis of a density
-    matrix, with the verified error of the diagonal factorization."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    factorization_error: float
-
-    def reconstruct(self) -> np.ndarray:
-        return self.basis @ np.diag(self.eigenvalues) @ self.basis.conj().T
-
-
-def diagonalize_state(density) -> DiagonalizedState:
-    """Eigenbasis of a faithful state on one matrix block.
-
-    In the returned basis the state is diagonal, so it factors through the
-    diagonal compression; the factorization is verified on random inputs and
-    the observed error is reported.  Deterministic conventions: eigenvalues
-    descend, and each eigenvector's first nonnegligible component is made
-    real positive.
-    """
-    rho = np.asarray(density, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ShapeMismatch(f"density matrix must be square, got shape {rho.shape}")
-    n = rho.shape[0]
-    if n > 12:
-        raise ShapeMismatch(f"density matrices above size 12 are not supported (got {n})")
-    if float(np.max(np.abs(rho - rho.conj().T))) > TOL:
-        raise IncompatibleData("density matrix is not hermitian")
-    if abs(complex(np.trace(rho)) - 1) > TOL:
-        raise IncompatibleData(f"density matrix has trace {complex(np.trace(rho)):.6g}, not 1")
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    if float(vals[-1]) <= TOL:
-        raise SupportViolation(
-            f"density matrix is not positive definite (min eigenvalue {float(vals[-1]):.3g}); "
-            "the state is not faithful"
-        )
-    for j in range(n):
-        col = vecs[:, j]
-        for i in range(n):
-            if abs(col[i]) > 1e-12:
-                phase = col[i] / abs(col[i])
-                vecs[:, j] = col / phase
-                break
-    err = 0.0
-    probe = np.random.default_rng(0)
-    for _ in range(4):
-        a = probe.standard_normal((n, n)) + 1j * probe.standard_normal((n, n))
-        direct = complex(np.trace(rho @ a))
-        compressed = complex(
-            sum(
-                vals[i] * (vecs[:, i].conj() @ a @ vecs[:, i])
-                for i in range(n)
-            )
-        )
-        err = max(err, abs(direct - compressed))
-    return DiagonalizedState(eigenvalues=vals, basis=vecs, factorization_error=err)
 
 
 def brute_force_commutant(

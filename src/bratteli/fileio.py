@@ -19,14 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.decoder import scanstring
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .diagram import BratteliDiagram, CylinderTable, _require_labels
 from .errors import FileFormatError, IncompatibleData, InvalidDiagram
-from .fdalg import AlgebraElement, FiniteEquivRelation, InclusionGraph, _require_exact
 from .rational import as_fraction, format_fraction
-from .skew import ZLattice
-from .walk import EdgePotential, MultiplicativeRationals, RandomWalk, build_walk
+
+if TYPE_CHECKING:  # each reader and writer imports the module that builds its objects
+    from .fdalg import AlgebraElement, FiniteEquivRelation, InclusionGraph
+    from .walk import EdgePotential, RandomWalk
 
 
 def _load_json(source, what: str) -> dict:
@@ -152,6 +153,8 @@ def load_diagram(source) -> DiagramFile:
 
 
 def walk_from_file(df: DiagramFile) -> RandomWalk:
+    from .walk import build_walk
+
     if df.p_levels is None:
         raise IncompatibleData("diagram file carries no 'p' fields; cannot build a walk")
     if df.nu0 is None:
@@ -165,6 +168,9 @@ def potential_from_file(df: DiagramFile) -> EdgePotential:
     Integer scalars or equal-length integer arrays mean a lattice; 'num/den'
     strings mean the positive rationals under multiplication.
     """
+    from .skew import ZLattice
+    from .walk import EdgePotential, MultiplicativeRationals
+
     if df.rho_levels is None:
         raise IncompatibleData("diagram file carries no 'rho' fields; cannot build a potential")
     kinds = set()
@@ -326,6 +332,8 @@ def load_terminal(source) -> dict:
 
 def load_inclusion_graph(source) -> tuple[InclusionGraph, dict | None]:
     """Read an inclusion graph: a single-floor diagram file plus an 'X' map."""
+    from .fdalg import InclusionGraph
+
     data = _load_json(source, "inclusion graph")
     if "X" not in data or not isinstance(data["X"], dict):
         raise FileFormatError("inclusion graph file needs an 'X' object mapping points to vertices")
@@ -344,6 +352,8 @@ def load_inclusion_graph(source) -> tuple[InclusionGraph, dict | None]:
 def dump_element(elem: AlgebraElement) -> list:
     """Serialize as [x, y, 'num/den'] rows in the relation's pair order;
     IncompatibleData if an entry is not an int or a Fraction."""
+    from .fdalg import _require_exact
+
     _require_exact([elem], "algebra element has non-exact entries; files hold exact 'num/den' values")
     return [[_point_out(x), _point_out(y), format_fraction(elem.entries[x, y])]
             for x, y in elem.relation.pairs() if (x, y) in elem.entries]
@@ -351,6 +361,8 @@ def dump_element(elem: AlgebraElement) -> list:
 
 def load_element(rel: FiniteEquivRelation, data) -> AlgebraElement:
     """Deserialize [x, y, 'num/den'] rows (or integer values) onto the given relation."""
+    from .fdalg import AlgebraElement
+
     if not isinstance(data, list):
         raise FileFormatError("algebra element must be an array of [x, y, 'num/den'] rows")
     entries = {}

@@ -25,13 +25,15 @@ import bisect
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .diagram import BratteliDiagram, FinitePath
 from .errors import IncompatibleData, SupportViolation, WindowError
-from .harmonic import HarmonicSequence, harmonic_from_terminal
 from .rational import as_fraction, long_str
 from .walk import EdgePotential, RandomWalk, build_walk
+
+if TYPE_CHECKING:  # harmonic is imported by skew_harmonic, its one user
+    from .harmonic import HarmonicSequence
 
 
 @dataclass(frozen=True)
@@ -169,11 +171,15 @@ class SkewDiagram:
         return True
 
 
-def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window) -> SkewDiagram:
+def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window, *,
+                 max_edges: int = 1_000_000) -> SkewDiagram:
     """The reachable part of the skew product over the initial window.
 
     Only the sorted keys of each level and the element names are computed;
-    the skew diagram itself is built when ``diagram`` is first read."""
+    the skew diagram itself is built when ``diagram`` is first read.  Floor
+    m+1 has one skew edge per out-edge of each level-m key, counted before it
+    is built: WindowError, stating the count, once the edges to that floor
+    would number more than ``max_edges``."""
     d.require_valid()
     if rho.diagram is not d:
         raise IncompatibleData("potential must be built on the diagram being skewed")
@@ -181,14 +187,20 @@ def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window) -> Skew
     window0 = sorted({group.parse(g) for g in initial_window})
     if not window0:
         raise WindowError("initial window is empty")
-    names = {g: group.format(g) for g in window0}  # each element's name, formatted once
-    keys = [tuple((i, g) for i in range(len(d._vertices[0])) for g in window0)]
-    for m, rng in enumerate(d._rng):
-        reached = {(rng[k], g2) for _, k, g2 in _skew_edges(d, rho, keys[m], m)}
-        for _, g in reached:
+    keys, count = [], 0
+    level = {(i, g) for i in range(len(d._vertices[0])) for g in window0}
+    for m, (rng, out) in enumerate(zip(d._rng, d._out)):
+        count += sum(len(out[i]) for i, _ in level)  # a refused level is not sorted
+        if count > max_edges:
+            raise WindowError(f"skew product to level {m + 1} lists {count} edges, over the limit of {max_edges}")
+        keys.append(tuple(sorted(level)))
+        level = {(rng[k], g2) for _, k, g2 in _skew_edges(d, rho, keys[m], m)}
+    keys.append(tuple(sorted(level)))
+    names: dict = {}  # each element's name, formatted once, when no floor is refused
+    for level in keys:
+        for _, g in level:
             if g not in names:
                 names[g] = group.format(g)
-        keys.append(tuple(sorted(reached)))
     return SkewDiagram(d, group, rho, tuple(window0), tuple(keys), names)
 
 
@@ -229,6 +241,8 @@ def skew_harmonic(
 ) -> HarmonicSequence:
     """Harmonic sequence on the skew diagram from terminal data keyed by
     (base vertex id, group element) pairs."""
+    from .harmonic import harmonic_from_terminal
+
     lifted = lift_walk(sd, w, lam0)
     n = sd.diagram.depth
     data = {}

@@ -793,3 +793,74 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("D == 1: OK")
+
+
+# the bratteli modules each command imports, beyond bratteli, states and errors
+BASE_MODULES = {"cli", "diagram", "fileio", "rational"}
+COMMAND_MODULES = {
+    "validate": BASE_MODULES,
+    **dict.fromkeys(("distributions", "cotransition", "measure", "qcheck", "rn"), BASE_MODULES | {"walk"}),
+    **dict.fromkeys(("harmonic", "decompose"), BASE_MODULES | {"walk", "harmonic"}),
+    **dict.fromkeys(("skew", "pascal"), BASE_MODULES | {"walk", "skew"}),
+    **dict.fromkeys(("expect", "extractp"), BASE_MODULES | {"fdalg", "walk"}),
+}
+LIST_MODULES = (
+    "import sys\n"
+    "from bratteli.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('bratteli.')))\n"
+)
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    vee, skew = write_json(tmp_path, "vee.json", VEE), write_json(tmp_path, "skew.json", SKEW)
+    table, term = write_json(tmp_path, "table.json", MEASURE), write_json(tmp_path, "term.json", TERMINAL)
+    graph = write_json(tmp_path, "graph.json", GRAPH)
+    argvs = {
+        "validate": [vee], "distributions": [vee], "cotransition": [vee], "measure": [vee],
+        "qcheck": [vee, "--measure", table], "rn": [vee, "--a", "ea", "--b", "eb"],
+        "harmonic": [vee, "--terminal", term], "decompose": [vee], "skew": [skew, "--window", "0"],
+        "pascal": ["--depth", "3", "--t", "1/2"], "expect": ["--graph", graph], "extractp": ["--graph", graph],
+    }
+    assert argvs.keys() == COMMAND_MODULES.keys()
+    for command, argv in argvs.items():
+        proc = subprocess.run([sys.executable, "-c", LIST_MODULES, command, *argv], capture_output=True, text=True)
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        assert code == "0", (command, proc.stderr)
+        assert set(modules) == {f"bratteli.{m}" for m in COMMAND_MODULES[command] | {"states", "errors"}}, command
+
+
+def test_import_loads_numpy_and_no_module_but_states():
+    script = (
+        "import sys, bratteli\n"
+        "print('numpy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('bratteli.')))\n"
+        "print(set(bratteli.__all__) <= set(dir(bratteli)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines() == ["True bratteli.errors bratteli.states", "True"], proc.stderr
+
+
+def lattice_cube(depth):
+    """One vertex per level and two edges per floor: rho is 0 or e_n in rank ``depth``."""
+    zero = [0] * depth
+    return {
+        "vertices": [[f"c{n}"] for n in range(depth + 1)],
+        "edges": [[{"id": f"z{n}", "src": f"c{n}", "rng": f"c{n + 1}", "rho": zero},
+                   {"id": f"e{n}", "src": f"c{n}", "rng": f"c{n + 1}", "rho": zero[:n] + [1] + zero[n + 1:]}]
+                  for n in range(depth)],
+    }
+
+
+def test_skew_refuses_a_product_over_the_edge_limit(tmp_path, capsys):
+    # the cube doubles at every level: floors 1..m hold 2^(m+1) - 2 edges
+    f = write_json(tmp_path, "cube.json", lattice_cube(30))
+    window = "--window=" + "_".join(["0"] * 30)
+    assert run_main(capsys, ["skew", f, window, "--max-edges", "1000"]) == (
+        1, "", "error: skew product to level 9 lists 1022 edges, over the limit of 1000\n"
+    )
+    f = write_json(tmp_path, "cube.json", lattice_cube(8))
+    window = "--window=" + "_".join(["0"] * 8)
+    code, out, _ = run_main(capsys, ["skew", f, window, "--max-edges", "510"])
+    assert code == 0
+    assert sum(line.split("\t")[1][0] in "ze" for line in out.splitlines()[1:]) == 510
+    assert run_main(capsys, ["skew", f, window, "--max-edges", "509"])[:2] == (1, "")

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -728,7 +729,7 @@ def test_exact_input_runs_no_float_linear_algebra(tmp_path, capsys, monkeypatch)
     }
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
-    monkeypatch.setattr(fdalg, "np", NoNumpy())
+    monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
     assert verify_expectation(me.as_endomorphism(), big, basis).all_pass
     assert main(["expect", "--graph", str(path)]) == 0
     assert capsys.readouterr().err == ""
@@ -739,7 +740,7 @@ def test_exact_input_runs_no_float_linear_algebra(tmp_path, capsys, monkeypatch)
 def test_reports_need_no_numpy(monkeypatch):
     # every broken Q reports as the oracle does, messages included, and
     # between them they fail each of the six checks
-    monkeypatch.setattr(fdalg, "np", NoNumpy())
+    monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
     rng = random.Random(78)
     failed = set()
     for _ in range(8):

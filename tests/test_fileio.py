@@ -31,6 +31,7 @@ from bratteli import (
     potential_from_file,
     walk_from_file,
 )
+import bratteli.walk
 from bratteli import fileio
 from bratteli.fdalg import AlgebraElement, FiniteEquivRelation, ModelExpectation, verify_expectation
 
@@ -273,7 +274,7 @@ def test_potential_from_file_parses_like_group_parse(values):
     got = outcome()
     plain = lambda d, group, levels, parse: EdgePotential(d, group, levels)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "EdgePotential", plain)
+        mp.setattr(bratteli.walk, "EdgePotential", plain)
         assert got == outcome()
     if not isinstance(got[0], type):  # parsed: equal values share one element
         row = got[1][0]

@@ -47,6 +47,7 @@ from hypothesis import strategies as st
 
 import bratteli.diagram
 import bratteli.harmonic
+import bratteli.skew
 import bratteli.walk
 from bratteli import cli
 from bratteli import (
@@ -735,7 +736,7 @@ def test_pascal_names_the_first_edge_off_centre(rng):
             if bad is None and q != expected:
                 bad = f"cotransition of edge {e.id} at level {n} is {format_fraction(q)}, not {format_fraction(expected)}\n"
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "pascal_diagram", return_value=(d, w)):
+    with mock.patch.object(bratteli.skew, "pascal_diagram", return_value=(d, w)):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["pascal", "--depth", str(depth), "--t", text])
     if bad is None:
@@ -1095,6 +1096,30 @@ def test_skew_command_matches_oracle_rows(rng, kind, fmt):
                 want = fraction_tsv(columns, rows)
             text = ",".join(group.format(group.parse(g)) for g in win)
             assert run_cli(["skew", path, f"--window={text}", "--format", fmt]) == (0, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(randoms, st.sampled_from([1, 2, "rationals"]))
+def test_skew_counts_the_edge_rows_it_writes(rng, kind):
+    # under the limit, the count is the number of edge rows skew writes (the
+    # ids 'e<n>_<i>@g'; vertex ids start with 'v'); one fewer is refused
+    # before the last floor is built, stating the count, level and limit
+    d = shuffled_floors(rng, random_diagram(rng, max_depth=4))
+    rho, window = random_potential(rng, d, kind)
+    text = "--window=" + ",".join(rho.group.format(rho.group.parse(g)) for g in window)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = skew_file(tmp, d, rho, kind)
+        code, out = run_cli(["skew", path, text])
+        count = sum(line.split("\t")[1][0] == "e" for line in out.splitlines()[1:])
+        assert code == 0
+        assert run_cli(["skew", path, text, f"--max-edges={count}"]) == (0, out)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["skew", path, text, f"--max-edges={count - 1}"]) == (1, "")
+    message = f"skew product to level {d.depth} lists {count} edges, over the limit of {count - 1}"
+    assert err.getvalue() == f"error: {message}\n"
+    assert skew_product(d, rho, window, max_edges=count)._keys == skew_product(d, rho, window)._keys
+    assert outcome(lambda: skew_product(d, rho, window, max_edges=count - 1)) == (WindowError, message)
 
 
 def skew_accessors(sd, outside):

@@ -24,10 +24,13 @@ numbering is compared on another layout of the same graph.
 ``validate`` runs on every generated diagram file, and on copies of
 ``wide.json`` with one fault each (a record lacking 'src', an integer id,
 'p' on some edges only, a repeated key), so that the diagram reader's
-output and its messages are compared too.  Exit code, stdout and stderr
-must be byte-identical.  Each command that differs is listed, the counts
-are reported per format, and the exit code is 1 if any command differs,
-else 0.
+output and its messages are compared too.  The parser is compared once,
+before the workloads: ``bratteli --help``, each subcommand's ``--help`` (the
+subcommands read off both trees' usage lines) and bare ``bratteli``, the
+usage error that exits 2.  Exit code, stdout and stderr must be
+byte-identical.  Each command that differs is listed, the counts are
+reported for the parser and per format, and the exit code is 1 if any
+command differs, else 0.
 
 Each run's max RSS is read with ``os.wait4``, as the benchmark reads it.  A
 command whose max RSS moved by more than RSS_MOVE_MB between the trees runs
@@ -48,6 +51,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -175,6 +179,14 @@ def run(src, argv, cwd):
         return (proc.returncode, digest(out), digest(err)), usage.ru_maxrss / 1024
 
 
+def subcommands(src):
+    """The subcommand names in the usage line of ``bratteli --help`` under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "bratteli", "--help"]
+    usage = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
+    return re.search(r"\{([\w,]+)\}", usage)[1].split(",")
+
+
 def rss_medians(here, there, argv, cwd, mine, theirs):
     """Median max RSS of ``argv`` under each tree, over the first runs' ``mine``
     and ``theirs`` and RSS_RERUNS more per tree, alternating which runs first."""
@@ -194,8 +206,16 @@ def main():
     if not (there / "bratteli").is_dir():
         parser.error(f"{there} holds no bratteli package")
     formats = {"TSV": (), "JSON": ("--format", "json")}
-    same = dict.fromkeys(formats, 0)
-    differ = dict.fromkeys(formats, 0)
+    same = dict.fromkeys(["PARSER", *formats], 0)
+    differ = dict.fromkeys(["PARSER", *formats], 0)
+    names = sorted({*subcommands(here), *subcommands(there)})
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in ([], ["--help"], *([name, "--help"] for name in names)):
+            if run(here, argv, tmp)[0] == run(there, argv, tmp)[0]:
+                same["PARSER"] += 1
+            else:
+                differ["PARSER"] += 1
+                print(f"DIFFERS: bratteli {' '.join(argv)}")
     for workload in gen.WORKLOADS:
         peak = {"here": 0.0, "there": 0.0}  # largest max RSS of the scripted commands
         for seed in args.seeds:
@@ -220,7 +240,7 @@ def main():
                             peak["here"] = max(peak["here"], my_rss)
                             peak["there"] = max(peak["there"], their_rss)
         print(f"PEAK RSS: {workload}: {peak['there']:.2f} MB there, {peak['here']:.2f} MB here")
-    for fmt in formats:
+    for fmt in same:
         total = same[fmt] + differ[fmt]
         print(f"{fmt}: {same[fmt]} of {total} commands identical, {differ[fmt]} differ")
     return 1 if any(differ.values()) else 0
