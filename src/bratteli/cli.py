@@ -4,7 +4,7 @@ Every subcommand reads JSON input files, computes with exact rationals, and
 emits a deterministic table: TSV with a header row by default, or JSON with
 rationals rendered as {"num": ..., "den": ...}.  Exit codes: 0 on success,
 1 on a domain error (one-line diagnostic naming the violated invariant on
-stderr), 2 on a parse error.
+stderr), 2 on a parse error, 141 (128 + SIGPIPE) when stdout's reader has left.
 
 Each command imports the modules it runs at its head, before it reads a
 file, and no other: ``validate`` compiles no walk, ``skew`` no algebra.
@@ -13,9 +13,11 @@ file, and no other: ``validate`` compiles no walk, ``skew`` no algebra.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -329,7 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write error shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader left: not a fault of the input (see run)
+        raise
     except (FileFormatError, json.JSONDecodeError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -339,7 +345,16 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    """The process entry.  The objects the imports made are frozen first, so no full
+    collection traces them again, during the command or at exit, where finalization
+    collects whether or not the collector is enabled.  ``main`` freezes nothing."""
+    gc.freeze()
+    try:
+        code = main()
+    except BrokenPipeError:  # exit as SIGPIPE would, silently; what is left goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

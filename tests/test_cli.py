@@ -1,8 +1,10 @@
 """Command-line interface: output tables, formats, and exit codes."""
 
 import contextlib
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +19,7 @@ from bratteli import (
     pascal_diagram,
     table_from_leaves,
 )
+from bratteli import cli
 from bratteli.cli import main
 from helpers import peak_rss_mb
 
@@ -617,6 +620,10 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("parse error:")
 
+    code, _, err = run_main(capsys, ["validate", str(tmp_path)])  # a directory
+    assert code == 2
+    assert err.startswith("parse error:")
+
     mangled = tmp_path / "mangled.json"
     mangled.write_text("{not json")
     code, _, err = run_main(capsys, ["validate", str(mangled)])
@@ -793,6 +800,59 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("D == 1: OK")
+
+
+ONE_EDGE = {"vertices": [["a"], ["b"]], "edges": [[{"id": "e", "src": "a", "rng": "b", "p": "1"}]],
+            "nu0": {"a": "1"}}
+
+
+def test_closed_output_pipe_exits_as_sigpipe_would():
+    # about 100 KB, more than a pipe holds: the reader closes it after one line
+    # and the writer meets the closed pipe mid-table
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bratteli", "pascal", "--depth", "12", "--t", "1/3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"level\tid\tvalue\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_pipe_closed_before_the_first_write_exits_141(tmp_path):
+    # buffered, the whole table waits for the flush at the end of the command
+    f = write_json(tmp_path, "one.json", ONE_EDGE)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bratteli", "distributions", f],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_run_freezes_the_heap_before_the_command(tmp_path, capsys, monkeypatch):
+    f = write_json(tmp_path, "one.json", ONE_EDGE)
+    monkeypatch.setattr(sys, "argv", ["bratteli", "validate", f])
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr() == ("level\tsubject\trule\n", "")
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path, capsys):
+    f = write_json(tmp_path, "one.json", ONE_EDGE)
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run_main(capsys, ["distributions", f]) == (0, "level\tid\tvalue\n0\ta\t1/1\n1\tb\t1/1\n", "")
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 # the bratteli modules each command imports, beyond bratteli, states and errors
