@@ -3,8 +3,8 @@
 Every subcommand reads JSON input files, computes with exact rationals, and
 emits a deterministic table: TSV with a header row by default, or JSON with
 rationals rendered as {"num": ..., "den": ...}.  Exit codes: 0 on success,
-1 on a domain error (one-line diagnostic naming the violated invariant on
-stderr), 2 on a parse error, 141 (128 + SIGPIPE) when stdout's reader has left.
+1 on a domain error or an output fault (a one-line diagnostic on stderr),
+2 on a parse error, 141 (128 + SIGPIPE) when stdout's reader has left.
 
 Each command imports the modules it runs at its head, before it reads a
 file, and no other: ``validate`` compiles no walk, ``skew`` no algebra.
@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .diagram import _label_levels, _level_counts, _require_labels
-from .errors import BratteliError, FileFormatError, PathError
+from .errors import BratteliError, FileFormatError, InvalidDiagram, PathError
 from .fileio import (
     load_diagram,
     load_inclusion_graph,
@@ -102,12 +102,13 @@ def _parse_path(d, text: str):
 
 
 def cmd_validate(args) -> int:
-    df = load_diagram(args.file)
-    violations = df.diagram.validate()
-    emit(args, ("level", "subject", "rule"), [(v.level, v.subject, v.rule) for v in violations])
-    if violations:
-        print(f"invalid diagram: {violations[0]}", file=sys.stderr)
+    try:
+        load_diagram(args.file)
+    except InvalidDiagram as exc:  # a file that forms no diagram is a parse error, raised as one
+        emit(args, ("level", "subject", "rule"), [(v.level, v.subject, v.rule) for v in exc.violations])
+        print(f"invalid diagram: {exc}", file=sys.stderr)
         return 1
+    emit(args, ("level", "subject", "rule"), [])
     return 0
 
 
@@ -331,12 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a write error shows here, not in the flush at exit
-        return code
-    except BrokenPipeError:  # the reader left: not a fault of the input (see run)
-        raise
-    except (FileFormatError, json.JSONDecodeError, OSError) as exc:
+        return args.func(args)
+    except (FileFormatError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except BratteliError as exc:
@@ -347,13 +344,22 @@ def main(argv=None) -> int:
 def run():
     """The process entry.  The objects the imports made are frozen first, so no full
     collection traces them again, during the command or at exit, where finalization
-    collects whether or not the collector is enabled.  ``main`` freezes nothing."""
+    collects whether or not the collector is enabled.  ``main`` freezes nothing.
+    The readers raise input faults as FileFormatError, so an OSError here, of the
+    command's output or of argparse's usage and help, is an output fault."""
     gc.freeze()
     try:
-        code = main()
-    except BrokenPipeError:  # exit as SIGPIPE would, silently; what is left goes nowhere
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's usage, help and errors
+            code = exc.code
+        sys.stdout.flush()  # a write error shows here, not in the flush at exit
+    except OSError as exc:  # what is left of the output goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
+        code = 141  # the reader left: exit as SIGPIPE would, silently
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            code = 1
     sys.exit(code)
 
 

@@ -6,7 +6,7 @@ in the public interface and are mapped to dense integer indices internally;
 all outputs use the original strings.  Edges are held as ids and indices;
 a level's ``Edge`` objects are built when a caller first asks for them.
 
-Diagrams are immutable after construction and every operation here is a pure
+A diagram that exists is valid, and immutable; every operation here is a pure
 function, so values may be shared freely across threads.  Path enumeration is
 part of the public contract: paths come back in lexicographic order by edge
 index, and tests and CLI output depend on that order.  Every path consumer
@@ -81,11 +81,12 @@ class BratteliDiagram:
 
     ``vertices`` is one ordered id list per level 0..N; ``edges`` is one
     ordered list per level 1..N of edges (``Edge`` instances or
-    ``(id, src, rng)`` triples).  Construction accepts malformed content so
-    that :meth:`validate` can report it; operations that need a valid diagram
-    call :meth:`require_valid` first.  Each floor's edges are held as their
-    (ids, source ids, range ids) and endpoint indices (``_src``, ``_rng``); a
-    level's ``Edge`` objects are built on its first request.
+    ``(id, src, rng)`` triples).  Construction raises :class:`InvalidDiagram`,
+    whose ``violations`` list every broken invariant: an empty level, an id
+    repeated in its level or not resolved, a vertex off V(N) that emits no
+    edge, one off V(0) that receives none.  Each floor's edges are held as
+    their (ids, source ids, range ids) and endpoint indices (``_src``,
+    ``_rng``); a level's ``Edge`` objects are built on its first request.
     """
 
     def __init__(self, vertices, edges):
@@ -105,7 +106,8 @@ class BratteliDiagram:
         self._ids = tuple(ids for ids, _, _ in floors)
         self._vidx = tuple({v: i for i, v in enumerate(level)} for level in vs)
         self._eidx = tuple(dict(zip(ids, range(len(ids)))) for ids in self._ids)
-        self._violations = tuple(self._index())
+        if found := self._index():
+            raise InvalidDiagram(str(found[0]), found)
         self._edge_objects = [None] * len(floors)
 
     # -- structure accessors ------------------------------------------------
@@ -156,14 +158,12 @@ class BratteliDiagram:
 
     def out_edges(self, n: int, vertex_id: str) -> tuple[Edge, ...]:
         """Edges of E(n+1) with source ``vertex_id`` in V(n), in edge order."""
-        self.require_valid()
         vi = self.vertex_index(n, vertex_id)
         row = self.edges(n + 1)
         return tuple(row[k] for k in self._out[n][vi])
 
     def in_edges(self, n: int, vertex_id: str) -> tuple[Edge, ...]:
         """Edges of E(n) with range ``vertex_id`` in V(n), in edge order."""
-        self.require_valid()
         vi = self.vertex_index(n, vertex_id)
         row = self.edges(n)
         return tuple(row[k] for k in self._in[n - 1][vi])
@@ -205,15 +205,16 @@ class BratteliDiagram:
             rows.append(tuple(row))
         return rows[0] if level is not None else tuple(rows)
 
-    # -- validation ----------------------------------------------------------
+    # -- index and violations -----------------------------------------------
 
     def _index(self):
         """Dense integer indices for the package's hot loops, per floor m = n - 1,
         and the violations read off them: ``_src[m][k]`` / ``_rng[m][k]`` index
         the endpoints of edge k of E(n) in V(n-1) / V(n), None where an id does
-        not resolve; ``_out[m][i]`` / ``_in[m][j]`` list the edge indices leaving
-        vertex i of V(n-1) / entering vertex j of V(n), in edge order.  A vertex
-        whose row, read through its id, is empty emits or receives no edge."""
+        not resolve (``__init__`` then raises); ``_out[m][i]`` / ``_in[m][j]``
+        list the edge indices leaving vertex i of V(n-1) / entering vertex j of
+        V(n), in edge order.  A vertex whose row, read through its id, is empty
+        emits or receives no edge."""
         vidx, found = self._vidx, []
         for n, level in enumerate(self._vertices):
             if not level:
@@ -250,14 +251,6 @@ class BratteliDiagram:
         self._in = tuple(inc)
         return found
 
-    def validate(self) -> list[Violation]:
-        """All invariant violations; empty iff the diagram is valid."""
-        return list(self._violations)
-
-    def require_valid(self):
-        if self._violations:
-            raise InvalidDiagram(str(self._violations[0]))
-
     # -- paths ---------------------------------------------------------------
 
     def path(self, edge_ids: Iterable[str], start_level: int = 0, anchor: str | None = None) -> FinitePath:
@@ -281,7 +274,6 @@ class BratteliDiagram:
 
     def _follow(self, ids, start_level: int = 0):
         """:meth:`path`'s checks of ``ids``: the first source and last range indices, or Nones."""
-        self.require_valid()
         if not 0 <= start_level <= self.depth:
             raise PathError(f"start level {start_level} out of range 0..{self.depth}")
         if start_level + len(ids) > self.depth:
@@ -315,7 +307,6 @@ class BratteliDiagram:
 
     def extensions(self, p: FinitePath) -> list[FinitePath]:
         """All one-edge extensions of ``p``, in edge order."""
-        self.require_valid()
         n = p.end_level
         if n >= self.depth:
             return []
@@ -350,7 +341,6 @@ def _tree_levels(d: BratteliDiagram, from_level: int, to_level: int):
     levels extend each path of the one before through its out-edges, in edge
     order.
     """
-    d.require_valid()
     if not 0 <= from_level <= to_level <= d.depth:
         raise PathError(
             f"level range {from_level}..{to_level} out of bounds for depth {d.depth}"
@@ -529,7 +519,6 @@ def _level_counts(d: BratteliDiagram, from_level: int, to_level: int):
     """Path counts from V(from_level) into each vertex of V(n), by the
     incidence recursion: yields one list per level n = from_level..to_level,
     indexed like ``d.vertices(n)``."""
-    d.require_valid()
     counts = [1] * len(d.vertices(from_level))
     yield counts
     for m in range(from_level, to_level):
@@ -559,8 +548,8 @@ def subdiagram(d: BratteliDiagram, keep_vertices, keep_edges) -> BratteliDiagram
     """Restriction of ``d`` to the given vertex/edge id sets (order preserved).
 
     ``keep_vertices``: one set per level 0..N; ``keep_edges``: one set per
-    level 1..N.  The result reuses the original identifiers.
-    """
+    level 1..N.  The result reuses the original identifiers; InvalidDiagram
+    if the sets leave a vertex without edges or an edge without an end."""
     vs = [
         [v for v in d.vertices(n) if v in keep_vertices[n]]
         for n in range(d.depth + 1)

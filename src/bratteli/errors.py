@@ -11,7 +11,12 @@ class BratteliError(ValueError):
 
 
 class InvalidDiagram(BratteliError):
-    """A diagram invariant is violated."""
+    """Diagram invariants are violated: ``violations`` lists them all, the first
+    as the message (empty if the levels cannot form a diagram)."""
+
+    def __init__(self, message, violations=()):
+        super().__init__(message)
+        self.violations = list(violations)
 
 
 class PathError(BratteliError):

@@ -264,7 +264,7 @@ def canonical_units(rel: FiniteEquivRelation) -> dict:
 class InclusionGraph:
     """A one-floor Bratteli diagram (V, E, Vbar) with a point set X lying over V.
 
-    ``diagram`` must be a valid diagram of depth 1: V = V(0), E = E(1) and
+    ``diagram`` must have depth 1: V = V(0), E = E(1) and
     Vbar = V(1).  ``vertex_of`` maps X, in its key order, onto V.  The derived
     point set Xbar consists of the composable pairs (x, e) with
     vertex_of(x) = source_of(e), ordered X-major then E within x.
@@ -273,7 +273,6 @@ class InclusionGraph:
     def __init__(self, diagram: BratteliDiagram, vertex_of: Mapping):
         if diagram.depth != 1:
             raise IncompatibleData(f"inclusion graph: diagram has depth {diagram.depth}, need 1")
-        diagram.require_valid()
         self.diagram = diagram
         edges = diagram.edges(1)
         self.V = diagram.vertices(0)

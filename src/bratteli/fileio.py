@@ -32,13 +32,16 @@ if TYPE_CHECKING:  # each reader and writer imports the module that builds its o
 
 def _load_json(source, what: str) -> dict:
     """The JSON object of ``source``, a path or already-decoded JSON; a
-    FileFormatError names the ``what`` file when it holds no object."""
+    FileFormatError names the ``what`` file when it holds no object, or is
+    the read's OSError, in its words."""
     data = source
     if not isinstance(source, (dict, list)):
         try:
             data = json.loads(Path(source).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         except json.JSONDecodeError:
             raise
+        except OSError as exc:
+            raise FileFormatError(str(exc)) from None
         except (ValueError, RecursionError, FileFormatError) as exc:
             # ValueError covers non-UTF-8 text and integer literals too long to convert
             raise FileFormatError(f"{source}: {exc}") from None
@@ -142,6 +145,8 @@ def load_diagram(source) -> DiagramFile:
     try:
         diagram = BratteliDiagram(vertices, edges)
     except InvalidDiagram as exc:
+        if exc.violations:
+            raise
         # level counts that cannot even form a diagram are a file problem
         raise FileFormatError(str(exc)) from None
     return DiagramFile(
@@ -310,13 +315,16 @@ def load_measure_table(d: BratteliDiagram, source) -> tuple[CylinderTable, int]:
     JSON fault, a repeated key, another member than 'empty' and 'paths', a mass
     that is not a string or an integer, a fault in an entry) is decoded whole
     and read as a decoded ``source`` is: json's error, a stray member, then the
-    first fault, 'empty' first."""
+    first fault, 'empty' first.  An OSError of the open or a read is a
+    FileFormatError with its text."""
     _require_labels(d)
     if not isinstance(source, (dict, list)) and os.path.isfile(source):
         try:
             with open(source, encoding="utf-8") as f:
                 # a member takes at least 4 characters, so the file holds at most size // 4
                 return _fill(CylinderTable(d, os.fstat(f.fileno()).st_size // 4), _streamed_members(f))
+        except OSError as exc:
+            raise FileFormatError(str(exc)) from None
         except ValueError:  # FileFormatError, BratteliError, a JSON or UTF-8 fault
             pass
     data = _load_json(source, "measure")

@@ -57,7 +57,6 @@ class HarmonicSequence:
     """Per-level rational functions on the vertices, levels 0..N."""
 
     def __init__(self, d: BratteliDiagram, levels: Sequence[Mapping[str, object]]):
-        d.require_valid()
         self.diagram = d
         self._h = d.align("vertex", levels, as_fraction, "harmonic sequence", ShapeMismatch)
 

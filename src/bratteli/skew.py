@@ -118,9 +118,7 @@ class SkewDiagram:
                 (f"{ids[k]}@{names[g]}", f"{here[src[k]]}@{names[g]}", f"{there[rng[k]]}@{names[g2]}")
                 for g, k, g2 in _skew_edges(d, self.potential, self._keys[m], m)
             ])
-        skewed = BratteliDiagram(vertex_levels, edge_levels)
-        skewed.require_valid()
-        return skewed
+        return BratteliDiagram(vertex_levels, edge_levels)
 
     def rows(self):
         """(level, id, element) per skew vertex, level by level in vertex
@@ -180,7 +178,6 @@ def skew_product(d: BratteliDiagram, rho: EdgePotential, initial_window, *,
     m+1 has one skew edge per out-edge of each level-m key, counted before it
     is built: WindowError, stating the count, once the edges to that floor
     would number more than ``max_edges``."""
-    d.require_valid()
     if rho.diagram is not d:
         raise IncompatibleData("potential must be built on the diagram being skewed")
     group = rho.group

@@ -130,7 +130,6 @@ def _stochastic(pot, d: BratteliDiagram, values, incoming: bool, what: str, sym:
     when ``incoming``.  Returns per level the integer numerators of the values,
     each over the lcm of the denominators on its owner vertex's edges, and
     those lcms by owner."""
-    d.require_valid()
     pot.diagram = d
     pot._rho = d.align("edge", values, as_fraction, what, IncompatibleData)
     groups, owners = (d._in, d._rng) if incoming else (d._out, d._src)
@@ -180,7 +179,6 @@ class EdgePotential:
         *,
         parse: Callable | None = None,
     ):
-        d.require_valid()
         self.diagram = d
         self.group = group
         self._rho = d.align("edge", values, parse or group.parse, "potential", IncompatibleData)
@@ -219,7 +217,6 @@ class TransitionProbability(EdgePotential):
 
     @classmethod
     def uniform(cls, d: BratteliDiagram) -> "TransitionProbability":
-        d.require_valid()
         values = [
             {x: Fraction(1, len(out[i])) for x, i in zip(d._ids[m], d._src[m])}
             for m, out in enumerate(d._out)
@@ -231,7 +228,6 @@ class InitialDistribution:
     """A strictly positive probability vector on V(0)."""
 
     def __init__(self, d: BratteliDiagram, values: Mapping[str, object]):
-        d.require_valid()
         self.diagram = d
         vec = d.align("vertex", values, as_fraction, "initial distribution", IncompatibleData, level=0)
         for v, x in zip(d.vertices(0), vec):
@@ -290,7 +286,6 @@ class RandomWalk:
     """
 
     def __init__(self, d: BratteliDiagram, p: TransitionProbability, nu0: InitialDistribution):
-        d.require_valid()
         if p.diagram is not d or nu0.diagram is not d:
             raise IncompatibleData("walk data must be built on the walk's own diagram")
         self.diagram = d
@@ -404,7 +399,6 @@ def from_cotransition(d: BratteliDiagram, q, nus: Sequence[Mapping[str, object]]
     identity and the walk is rebuilt, so the result round-trips to the exact
     same (q, nus).
     """
-    d.require_valid()
     q = _cotransition_on(d, q)
     levels = d.align("vertex", nus, as_fraction, "distribution", IncompatibleData)
     bad = _first_mismatch(d, q._rho, levels)

@@ -186,45 +186,49 @@ def peak_rss_mb(argv):
 # -- the diagram's violations ----------------------------------------------------
 
 
-def oracle_violations(d):
-    """Every broken invariant of ``d``, found with string-id sets: empty
-    levels and duplicate vertex ids level by level, then per edge level its
-    duplicate edge ids and each edge's unresolved source and range, then per
-    floor the vertices that emit no edge and those that receive none."""
+def oracle_violations(vertices, edges):
+    """Every broken invariant of the levels ``vertices`` and ``edges``, as
+    ``BratteliDiagram`` takes them (edges as (id, src, rng) triples), found
+    with string-id sets: empty levels and duplicate vertex ids level by level,
+    then per edge level its duplicate edge ids and each edge's unresolved
+    source and range, then per floor the vertices that emit no edge and those
+    that receive none."""
     found = []
-    for n, level in enumerate(d._vertices):
+    for n, level in enumerate(vertices):
         if not level:
             found.append(Violation(n, f"V({n})", "level has no vertices"))
-        if len(d._vidx[n]) != len(level):
-            seen = set()
-            for v in level:
-                if v in seen:
-                    found.append(Violation(n, f"vertex '{v}'", "duplicate identifier"))
-                seen.add(v)
-    for m, row in enumerate(map(d.edges, range(1, d.depth + 1))):
-        n = m + 1
-        if len(d._eidx[m]) != len(row):
-            seen = set()
-            for e in row:
-                if e.id in seen:
-                    found.append(Violation(n, f"edge '{e.id}'", "duplicate identifier"))
-                seen.add(e.id)
-        for e in row:
-            if e.src not in d._vidx[n - 1]:
-                found.append(Violation(n, f"edge '{e.id}'", f"source '{e.src}' not in V({n - 1})"))
-            if e.rng not in d._vidx[n]:
-                found.append(Violation(n, f"edge '{e.id}'", f"range '{e.rng}' not in V({n})"))
-    for m, row in enumerate(map(d.edges, range(1, d.depth + 1))):
-        n = m + 1
-        emitting = {e.src for e in row}
-        receiving = {e.rng for e in row}
-        for v in d._vertices[n - 1]:
+        seen = set()
+        for v in level:
+            if v in seen:
+                found.append(Violation(n, f"vertex '{v}'", "duplicate identifier"))
+            seen.add(v)
+    for n, row in enumerate(edges, 1):
+        seen = set()
+        for eid, _, _ in row:
+            if eid in seen:
+                found.append(Violation(n, f"edge '{eid}'", "duplicate identifier"))
+            seen.add(eid)
+        for eid, src, rng in row:
+            if src not in vertices[n - 1]:
+                found.append(Violation(n, f"edge '{eid}'", f"source '{src}' not in V({n - 1})"))
+            if rng not in vertices[n]:
+                found.append(Violation(n, f"edge '{eid}'", f"range '{rng}' not in V({n})"))
+    for n, row in enumerate(edges, 1):
+        emitting = {src for _, src, _ in row}
+        receiving = {rng for _, _, rng in row}
+        for v in vertices[n - 1]:
             if v not in emitting:
                 found.append(Violation(n - 1, f"vertex '{v}'", "emits no edge"))
-        for v in d._vertices[n]:
+        for v in vertices[n]:
             if v not in receiving:
                 found.append(Violation(n, f"vertex '{v}'", "receives no edge"))
     return found
+
+
+def diagram_levels(d):
+    """The (vertices, edges) levels ``d`` was built from, edges as (id, src, rng) triples."""
+    return ([list(d.vertices(n)) for n in range(d.depth + 1)],
+            [[(e.id, e.src, e.rng) for e in d.edges(n)] for n in range(1, d.depth + 1)])
 
 
 def oracle_adjacency(d):
@@ -309,6 +313,10 @@ def oracle_load_diagram(source) -> DiagramFile:
         nu0 = {
             _string(v, "nu0"): _rational(x, f"nu0['{v}']") for v, x in data["nu0"].items()
         }
+    if len(edges) == len(vertices) - 1 > 0:  # levels that form a diagram: its violations
+        found = oracle_violations(vertices, edges)
+        if found:
+            raise InvalidDiagram(str(found[0]), found)
     try:
         diagram = BratteliDiagram(vertices, edges)
     except InvalidDiagram as exc:
@@ -348,7 +356,6 @@ def oracle_enumerate_paths(d, from_level, to_level):
 def oracle_path(d, edge_ids, start_level=0, anchor=None):
     """``d.path`` by string lookups: each edge by id, its source compared with
     the previous edge's range."""
-    d.require_valid()
     ids = tuple(edge_ids)
     if not 0 <= start_level <= d.depth:
         raise PathError(f"start level {start_level} out of range 0..{d.depth}")
@@ -692,7 +699,6 @@ def oracle_skew_product(d, rho, initial_window):
     """The windowed skew product on string ids, one ``out_edges``, potential
     and ``format`` call per edge: (skew diagram, vertex pairs per level 0..N,
     edge pairs per level 1..N)."""
-    d.require_valid()
     if rho.diagram is not d:
         raise IncompatibleData("potential must be built on the diagram being skewed")
     group = rho.group
@@ -721,9 +727,7 @@ def oracle_skew_product(d, rho, initial_window):
         vertex_levels.append([f"{v}@{fmt(g)}" for (v, g) in ordered])
         edge_levels.append(edges_here)
         edge_pairs.append(tuple(pairs_here))
-    skewed = BratteliDiagram(vertex_levels, edge_levels)
-    skewed.require_valid()
-    return skewed, tuple(vertex_pairs), tuple(edge_pairs)
+    return BratteliDiagram(vertex_levels, edge_levels), tuple(vertex_pairs), tuple(edge_pairs)
 
 
 # -- reference oracle for the expectation checks -----------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: output tables, formats, and exit codes."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -19,7 +20,7 @@ from bratteli import (
     pascal_diagram,
     table_from_leaves,
 )
-from bratteli import cli
+from bratteli import cli, fileio
 from bratteli.cli import main
 from helpers import peak_rss_mb
 
@@ -67,6 +68,27 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert code == 1
     assert "edge 'e'" in out
     assert err.startswith("invalid diagram:")
+
+
+# an invalid diagram with neither walk data nor a potential: the diagram is
+# built as the file is read, so its first violation is the error reported
+STRANDED = {"vertices": [["a", "b"], ["c"]], "edges": [[{"id": "e", "src": "a", "rng": "c"}]]}
+
+
+@pytest.mark.parametrize("argv", [["distributions"], ["skew", "--window=0"]])
+def test_a_violation_comes_before_missing_data(tmp_path, capsys, argv):
+    f = write_json(tmp_path, "stranded.json", STRANDED)
+    assert run_main(capsys, [argv[0], f, *argv[1:]]) == (1, "", "error: level 0: vertex 'b': emits no edge\n")
+
+
+def test_an_invalid_graph_of_two_floors_reports_the_violation(tmp_path, capsys):
+    # before the floors are counted: exit 1, not the parse error of a valid two-floor graph
+    graph = {"vertices": [["a"], ["b"], ["c", "d"]],
+             "edges": [[{"id": "e", "src": "a", "rng": "b", "p": "1"}],
+                       [{"id": "f", "src": "b", "rng": "c", "p": "1"}]],
+             "X": {"x": "a"}}
+    f = write_json(tmp_path, "graph.json", graph)
+    assert run_main(capsys, ["expect", "--graph", f]) == (1, "", "error: level 2: vertex 'd': receives no edge\n")
 
 
 def test_measure_table(tmp_path, capsys):
@@ -730,6 +752,30 @@ def test_file_faults_exit_2(tmp_path, capsys, monkeypatch, role, fault):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("role", sorted(FILE_ROLES))
+def test_unreadable_files_are_parse_errors(tmp_path, capsys, monkeypatch, role):
+    # the reader's OSError, in its own words: a missing file, then a directory
+    argv, _, _ = FILE_ROLES[role]
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "vee.json", VEE)
+    (tmp_path / "dir.json").mkdir()
+    for name, number in (("none.json", errno.ENOENT), ("dir.json", errno.EISDIR)):
+        code, out, err = run_main(capsys, [x.replace("FILE", name) for x in argv])
+        assert (code, out, err) == (2, "", f"parse error: [Errno {number}] {os.strerror(number)}: {name!r}\n")
+
+
+def test_a_read_fault_of_the_streamed_table_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    vee = write_json(tmp_path, "vee.json", VEE)
+    table = write_json(tmp_path, "table.json", MEASURE)
+
+    def failing_open(*args, **kwargs):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+    code, out, err = run_main(capsys, ["qcheck", vee, "--measure", table])
+    assert (code, out, err) == (2, "", f"parse error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n")
+
+
 KEYS = ["vertices", "edges", "id", "src", "rng", "p", "rho", "nu0", "X", "empty", "paths",
         "a", "b", "c", "v", "w", "ea", "eb", "x0"]
 json_values = st.recursive(
@@ -823,15 +869,47 @@ def test_closed_output_pipe_exits_as_sigpipe_would():
 def test_pipe_closed_before_the_first_write_exits_141(tmp_path):
     # buffered, the whole table waits for the flush at the end of the command
     f = write_json(tmp_path, "one.json", ONE_EDGE)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run([sys.executable, "-m", "bratteli", "distributions", f],
-                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+                              stdout=write, stderr=subprocess.PIPE, env=buffered_env(), timeout=60)
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def buffered_env():
+    """This process's environment with stdout left buffered in the child."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["skew", "--help"]])
+def test_usage_to_a_closed_pipe_exits_141(argv):
+    # argparse writes the help into the buffer and exits before any command:
+    # run flushes it under the same guard as a command's output
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bratteli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=buffered_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("depth", ["3", "12"])
+def test_full_disk_is_one_output_error(depth, buffered):
+    # an output fault, not a parse error, and reported once: what is left in
+    # the buffer goes to the null device at exit
+    env = buffered_env() if buffered else dict(os.environ, PYTHONUNBUFFERED="1")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "bratteli", "pascal", "--depth", depth, "--t", "1/3"],
+                              stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    line = f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (proc.returncode, proc.stderr) == (1, line)
 
 
 def test_run_freezes_the_heap_before_the_command(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from bratteli import (
 
 from helpers import (
     chain_diagram,
+    diagram_levels,
     oracle_adjacency,
     oracle_enumerate_paths,
     oracle_violations,
@@ -98,36 +99,34 @@ def test_construction_shape_errors():
         BratteliDiagram([["a"], ["b"]], [[("e", "a", "b")], [("f", "b", "b")]])
 
 
+def violations_of(vertices, edges):
+    """The ``violations`` of the InvalidDiagram that building the diagram raises."""
+    with pytest.raises(InvalidDiagram) as info:
+        BratteliDiagram(vertices, edges)
+    return info.value.violations
+
+
 def test_valid_diagram_has_no_violations():
     d = two_level([("e0", "a", "c"), ("e1", "a", "d"), ("e2", "b", "d")])
-    assert d.validate() == []
-    d.require_valid()
+    assert oracle_violations(*diagram_levels(d)) == []
 
 
 def test_violation_reporting():
     # b emits nothing, c receives nothing
-    d = two_level([("e0", "a", "d")])
-    rules = {v.rule for v in d.validate()}
+    rules = {v.rule for v in violations_of([["a", "b"], ["c", "d"]], [[("e0", "a", "d")]])}
     assert "emits no edge" in rules
     assert "receives no edge" in rules
-    assert d.validate()
-    with pytest.raises(InvalidDiagram):
-        d.require_valid()
 
 
 def test_violation_dangling_endpoints():
-    d = two_level([("e0", "a", "c"), ("e1", "zz", "d"), ("e2", "b", "qq")])
-    subjects = {(v.subject, v.rule) for v in d.validate()}
+    edges = [[("e0", "a", "c"), ("e1", "zz", "d"), ("e2", "b", "qq")]]
+    subjects = {(v.subject, v.rule) for v in violations_of([["a", "b"], ["c", "d"]], edges)}
     assert ("edge 'e1'", "source 'zz' not in V(0)") in subjects
     assert ("edge 'e2'", "range 'qq' not in V(1)") in subjects
 
 
 def test_violation_duplicates_and_empty_level():
-    d = BratteliDiagram(
-        [["a", "a"], []],
-        [[("e0", "a", "x"), ("e0", "a", "x")]],
-    )
-    rules = [v.rule for v in d.validate()]
+    rules = [v.rule for v in violations_of([["a", "a"], []], [[("e0", "a", "x"), ("e0", "a", "x")]])]
     assert "duplicate identifier" in rules
     assert "level has no vertices" in rules
 
@@ -141,36 +140,43 @@ def malformed_diagrams(draw):
     vertices = [draw(st.lists(st.sampled_from("abc"), max_size=4)) for _ in range(depth + 1)]
     edge = st.tuples(st.sampled_from(["e", "f", "g"]), st.sampled_from("abcz"), st.sampled_from("abcz"))
     edges = [draw(st.lists(edge, max_size=5)) for _ in range(depth)]
-    return BratteliDiagram(vertices, edges)
+    return vertices, edges
 
 
 @settings(max_examples=300, deadline=None)
 @given(malformed_diagrams())
 # a duplicated vertex that emits, one that receives (only the copy its id
 # resolves to holds its edges), and a valid diagram
-@example(BratteliDiagram([["a", "a"], ["b"]], [[("e", "a", "b")]]))
-@example(BratteliDiagram([["a"], ["b", "b"]], [[("e", "a", "b")]]))
-@example(BratteliDiagram([["a"], ["b"]], [[("e", "a", "b")]]))
-def test_validate_matches_oracle(d):
-    want = oracle_violations(d)
-    assert d.validate() == want
+@example(([["a", "a"], ["b"]], [[("e", "a", "b")]]))
+@example(([["a"], ["b", "b"]], [[("e", "a", "b")]]))
+@example(([["a"], ["b"]], [[("e", "a", "b")]]))
+def test_construction_raises_the_oracle_violations(levels):
+    # raises exactly when the oracle finds a violation, with all of them,
+    # and the first one's words
+    want = oracle_violations(*levels)
     if not want:
+        d = BratteliDiagram(*levels)
         assert (d._src, d._rng, d._out, d._in) == oracle_adjacency(d)
+        return
+    with pytest.raises(InvalidDiagram) as info:
+        BratteliDiagram(*levels)
+    assert info.value.violations == want
+    assert str(info.value) == str(want[0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_index_matches_dict_built_adjacency(rng):
     d = random_diagram(rng)
-    assert d.validate() == []
+    assert oracle_violations(*diagram_levels(d)) == []
     assert (d._src, d._rng, d._out, d._in) == oracle_adjacency(d)
 
 
 def test_violation_str_names_level_and_subject():
-    d = two_level([("e0", "a", "d")])
-    text = str(d.validate()[0])
-    assert text.startswith("level ")
-    assert ":" in text
+    with pytest.raises(InvalidDiagram) as info:
+        two_level([("e0", "a", "d")])
+    text = str(info.value.violations[0])
+    assert text == str(info.value) == "level 0: vertex 'b': emits no edge"
 
 
 def test_path_building_and_labels():
@@ -328,7 +334,15 @@ def test_subdiagram_preserves_ids_and_order():
     assert sub.vertices(0) == ("a", "b")
     assert sub.vertices(1) == ("d",)
     assert [e.id for e in sub.edges(1)] == ["e1", "e2"]
-    assert not sub.validate()
+    assert oracle_violations(*diagram_levels(sub)) == []
+
+
+def test_subdiagram_that_strands_a_vertex_raises():
+    # without e2, b emits nothing: the keep-set is refused, not returned invalid
+    d = two_level([("e0", "a", "c"), ("e1", "a", "d"), ("e2", "b", "d")])
+    with pytest.raises(InvalidDiagram, match="^level 0: vertex 'b': emits no edge$") as info:
+        subdiagram(d, [{"a", "b"}, {"d"}], [{"e1"}])
+    assert info.value.violations == oracle_violations([["a", "b"], ["d"]], [[("e1", "a", "d")]])
 
 
 def test_public_names_resolve():

@@ -16,6 +16,7 @@ from bratteli import (
     EdgePotential,
     FileFormatError,
     IncompatibleData,
+    InvalidDiagram,
     MultiplicativeRationals,
     ZLattice,
     dump_diagram,
@@ -160,14 +161,15 @@ def faulty_payload(rng, faults):
 
 
 def loaded(load, payload):
-    """What a reader makes of ``payload``: the parts of its DiagramFile, or its exception."""
+    """What a reader makes of ``payload``: the parts of its DiagramFile, or
+    its exception's type, message and violations (None if it has none)."""
     try:
         df = load(payload)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "violations", None)
     d = df.diagram
     return ([d.vertices(n) for n in range(d.depth + 1)], [d.edges(n) for n in range(1, d.depth + 1)],
-            d.validate(), df.p_levels, df.nu0, df.rho_levels)
+            df.p_levels, df.nu0, df.rho_levels)
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,11 +180,12 @@ def test_load_diagram_matches_oracle(rng, faults):
     got = loaded(load_diagram, payload)
     assert got == loaded(oracle_load_diagram, payload)
     if set(faults) <= {"none", "unknown-src", "unknown-rng", "repeated-id"}:
-        # the edges are the records as given, unresolved endpoints included
-        records = [[(r["id"], r["src"], r["rng"]) for r in level] for level in payload["edges"]]
-        assert [[(e.id, e.src, e.rng) for e in row] for row in got[1]] == records
-        if {"unknown-src", "unknown-rng"} & set(faults):
-            assert got[2]
+        if {"unknown-src", "unknown-rng"} & set(faults) or got[0] is InvalidDiagram:
+            # an unresolved endpoint, or an id repeated in its level, is a violation of the diagram
+            assert got[0] is InvalidDiagram and got[2]
+        else:  # the edges are the records as given
+            records = [[(r["id"], r["src"], r["rng"]) for r in level] for level in payload["edges"]]
+            assert [[(e.id, e.src, e.rng) for e in row] for row in got[1]] == records
 
 
 def test_walk_from_file_requires_walk_data():

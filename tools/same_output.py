@@ -24,7 +24,12 @@ numbering is compared on another layout of the same graph.
 ``validate`` runs on every generated diagram file, and on copies of
 ``wide.json`` with one fault each (a record lacking 'src', an integer id,
 'p' on some edges only, a repeated key), so that the diagram reader's
-output and its messages are compared too.  The parser is compared once,
+output and its messages are compared too.  Both ``validate`` and
+``distributions`` run on three more copies of ``wide.json``, each breaking
+diagram invariants only, 'p' and 'nu0' left whole (an edge id repeated in
+its level, an edge whose 'src' names no vertex, a level-1 vertex with its
+out-edges removed), so that the violation table and the ``error:`` line
+are compared.  The parser is compared once,
 before the workloads: ``bratteli --help``, each subcommand's ``--help`` (the
 subcommands read off both trees' usage lines) and bare ``bratteli``, the
 usage error that exits 2.  Exit code, stdout and stderr must be
@@ -71,6 +76,7 @@ RSS_RERUNS = 4  # more runs per tree of a command whose first runs moved
 # [argv, scripted] pairs, where scripted is false for the start-up probe, for
 # each qcheck's second and third runs, on its table re-serialized and shuffled,
 # for the validate runs on the diagram files and the faulty copies of wide.json,
+# for distributions on the copies that break diagram invariants only,
 # for harmonic on its terminal data with signs flipped and every third value 0,
 # for skew under a second, seeded window, for pascal's runs at other depths
 # and values of t, and for expect and extractp on their graph file with its
@@ -91,7 +97,8 @@ for name, text in sorted(files.items()):
     data = json.loads(text)
     if name not in workloads.STARTUP.argv and {"vertices", "edges"} <= set(data) and "X" not in data:
         commands.append([["validate", name], False])
-for fault in ("lacks-src", "int-id", "p-on-some", "repeated-key") if "wide.json" in files else ():
+INVARIANT_FAULTS = ("repeated-edge-id", "unknown-src", "stranded-vertex")
+for fault in ("lacks-src", "int-id", "p-on-some", "repeated-key", *INVARIANT_FAULTS) if "wide.json" in files else ():
     data = json.loads(files["wide.json"])
     level = data["edges"][-1]
     rec = level[len(level) // 2]  # a record past the first of its level
@@ -101,12 +108,20 @@ for fault in ("lacks-src", "int-id", "p-on-some", "repeated-key") if "wide.json"
         rec["id"] = 7
     elif fault == "p-on-some":
         del rec["p"]
+    elif fault == "repeated-edge-id":
+        rec["id"] = level[0]["id"]
+    elif fault == "unknown-src":
+        rec["src"] = "nowhere"
+    elif fault == "stranded-vertex":  # the out-edges of a level-1 vertex removed
+        data["edges"][1] = [r for r in data["edges"][1] if r["src"] != data["vertices"][1][0]]
     text = json.dumps(data)
     if fault == "repeated-key":
         key = json.dumps(rec["id"])
         text = text.replace(f'"id": {key}', f'"id": {key}, "id": {key}', 1)
     (out / f"wide-{fault}.json").write_text(text, encoding="utf-8")
     commands.append([["validate", f"wide-{fault}.json"], False])
+    if fault in INVARIANT_FAULTS:
+        commands.append([["distributions", f"wide-{fault}.json"], False])
 for inv in workloads.SCRIPTS[workload](facts):
     argv = list(inv.argv)
     commands.append([argv, True])
